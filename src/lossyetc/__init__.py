@@ -5,40 +5,13 @@ event-triggered feedback with a bounded-loss network between sensor and
 controller, and computes the matching analytical guarantees: the error
 amplification factor, a strictly positive minimum inter-event time, and an
 exponential stability envelope.
+
+The top level holds the quick-start surface used by the README and the
+command line; `lossyetc.<module>` holds the full API.
 """
 
-from .bounds import (
-    BoundCheck,
-    BoundsError,
-    BoundsReport,
-    DeltaBreakdown,
-    GrowthEnvelope,
-    MietBreakdown,
-    SubspaceReport,
-    ZohBoundsReport,
-    analyze_scenario,
-    analyze_scenario_zoh,
-    compute_Delta,
-    compute_delta_zoh,
-    delta_bar,
-    growth_constants,
-    min_inter_event_time,
-    stability_envelope_bound,
-    stable_subspace_residual,
-    verify_ec_bound,
-)
-from .numerics import (
-    DecayEnvelope,
-    EigenDecomposition,
-    EigendecompositionError,
-    NumericsError,
-    bisect_root,
-    decay_envelope,
-    eigendecompose,
-    exp_norms_on_grid,
-    mat_exp,
-    spectral_abscissa,
-)
+from .bounds import BoundsError, analyze_scenario, analyze_scenario_zoh, verify_ec_bound
+from .numerics import NumericsError
 from .scenarios import (
     ScenarioFormatError,
     bounds_report_to_dict,
@@ -46,124 +19,38 @@ from .scenarios import (
     load_trace,
     save_scenario,
     save_trace,
-    scenario_from_dict,
-    scenario_to_dict,
-    subspace_report_to_dict,
     summary_to_dict,
     vehicle_preset,
     zoh_report_to_dict,
 )
-from .simulator import (
-    FlowProbe,
-    Scenario,
-    SimulationError,
-    SummaryStats,
-    Trace,
-    locate_event,
-    probe_from_scenario,
-    simulate,
-    summarize,
-)
-from .system_model import (
-    AugmentedState,
-    EstimatorKind,
-    Gain,
-    ModelError,
-    NominalModel,
-    Plant,
-    augmented_generator,
-    closed_loop,
-    gamma_matrix,
-    gamma_zoh,
-    jump_on_delivery,
-    jump_on_trigger,
-)
-from .trigger_channel import (
-    ChannelError,
-    ChannelMode,
-    ChannelPolicy,
-    ChannelState,
-    Outcome,
-    TriggerConfig,
-    channel_offer,
-    initial_channel_state,
-    random_drop_script,
-    should_trigger,
-    threshold_value,
-)
+from .simulator import Scenario, SimulationError, simulate, summarize
+from .system_model import EstimatorKind, ModelError
+from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, random_drop_script
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedState",
-    "BoundCheck",
     "BoundsError",
-    "BoundsReport",
     "ChannelError",
     "ChannelMode",
     "ChannelPolicy",
-    "ChannelState",
-    "DecayEnvelope",
-    "DeltaBreakdown",
-    "EigenDecomposition",
-    "EigendecompositionError",
     "EstimatorKind",
-    "FlowProbe",
-    "Gain",
-    "GrowthEnvelope",
-    "MietBreakdown",
     "ModelError",
-    "NominalModel",
     "NumericsError",
-    "Outcome",
-    "Plant",
     "Scenario",
     "ScenarioFormatError",
     "SimulationError",
-    "SubspaceReport",
-    "SummaryStats",
-    "Trace",
-    "TriggerConfig",
-    "ZohBoundsReport",
     "analyze_scenario",
     "analyze_scenario_zoh",
-    "augmented_generator",
-    "bisect_root",
     "bounds_report_to_dict",
-    "channel_offer",
-    "closed_loop",
-    "compute_Delta",
-    "compute_delta_zoh",
-    "decay_envelope",
-    "delta_bar",
-    "eigendecompose",
-    "exp_norms_on_grid",
-    "gamma_matrix",
-    "gamma_zoh",
-    "growth_constants",
-    "initial_channel_state",
-    "jump_on_delivery",
-    "jump_on_trigger",
     "load_scenario",
     "load_trace",
-    "locate_event",
-    "mat_exp",
-    "min_inter_event_time",
-    "probe_from_scenario",
     "random_drop_script",
     "save_scenario",
     "save_trace",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "should_trigger",
     "simulate",
-    "spectral_abscissa",
-    "stability_envelope_bound",
-    "stable_subspace_residual",
-    "subspace_report_to_dict",
     "summarize",
     "summary_to_dict",
-    "threshold_value",
     "vehicle_preset",
     "verify_ec_bound",
     "zoh_report_to_dict",

@@ -32,7 +32,6 @@ from .numerics import (
     decay_envelope,
     eigendecompose,
     exp_norms_on_grid,
-    mat_exp,
 )
 from .system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix, gamma_zoh
 from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
@@ -40,8 +39,6 @@ from .simulator import Scenario, Trace, simulate
 
 SUBSPACE_RESIDUAL_TOL = 1e-9
 _SUP_GRID_POINTS = 400
-_ENVELOPE_FIT_POINTS = 400
-_ENVELOPE_CHECK_POINTS = 300
 _TRACE_MARGIN = 0.99
 
 
@@ -136,71 +133,6 @@ class SubspaceReport:
 
     residual: float
     basis_dim: int
-
-
-def growth_constants(Gamma: np.ndarray, x0: np.ndarray, horizon: float) -> GrowthEnvelope:
-    """Exponential lower envelope of the plant-state norm under drop-out flow.
-
-    The rate is 0.99 times the slowest growing mode of Gamma; the gain is
-    fitted on the asymptotic half [horizon/2, horizon] of the matched flow
-    started from the doubled initial condition, with a 5 percent safety
-    margin, then re-checked on a fresh random grid.
-    """
-    g = np.asarray(Gamma, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
-        raise BoundsError(f"Gamma must be square with even dimension, got {g.shape}")
-    n = g.shape[0] // 2
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != n:
-        raise BoundsError(f"x0 has size {x0.size}, expected {n}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise BoundsError(f"horizon must be positive and finite, got {horizon!r}")
-
-    eig = eigendecompose(g)
-    growing = eig.eigenvalues.real > MARGINAL_RE_TOL
-    if not np.any(growing):
-        raise BoundsError("Gamma has no growing mode; no exponential lower envelope")
-    gamma = 0.99 * float(np.min(eig.eigenvalues.real[growing]))
-
-    w0 = np.concatenate([x0, x0])
-    residual = _span_distance(eig.eigenvectors[:, ~growing], w0)
-    if residual <= SUBSPACE_RESIDUAL_TOL:
-        raise BoundsError(
-            "initial condition excites no growing mode "
-            f"(non-growing span distance {residual:.3e})"
-        )
-
-    t0 = horizon / 2.0
-    ts = np.linspace(t0, horizon, _ENVELOPE_FIT_POINTS)
-    vals = _flow_norms(g, w0, ts, n)
-    eta = 0.95 * float(np.min(vals * np.exp(-gamma * ts)))
-    if not eta > 0.0:
-        raise BoundsError("flow norm vanished on the fit window")
-
-    rng = np.random.default_rng(1)
-    ts_check = np.sort(rng.uniform(t0, horizon, _ENVELOPE_CHECK_POINTS))
-    vals_check = _flow_norms(g, w0, ts_check, n)
-    short = eta * np.exp(gamma * ts_check) - vals_check
-    worst = float(np.max(short))
-    if worst > 1e-9 * max(1.0, float(np.max(vals_check))):
-        raise BoundsError(
-            f"envelope violated on the validation grid by {worst:.3e}"
-        )
-    return GrowthEnvelope(eta=eta, gamma=gamma)
-
-
-def _flow_norms(g: np.ndarray, w0: np.ndarray, ts: np.ndarray, n: int) -> np.ndarray:
-    """||first n components of exp(g t) w0|| for each t; ts must be sorted."""
-    out = np.empty(ts.shape[0])
-    z = w0
-    prev = 0.0
-    for i, t in enumerate(ts):
-        dt = float(t) - prev
-        if dt > 0.0:
-            z = mat_exp(g, dt) @ z
-            prev = float(t)
-        out[i] = np.linalg.norm(z[:n])
-    return out
 
 
 def _span_distance(basis: np.ndarray, v: np.ndarray) -> float:
@@ -478,19 +410,17 @@ def _interval_constants(
     return out
 
 
-def _whole_trace_constants(
-    tr: Trace, gamma: float, c_model: float, m: int
-) -> list[tuple[float, float]]:
-    """Fallback when no maximal-drop window exists: one global envelope."""
+def _whole_trace_envelope(tr: Trace, gamma: float) -> tuple[float, float]:
+    """Fallback when no maximal-drop window exists: one global (eta, peak norm)."""
     norms = np.linalg.norm(tr.x, axis=1)
     if not float(np.min(norms)) > 0.0:
         raise BoundsError("state norm vanished along the trace")
     eta = _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * tr.t)))
-    zeta = c_model * float(np.max(norms))
-    return [(eta, zeta)] * (m - 1)
+    return eta, float(np.max(norms))
 
 
 def _growth_rate(gamma_mat: np.ndarray) -> float:
+    """0.99 times the slowest growing mode of an (x, x_c) generator."""
     eig = eigendecompose(gamma_mat)
     growing = eig.eigenvalues.real > MARGINAL_RE_TOL
     if not np.any(growing):
@@ -521,16 +451,18 @@ def analyze_scenario(scn: Scenario, tr: Trace | None = None) -> BoundsReport:
     gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
     kappa = env_model.rate
 
-    windows = _complete_windows(tr, m)
-    best: DeltaBreakdown | None = None
-    for events in windows:
-        consts = _interval_constants(tr, events, gamma, env_model.c)
-        frag = compute_Delta(scn.model, scn.gain, scn.trigger, m, consts, gamma, kappa)
-        if best is None or frag.Delta > best.Delta:
-            best = frag
-    if best is None:
-        consts = _whole_trace_constants(tr, gamma, env_model.c, m)
-        best = compute_Delta(scn.model, scn.gain, scn.trigger, m, consts, gamma, kappa)
+    per_window = [
+        _interval_constants(tr, events, gamma, env_model.c)
+        for events in _complete_windows(tr, m)
+    ]
+    if not per_window:
+        eta, peak = _whole_trace_envelope(tr, gamma)
+        per_window = [[(eta, env_model.c * peak)] * (m - 1)]
+    frags = [
+        compute_Delta(scn.model, scn.gain, scn.trigger, m, consts, gamma, kappa)
+        for consts in per_window
+    ]
+    best = max(frags, key=lambda frag: frag.Delta)
 
     x0_norm = float(np.linalg.norm(scn.x0))
     miet = min_inter_event_time(
@@ -561,22 +493,19 @@ def analyze_scenario_zoh(scn: Scenario, tr: Trace | None = None) -> ZohBoundsRep
     m = scn.channel.M
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
 
-    best: ZohBoundsReport | None = None
+    candidates = []
     for events in _complete_windows(tr, m):
         i_rows = [int(np.searchsorted(tr.t, events[j], side="left")) for j in range(1, m)]
         norms = [float(np.linalg.norm(tr.x[i])) for i in i_rows]
         etas = [eta for eta, _ in _interval_constants(tr, events, gamma, 1.0)]
-        eta = min(min(etas), min(norms))
-        growth = GrowthEnvelope(eta=eta, gamma=gamma)
-        rep = compute_delta_zoh(scn.plant, scn.gain, scn.trigger, m, norms, growth)
-        if best is None or rep.Delta_zoh > best.Delta_zoh:
-            best = rep
-    if best is None:
-        all_norms = np.linalg.norm(tr.x, axis=1)
-        if not float(np.min(all_norms)) > 0.0:
-            raise BoundsError("state norm vanished along the trace")
-        eta = _TRACE_MARGIN * float(np.min(all_norms * np.exp(-gamma * tr.t)))
-        norms = [float(np.max(all_norms))] * (m - 1)
-        growth = GrowthEnvelope(eta=eta, gamma=gamma)
-        best = compute_delta_zoh(scn.plant, scn.gain, scn.trigger, m, norms, growth)
-    return best
+        candidates.append((min(min(etas), min(norms)), norms))
+    if not candidates:
+        eta, peak = _whole_trace_envelope(tr, gamma)
+        candidates.append((eta, [peak] * (m - 1)))
+    reports = [
+        compute_delta_zoh(
+            scn.plant, scn.gain, scn.trigger, m, norms, GrowthEnvelope(eta=eta, gamma=gamma)
+        )
+        for eta, norms in candidates
+    ]
+    return max(reports, key=lambda rep: rep.Delta_zoh)

@@ -13,29 +13,18 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import (
-    BoundsError,
-    analyze_scenario,
-    analyze_scenario_zoh,
-    verify_ec_bound,
-)
+from .bounds import analyze_scenario, analyze_scenario_zoh, verify_ec_bound
 from .numerics import NumericsError
 from .scenarios import (
-    ScenarioFormatError,
     bounds_report_to_dict,
     load_scenario,
     save_trace,
     summary_to_dict,
     zoh_report_to_dict,
 )
-from .simulator import Scenario, SimulationError, simulate, summarize
-from .system_model import EstimatorKind, ModelError
-from .trigger_channel import (
-    ChannelError,
-    ChannelMode,
-    ChannelPolicy,
-    random_drop_script,
-)
+from .simulator import Scenario, SimulationError, Trace, simulate, summarize
+from .system_model import EstimatorKind
+from .trigger_channel import ChannelMode, ChannelPolicy, random_drop_script
 
 _SWEEP_COLUMNS = [
     "param",
@@ -118,6 +107,14 @@ def _load(args) -> Scenario:
     return scn
 
 
+def _worst_case(scn: Scenario) -> tuple[Scenario, Trace]:
+    """The scenario under the worst-case channel, and its one simulated run."""
+    worst = dataclasses.replace(
+        scn, channel=ChannelPolicy(M=scn.channel.M, mode=ChannelMode.WORST_CASE)
+    )
+    return worst, simulate(worst)
+
+
 def _out_path(args, suffix: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -165,12 +162,13 @@ def cmd_bounds(args) -> int:
         print("lossyetc bounds: reports serialize as JSON only", file=sys.stderr)
         return 1
     scn = _load(args)
-    rep = analyze_scenario(scn)
+    worst, tr = _worst_case(scn)
+    rep = analyze_scenario(worst, tr)
     out = _out_path(args, ".bounds.json")
     _write_json(out, bounds_report_to_dict(rep))
     line = f"bounds: Delta={rep.Delta:.6g}, miet={rep.miet:.6g}, wrote {out}"
     if scn.estimator is EstimatorKind.ZERO_ORDER_HOLD:
-        zrep = analyze_scenario_zoh(scn)
+        zrep = analyze_scenario_zoh(worst, tr)
         zout = out.with_suffix(".zoh.json")
         _write_json(zout, zoh_report_to_dict(zrep))
         line += f"; Delta_zoh={zrep.Delta_zoh:.6g}, wrote {zout}"
@@ -183,11 +181,7 @@ def cmd_verify(args) -> int:
         print("lossyetc verify: reports serialize as JSON only", file=sys.stderr)
         return 1
     scn = _load(args)
-    worst = dataclasses.replace(
-        scn,
-        channel=ChannelPolicy(M=scn.channel.M, mode=ChannelMode.WORST_CASE),
-    )
-    tr = simulate(worst)
+    worst, tr = _worst_case(scn)
     stats = summarize(tr, scn.trigger)
     checks: dict[str, bool] = {}
     if scn.estimator is EstimatorKind.MODEL_BASED:
@@ -304,13 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ScenarioFormatError, ChannelError, ModelError, BoundsError) as exc:
-        print(f"lossyetc {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"lossyetc {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # Validation errors (scenario format, model, channel, bounds) are
+        # all ValueError subclasses.
         print(f"lossyetc {args.command}: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, NumericsError) as exc:

@@ -179,16 +179,22 @@ def decay_envelope(matrix: Matrix) -> DecayEnvelope:
     return DecayEnvelope(c=c, rate=rate)
 
 
-def _bisect_bracket(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Shrink a sign-change bracket to width <= tol; returns (lo, hi)."""
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
+
+    Returns the midpoint of the final bracket, whose width is at most tol.
+    """
+    if not (tol > 0.0):
+        raise NumericsError("tol must be positive")
+    if not (hi > lo):
+        raise NumericsError("need hi > lo")
+    lo, hi = float(lo), float(hi)
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
-        return lo, lo
+        return lo
     if fhi == 0.0:
-        return hi, hi
+        return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise NumericsError(f"no sign change on [{lo!r}, {hi!r}]")
     for _ in range(200):
@@ -199,22 +205,9 @@ def _bisect_bracket(
             break
         fmid = f(mid)
         if fmid == 0.0:
-            return mid, mid
+            return mid
         if (fmid > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fmid
+            hi = mid
         else:
-            lo, flo = mid, fmid
-    return lo, hi
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
-
-    Returns the midpoint of the final bracket, whose width is at most tol.
-    """
-    if not (tol > 0.0):
-        raise NumericsError("tol must be positive")
-    if not (hi > lo):
-        raise NumericsError("need hi > lo")
-    a, b = _bisect_bracket(f, float(lo), float(hi), float(tol))
-    return 0.5 * (a + b)
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .bounds import BoundsReport, SubspaceReport, ZohBoundsReport
 from .simulator import Scenario, SummaryStats, Trace
-from .system_model import EstimatorKind, Gain, NominalModel, Plant
-from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
+from .system_model import EstimatorKind, Gain, ModelError, NominalModel, Plant
+from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, TriggerConfig
 
 
 class ScenarioFormatError(ValueError):
@@ -152,6 +152,38 @@ def _section(doc: dict, key: str, problems: list[str]) -> dict:
     return sec
 
 
+# Document key of each constructor argument.  The argument names are unique
+# across Plant, NominalModel, Gain, TriggerConfig, ChannelPolicy and Scenario.
+_FIELD_KEYS = {
+    "A": "plant.A",
+    "B": "plant.B",
+    "A_hat": "model.A_hat",
+    "B_hat": "model.B_hat",
+    "K": "gain.K",
+    "beta": "trigger.beta",
+    "alpha": "trigger.alpha",
+    "M": "channel.M",
+    "p": "channel.p",
+    "script": "channel.script",
+    "model": "model",
+    "gain": "gain.K",
+    "estimator": "estimator",
+    "x0": "sim.x0",
+    "t_max": "sim.t_max",
+    "sample_dt": "sim.sample_dt",
+    "event_tol": "sim.event_tol",
+}
+
+
+def _build(cls, problems: list[str], **kwargs):
+    """cls(**kwargs), or None with the complaint filed under its document key."""
+    try:
+        return cls(**kwargs)
+    except (ModelError, ChannelError) as exc:
+        problems.append(f"{_FIELD_KEYS[exc.field]}: {exc}")
+        return None
+
+
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Build a Scenario, collecting every violation before failing."""
     problems: list[str] = []
@@ -169,27 +201,16 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     b = _matrix(plant_sec.get("B"), "plant.B", problems)
     plant = None
     if a is not None and b is not None:
-        try:
-            plant = Plant(A=a, B=b)
-        except ValueError as exc:
-            problems.append(f"plant: {exc}")
+        plant = _build(Plant, problems, A=a, B=b)
 
     a_hat = _matrix(model_sec.get("A_hat"), "model.A_hat", problems)
     b_hat = _matrix(model_sec.get("B_hat"), "model.B_hat", problems)
     model = None
     if a_hat is not None and b_hat is not None:
-        try:
-            model = NominalModel(A_hat=a_hat, B_hat=b_hat)
-        except ValueError as exc:
-            problems.append(f"model: {exc}")
+        model = _build(NominalModel, problems, A_hat=a_hat, B_hat=b_hat)
 
     k = _matrix(gain_sec.get("K"), "gain.K", problems)
-    gain = None
-    if k is not None:
-        try:
-            gain = Gain(K=k)
-        except ValueError as exc:
-            problems.append(f"gain.K: {exc}")
+    gain = None if k is None else _build(Gain, problems, K=k)
 
     estimator = None
     est_raw = doc.get("estimator")
@@ -202,11 +223,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     beta = _number(trig_sec.get("beta"), "trigger.beta", problems)
     alpha = _number(trig_sec.get("alpha"), "trigger.alpha", problems)
     if beta is not None and alpha is not None:
-        try:
-            trigger = TriggerConfig(beta=beta, alpha=alpha)
-        except ValueError as exc:
-            key = "trigger.beta" if "beta" in str(exc) else "trigger.alpha"
-            problems.append(f"{key}: {exc}")
+        trigger = _build(TriggerConfig, problems, beta=beta, alpha=alpha)
 
     channel = None
     m_raw = chan_sec.get("M")
@@ -235,22 +252,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             ):
                 problems.append(f"channel.seed: must be an integer, got {seed_raw!r}")
                 seed_raw = None
-            try:
-                channel = ChannelPolicy(
-                    M=m_raw,
-                    mode=mode,
-                    p=chan_sec.get("p"),
-                    seed=seed_raw,
-                    script=script,
+            p_raw = chan_sec.get("p")
+            if p_raw is None or _number(p_raw, "channel.p", problems) is not None:
+                channel = _build(
+                    ChannelPolicy, problems,
+                    M=m_raw, mode=mode, p=p_raw, seed=seed_raw, script=script,
                 )
-            except Exception as exc:
-                msg = str(exc)
-                if "script" in msg:
-                    problems.append(f"channel.script: {msg}")
-                elif "p" in msg.split() or "p " in msg or "needs p" in msg:
-                    problems.append(f"channel.p: {msg}")
-                else:
-                    problems.append(f"channel: {msg}")
 
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
     t_max = _number(sim_sec.get("t_max"), "sim.t_max", problems)
@@ -259,38 +266,15 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     if problems:
         raise ScenarioFormatError(problems)
-    assert plant and model and gain and trigger and channel and estimator
-    try:
-        return Scenario(
-            plant=plant,
-            model=model,
-            gain=gain,
-            estimator=estimator,
-            trigger=trigger,
-            channel=channel,
-            x0=x0,
-            t_max=t_max,
-            sample_dt=sample_dt,
-            event_tol=event_tol,
-        )
-    except ValueError as exc:
-        msg = str(exc)
-        key = "scenario"
-        # Scan order matters: the event_tol message also names sample_dt,
-        # and the sample_dt message also names t_max.
-        for leaf, dotted in (
-            ("event_tol", "sim.event_tol"),
-            ("sample_dt", "sim.sample_dt"),
-            ("t_max", "sim.t_max"),
-            ("x0", "sim.x0"),
-            ("gain", "gain.K"),
-            ("model", "model"),
-            ("estimator", "estimator"),
-        ):
-            if leaf in msg:
-                key = dotted
-                break
-        raise ScenarioFormatError([f"{key}: {msg}"]) from exc
+    scn = _build(
+        Scenario, problems,
+        plant=plant, model=model, gain=gain, estimator=estimator,
+        trigger=trigger, channel=channel, x0=x0,
+        t_max=t_max, sample_dt=sample_dt, event_tol=event_tol,
+    )
+    if scn is None:
+        raise ScenarioFormatError(problems)
+    return scn
 
 
 def _line_of(text: str, dotted_key: str) -> int | None:

@@ -22,9 +22,10 @@ from .numerics import mat_exp
 from .system_model import (
     EstimatorKind,
     Gain,
+    ModelError,
     NominalModel,
     Plant,
-    closed_loop,
+    closed_loop,  # unused here: perfbench/tracer.py counts generator builds through it
     gamma_matrix,
     gamma_zoh,
 )
@@ -53,10 +54,10 @@ class SimulationError(RuntimeError):
 class Scenario:
     """Complete, immutable description of one closed-loop experiment.
 
-    Validation happens at construction: dimensional consistency plus the
-    sampling parameters ordered so the event bracketing resolution
-    assumptions hold (sample_dt at most t_max/10, event_tol at most
-    sample_dt/100).  Stability is deliberately not required here; the bounds
+    Validation happens at construction and raises ModelError naming the field
+    at fault: dimensional consistency plus the sampling parameters ordered so
+    the event bracketing resolution assumptions hold (sample_dt at most
+    t_max/10, event_tol at most sample_dt/100).  Stability is deliberately not required here; the bounds
     layer imposes its own hypotheses where the certificates need them.
     """
 
@@ -74,37 +75,44 @@ class Scenario:
     def __post_init__(self):
         n, m = self.plant.n, self.plant.m
         if self.model.n != n:
-            raise ValueError(
-                f"model dimension {self.model.n} does not match plant dimension {n}"
+            raise ModelError(
+                "model",
+                f"model dimension {self.model.n} does not match plant dimension {n}",
             )
         if self.model.B_hat.shape != self.plant.B.shape:
-            raise ValueError(
+            raise ModelError(
+                "model",
                 f"model input shape {self.model.B_hat.shape} does not match "
-                f"plant input shape {self.plant.B.shape}"
+                f"plant input shape {self.plant.B.shape}",
             )
         if self.gain.K.shape != (m, n):
-            raise ValueError(
-                f"gain shape {self.gain.K.shape} incompatible with ({m}, {n})"
+            raise ModelError(
+                "gain", f"gain shape {self.gain.K.shape} incompatible with ({m}, {n})"
             )
         if not isinstance(self.estimator, EstimatorKind):
-            raise ValueError(f"estimator must be an EstimatorKind, got {self.estimator!r}")
+            raise ModelError(
+                "estimator", f"estimator must be an EstimatorKind, got {self.estimator!r}"
+            )
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.size != n:
-            raise ValueError(f"x0 has size {x0.size}, expected {n}")
+            raise ModelError("x0", f"x0 has size {x0.size}, expected {n}")
         if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
+            raise ModelError("x0", "x0 must be finite")
         x0 = x0.copy()
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+            raise ModelError(
+                "t_max", f"t_max must be positive and finite, got {self.t_max!r}"
+            )
         if not (0.0 < self.sample_dt <= self.t_max / 10.0):
-            raise ValueError(
-                f"sample_dt must lie in (0, t_max/10], got {self.sample_dt!r}"
+            raise ModelError(
+                "sample_dt", f"sample_dt must lie in (0, t_max/10], got {self.sample_dt!r}"
             )
         if not (0.0 < self.event_tol <= self.sample_dt / 100.0):
-            raise ValueError(
-                f"event_tol must lie in (0, sample_dt/100], got {self.event_tol!r}"
+            raise ModelError(
+                "event_tol",
+                f"event_tol must lie in (0, sample_dt/100], got {self.event_tol!r}",
             )
 
     @property
@@ -233,22 +241,6 @@ class _Buffers:
         self.trig[i] = trig
         self.deliv[i] = deliv
         self.size = i + 1
-
-
-def _stacked_generator(scn: Scenario) -> np.ndarray:
-    """Generator of the stacked [x, w, x_c] flow between events."""
-    n = scn.n
-    bk = scn.plant.B @ scn.gain.K
-    g = np.zeros((3 * n, 3 * n))
-    g[:n, :n] = scn.plant.A
-    g[:n, 2 * n :] = bk
-    if scn.estimator is EstimatorKind.MODEL_BASED:
-        # Both estimator copies run the nominal closed loop, so their
-        # difference w does too.
-        s = closed_loop(scn.model, scn.gain)
-        g[n : 2 * n, n : 2 * n] = s
-        g[2 * n :, 2 * n :] = s
-    return g
 
 
 def _step_propagator(scn: Scenario, dt: float) -> np.ndarray:
@@ -504,65 +496,6 @@ def simulate(scn: Scenario) -> Trace:
     trig_arr.flags.writeable = False
     deliv_arr.flags.writeable = False
     return Trace(triggers=trig_arr, deliveries=deliv_arr, **frozen)
-
-
-@dataclass(frozen=True)
-class FlowProbe:
-    """Exact-flow evaluator anchored at a known stacked state.
-
-    Exposes the trigger margin g(t) = ||e_s(t)|| - threshold(t) along the
-    flow started from (t_ref, z_ref), for event localization and tests.
-    """
-
-    scenario: Scenario
-    t_ref: float
-    z_ref: np.ndarray
-
-    def state(self, t: float) -> np.ndarray:
-        if t < self.t_ref:
-            raise ValueError(f"t={t!r} precedes the anchor {self.t_ref!r}")
-        if t == self.t_ref:
-            return np.asarray(self.z_ref, dtype=float).copy()
-        prop = _step_propagator(self.scenario, t - self.t_ref)
-        return prop @ np.asarray(self.z_ref, dtype=float)
-
-    def margin(self, t: float) -> float:
-        es, _ = _errors(self.scenario, self.state(t))
-        return es - float(threshold_value(t, self.scenario.trigger))
-
-
-def probe_from_scenario(scn: Scenario) -> FlowProbe:
-    """Probe anchored at the scenario's initial condition."""
-    n = scn.n
-    z0 = np.concatenate([scn.x0, np.zeros(n), scn.x0])
-    return FlowProbe(scenario=scn, t_ref=0.0, z_ref=z0)
-
-
-def locate_event(flow: FlowProbe, t_lo: float, t_hi: float, tol: float) -> float:
-    """First threshold crossing in (t_lo, t_hi], to within tol.
-
-    Bisection on the margin over the exact flow; requires margin(t_lo) <= 0 <
-    margin(t_hi).  Returns the upper end of the final bracket, so the
-    threshold is strictly exceeded at the returned instant.
-    """
-    if not (t_hi > t_lo):
-        raise ValueError(f"need t_hi > t_lo, got [{t_lo!r}, {t_hi!r}]")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if flow.margin(t_lo) > 0.0:
-        raise ValueError(f"margin already positive at t_lo={t_lo!r}")
-    if flow.margin(t_hi) <= 0.0:
-        raise ValueError(f"margin not positive at t_hi={t_hi!r}: no bracket")
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
-        mid = lo + (hi - lo) * 0.5
-        if mid <= lo or mid >= hi:
-            break
-        if flow.margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def summarize(tr: Trace, cfg: TriggerConfig) -> SummaryStats:

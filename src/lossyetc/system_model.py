@@ -1,35 +1,50 @@
-"""Plant, nominal model, feedback gain, and the stacked flow generators.
+"""Plant, nominal model, feedback gain, and the flow generators of (x, x_c).
 
-The closed loop runs three coupled linear systems: the true plant x, the
-sensor-side model copy x_s (whose deviation from x drives the event trigger),
-and the controller-side model copy x_c (which supplies u = K x_c). Between
-events everything flows linearly, so the whole state fits in one stacked
-3n-vector with a constant generator; events are jumps that copy x into x_s
-(trigger) or x_c (delivery).
+The closed loop runs the true plant x beside two model copies: the sensor
+side x_s, whose deviation from x drives the event trigger, and the controller
+side x_c, which supplies u = K x_c.  Between deliveries (x, x_c) flows
+linearly under a constant generator; the simulator adds the discrepancy
+x_s - x_c and applies the trigger and delivery jumps itself.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Matrix
 
 
-class ModelError(Exception):
-    """Raised for malformed plant/model/gain data."""
+class ModelError(ValueError):
+    """Malformed plant, model, gain or scenario data.
+
+    `field` names the constructor argument at fault.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
-def _frozen_array(value, shape: tuple[int, ...] | None, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise ModelError(f"{name} must have shape {shape}, got {arr.shape}")
+def _frozen_array(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{name} has non-finite entries")
+        raise ModelError(name, f"{name} has non-finite entries")
+    arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _square_pair(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a square dynamics matrix and its input matrix; frozen copies."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ModelError(a_name, f"{a_name} must be square, got shape {a.shape}")
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise ModelError(b_name, f"{b_name} must be {a.shape[0]} x m, got shape {b.shape}")
+    return _frozen_array(a, a_name), _frozen_array(b, b_name)
 
 
 @dataclass(frozen=True)
@@ -40,14 +55,9 @@ class Plant:
     B: Matrix
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ModelError(f"A must be square, got shape {a.shape}")
-        b = np.asarray(self.B, dtype=float)
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ModelError(f"B must be {a.shape[0]} x m, got shape {b.shape}")
-        object.__setattr__(self, "A", _frozen_array(a, None, "A"))
-        object.__setattr__(self, "B", _frozen_array(b, None, "B"))
+        a, b = _square_pair(self.A, self.B, "A", "B")
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "B", b)
 
     @property
     def n(self) -> int:
@@ -66,14 +76,9 @@ class NominalModel:
     B_hat: Matrix
 
     def __post_init__(self):
-        a = np.asarray(self.A_hat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ModelError(f"A_hat must be square, got shape {a.shape}")
-        b = np.asarray(self.B_hat, dtype=float)
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ModelError(f"B_hat must be {a.shape[0]} x m, got shape {b.shape}")
-        object.__setattr__(self, "A_hat", _frozen_array(a, None, "A_hat"))
-        object.__setattr__(self, "B_hat", _frozen_array(b, None, "B_hat"))
+        a, b = _square_pair(self.A_hat, self.B_hat, "A_hat", "B_hat")
+        object.__setattr__(self, "A_hat", a)
+        object.__setattr__(self, "B_hat", b)
 
     @property
     def n(self) -> int:
@@ -88,7 +93,7 @@ class Gain:
 
     def __post_init__(self):
         k = np.atleast_2d(np.asarray(self.K, dtype=float))
-        object.__setattr__(self, "K", _frozen_array(k, None, "K"))
+        object.__setattr__(self, "K", _frozen_array(k, "K"))
 
 
 class EstimatorKind(enum.Enum):
@@ -96,16 +101,6 @@ class EstimatorKind(enum.Enum):
 
     MODEL_BASED = "mb"
     ZERO_ORDER_HOLD = "zoh"
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Snapshot (t, x, x_s, x_c) of the stacked hybrid state."""
-
-    t: float
-    x: np.ndarray
-    x_s: np.ndarray
-    x_c: np.ndarray
 
 
 def closed_loop(model: NominalModel, gain: Gain) -> Matrix:
@@ -127,30 +122,3 @@ def gamma_zoh(plant: Plant, gain: Gain) -> Matrix:
     top = np.hstack([plant.A, plant.B @ gain.K])
     bottom = np.zeros((n, 2 * n))
     return np.vstack([top, bottom])
-
-
-def augmented_generator(
-    plant: Plant, model: NominalModel, gain: Gain, kind: EstimatorKind
-) -> Matrix:
-    """Generator of the stacked (x, x_s, x_c) flow between events."""
-    n = plant.n
-    if model.n != n:
-        raise ModelError("plant and model dimensions disagree")
-    g = np.zeros((3 * n, 3 * n))
-    g[:n, :n] = plant.A
-    g[:n, 2 * n :] = plant.B @ gain.K
-    if kind is EstimatorKind.MODEL_BASED:
-        s = closed_loop(model, gain)
-        g[n : 2 * n, n : 2 * n] = s
-        g[2 * n :, 2 * n :] = s
-    return g
-
-
-def jump_on_trigger(state: AugmentedState) -> AugmentedState:
-    """Sensor-side reset x_s := x at an event instant."""
-    return replace(state, x_s=state.x.copy())
-
-
-def jump_on_delivery(state: AugmentedState) -> AugmentedState:
-    """Controller-side reset x_c := x when the packet gets through."""
-    return replace(state, x_c=state.x.copy())

@@ -18,8 +18,15 @@ from typing import Any
 import numpy as np
 
 
-class ChannelError(Exception):
-    """Raised for malformed channel configuration or exhausted scripts."""
+class ChannelError(ValueError):
+    """Malformed trigger or channel configuration, or an exhausted script.
+
+    `field` names the argument at fault.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -31,19 +38,18 @@ class TriggerConfig:
 
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+            raise ChannelError(
+                "beta", f"beta must be positive and finite, got {self.beta!r}"
+            )
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+            raise ChannelError(
+                "alpha", f"alpha must be positive and finite, got {self.alpha!r}"
+            )
 
 
 def threshold_value(t: float, cfg: TriggerConfig) -> float:
     """beta * exp(-alpha * t).  Accepts scalar or ndarray t (vectorized)."""
     return cfg.beta * np.exp(-cfg.alpha * t)
-
-
-def should_trigger(e_s_norm: float, t: float, cfg: TriggerConfig) -> bool:
-    """True iff the sensor error strictly exceeds the threshold at time t."""
-    return e_s_norm > threshold_value(t, cfg)
 
 
 class ChannelMode(enum.Enum):
@@ -77,15 +83,15 @@ class ChannelPolicy:
 
     def __post_init__(self):
         if not isinstance(self.M, int) or self.M < 2:
-            raise ChannelError(f"M must be an integer > 1, got {self.M!r}")
+            raise ChannelError("M", f"M must be an integer > 1, got {self.M!r}")
         if self.mode is ChannelMode.BERNOULLI:
             if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise ChannelError(f"bernoulli mode needs p in [0, 1], got {self.p!r}")
+                raise ChannelError("p", f"bernoulli mode needs p in [0, 1], got {self.p!r}")
         elif self.p is not None:
-            raise ChannelError(f"p is only valid for bernoulli mode, got {self.p!r}")
+            raise ChannelError("p", f"p is only valid for bernoulli mode, got {self.p!r}")
         if self.mode is ChannelMode.SCRIPTED:
             if self.script is None:
-                raise ChannelError("scripted mode needs a script")
+                raise ChannelError("script", "scripted mode needs a script")
             script = tuple(bool(v) for v in self.script)
             object.__setattr__(self, "script", script)
             run = 0
@@ -93,10 +99,11 @@ class ChannelPolicy:
                 run = run + 1 if dropped else 0
                 if run >= self.M:
                     raise ChannelError(
+                        "script",
                         f"script contains {self.M} consecutive drops, cap is {self.M - 1}"
                     )
         elif self.script is not None:
-            raise ChannelError("script is only valid for scripted mode")
+            raise ChannelError("script", "script is only valid for scripted mode")
 
 
 @dataclass(frozen=True)
@@ -125,11 +132,11 @@ def random_drop_script(
     identical channel behavior under different estimators.
     """
     if not isinstance(m, int) or m < 2:
-        raise ChannelError(f"M must be an integer > 1, got {m!r}")
+        raise ChannelError("m", f"M must be an integer > 1, got {m!r}")
     if not (0.0 <= drop_prob <= 1.0):
-        raise ChannelError(f"drop_prob must lie in [0, 1], got {drop_prob!r}")
+        raise ChannelError("drop_prob", f"drop_prob must lie in [0, 1], got {drop_prob!r}")
     if length < 1:
-        raise ChannelError(f"length must be positive, got {length!r}")
+        raise ChannelError("length", f"length must be positive, got {length!r}")
     gen = np.random.Generator(np.random.Philox(seed))
     out = []
     run = 0
@@ -159,7 +166,7 @@ def channel_offer(policy: ChannelPolicy, state: ChannelState) -> tuple[Outcome, 
     else:
         if state.offers_made >= len(policy.script):
             raise ChannelError(
-                f"script exhausted after {len(policy.script)} offers"
+                "script", f"script exhausted after {len(policy.script)} offers"
             )
         wants_drop = policy.script[state.offers_made]
     forced = state.consecutive_drops >= policy.M - 1

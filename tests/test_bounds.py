@@ -16,12 +16,13 @@ from lossyetc.bounds import (
     MietBreakdown,
     SubspaceReport,
     ZohBoundsReport,
+    _growth_rate,
+    _whole_trace_envelope,
     analyze_scenario,
     analyze_scenario_zoh,
     compute_Delta,
     compute_delta_zoh,
     delta_bar,
-    growth_constants,
     min_inter_event_time,
     stability_envelope_bound,
     stable_subspace_residual,
@@ -51,44 +52,54 @@ def report0(vehicle0):
     return analyze_scenario(vehicle0)
 
 
+def _scalar_flow_trace(ts):
+    """Event-free trace whose plant state follows the SCALAR_GAMMA flow."""
+    k = ts.size
+    x = (1.25 * np.exp(ts) - 0.25 * np.exp(-ts))[:, None]
+    return Trace(
+        t=ts, x=x, x_s=x, x_c=x,
+        e_s_norm=np.zeros(k), e_c_norm=np.zeros(k), threshold=np.ones(k),
+        triggered=np.zeros(k, dtype=bool), delivered=np.zeros(k, dtype=bool),
+        triggers=np.array([]), deliveries=np.array([]),
+    )
+
+
 class TestGrowthConstants:
+    """The growth rate, and the whole-trace envelope of the fallback path."""
+
     def test_scalar_example_frozen(self):
-        env = growth_constants(SCALAR_GAMMA, [1.0], 20.0)
-        assert env.gamma == pytest.approx(0.99, abs=1e-15)
-        assert env.eta == pytest.approx(1.3123904646738234, rel=1e-12)
+        assert _growth_rate(SCALAR_GAMMA) == pytest.approx(0.99, abs=1e-15)
 
     def test_scalar_example_against_modal_oracle(self):
-        env = growth_constants(SCALAR_GAMMA, [1.0], 20.0)
+        gamma = _growth_rate(SCALAR_GAMMA)
+        tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
+        eta, peak = _whole_trace_envelope(tr, gamma)
         modal = modal_growth_coefficient(SCALAR_GAMMA, np.array([1.0]))
         assert modal == pytest.approx(1.25, rel=1e-12)
-        assert 0.9 * modal <= env.eta <= 1.1 * modal
+        assert 0.9 * modal <= eta <= 1.1 * modal
+        assert peak == pytest.approx(1.25 * math.exp(20.0), rel=1e-12)
 
     def test_scalar_envelope_holds_on_fresh_grid(self):
-        env = growth_constants(SCALAR_GAMMA, [1.0], 20.0)
+        gamma = _growth_rate(SCALAR_GAMMA)
+        tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
+        eta, _ = _whole_trace_envelope(tr, gamma)
         rng = np.random.default_rng(99)
-        ts = rng.uniform(10.0, 20.0, 500)
+        ts = rng.uniform(5.0, 20.0, 500)
         vals = np.abs(1.25 * np.exp(ts) - 0.25 * np.exp(-ts))
-        assert np.all(vals >= env.eta * np.exp(env.gamma * ts) - 1e-9)
+        assert np.all(vals >= eta * np.exp(gamma * ts) - 1e-9)
 
     def test_vehicle_draw_frozen(self):
         scn = le.vehicle_preset(1)
-        g = gamma_matrix(scn.plant, scn.model, scn.gain)
-        env = growth_constants(g, scn.x0, 60.0)
+        gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
         # rate: 0.99 times the one growing plant mode of this draw
-        assert env.gamma == pytest.approx(0.011196551640090053, rel=1e-12)
-        assert env.eta == pytest.approx(102.06881888044126, rel=1e-9)
+        assert gamma == pytest.approx(0.011196551640090053, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(BoundsError, match="even dimension"):
-            growth_constants(np.eye(3), [1.0], 10.0)
-        with pytest.raises(BoundsError, match="x0 has size"):
-            growth_constants(SCALAR_GAMMA, [1.0, 2.0], 10.0)
-        with pytest.raises(BoundsError, match="horizon"):
-            growth_constants(SCALAR_GAMMA, [1.0], 0.0)
         with pytest.raises(BoundsError, match="no growing mode"):
-            growth_constants(-np.eye(2), [1.0], 10.0)
-        with pytest.raises(BoundsError, match="excites no growing mode"):
-            growth_constants(SCALAR_GAMMA, [0.0], 10.0)
+            _growth_rate(-np.eye(2))
+        tr = _scalar_flow_trace(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(BoundsError, match="state norm vanished"):
+            _whole_trace_envelope(dataclasses.replace(tr, x=np.zeros((5, 1))), 1.0)
 
     def test_envelope_value_type(self):
         with pytest.raises(BoundsError):

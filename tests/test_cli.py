@@ -10,7 +10,7 @@ from lossyetc.bounds import BoundCheck
 from lossyetc.cli import main
 from lossyetc.numerics import NumericsError
 from lossyetc.scenarios import load_trace, save_scenario, scenario_to_dict
-from lossyetc.simulator import SimulationError
+from lossyetc.simulator import SimulationError, simulate
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
 
 
@@ -181,6 +181,21 @@ class TestBounds:
         zdoc = json.loads((tmp_path / "rep.bounds.zoh.json").read_text())
         assert set(zdoc) == {"Delta_zoh", "delta_bar_zoh", "growth", "state_norms"}
         assert zdoc["Delta_zoh"] >= 1.0
+
+    def test_zoh_simulates_worst_case_once(self, config_seed1, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(scn):
+            calls.append(scn.channel.mode)
+            return simulate(scn)
+
+        monkeypatch.setattr("lossyetc.cli.simulate", counting)
+        monkeypatch.setattr("lossyetc.bounds.simulate", counting)
+        assert main([
+            "bounds", "--config", config_seed1, "--out", str(tmp_path / "rep.bounds.json"),
+            "--estimator", "zoh", "--tmax", "20",
+        ]) == 0
+        assert calls == [ChannelMode.WORST_CASE]
 
     def test_csv_format_rejected(self, config_seed1, capsys):
         assert main(["bounds", "--config", config_seed1, "--format", "csv"]) == 1

@@ -180,6 +180,34 @@ class TestScenarioErrors:
         assert "channel.script: script contains 5 consecutive drops, cap is 4" in problems[1]
         assert problems[1].startswith("line ")
 
+    def test_model_errors_collected_with_lines(self, vehicle0, tmp_path):
+        doc = self._doc(vehicle0)
+        doc["plant"]["A"] = doc["plant"]["A"][:3]  # 3 x 4: not square
+        doc["trigger"]["beta"] = -1
+        path = tmp_path / "bad.json"
+        text = json.dumps(doc, indent=2) + "\n"
+        path.write_text(text)
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(str(path))
+        a_line = 1 + text[: text.find('"A"', text.find('"plant"'))].count("\n")
+        beta_line = 1 + text[: text.find('"beta"')].count("\n")
+        assert err.value.problems == [
+            f"line {a_line}: plant.A: A must be square, got shape (3, 4)",
+            f"line {beta_line}: trigger.beta: "
+            "beta must be positive and finite, got -1.0",
+        ]
+
+    def test_model_input_rows_named(self, vehicle0):
+        doc = self._doc(vehicle0)
+        doc["model"]["B_hat"] = doc["model"]["B_hat"][:3]
+        doc["channel"] = {"M": 5, "mode": "bernoulli", "p": "often"}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [
+            "model.B_hat: B_hat must be 4 x m, got shape (3, 2)",
+            "channel.p: must be a number, got 'often'",
+        ]
+
     def test_missing_section(self, vehicle0):
         doc = self._doc(vehicle0)
         del doc["trigger"]

@@ -5,19 +5,11 @@ import numpy as np
 import pytest
 
 from lossyetc.numerics import mat_exp
-from lossyetc.simulator import (
-    FlowProbe,
-    Scenario,
-    SummaryStats,
-    Trace,
-    locate_event,
-    probe_from_scenario,
-    simulate,
-    summarize,
-)
+from lossyetc.simulator import Scenario, SummaryStats, Trace, simulate, summarize
 from lossyetc.system_model import (
     EstimatorKind,
     Gain,
+    ModelError,
     NominalModel,
     Plant,
     closed_loop,
@@ -92,12 +84,15 @@ class TestScenarioValidation:
 
     def test_dimension_mismatches(self):
         kw = self._kwargs()
-        with pytest.raises(ValueError, match="model dimension"):
-            Scenario(**{**kw, "model": NominalModel(A_hat=np.eye(3), B_hat=np.ones((3, 1)))})
-        with pytest.raises(ValueError, match="gain shape"):
-            Scenario(**{**kw, "gain": Gain(K=np.zeros((2, 2)))})
-        with pytest.raises(ValueError, match="x0 has size"):
-            Scenario(**{**kw, "x0": [1.0, 0.0, 0.0]})
+        for field, value, message in [
+            ("model", NominalModel(A_hat=np.eye(3), B_hat=np.ones((3, 1))),
+             "model dimension"),
+            ("gain", Gain(K=np.zeros((2, 2))), "gain shape"),
+            ("x0", [1.0, 0.0, 0.0], "x0 has size"),
+        ]:
+            with pytest.raises(ModelError, match=message) as err:
+                Scenario(**{**kw, field: value})
+            assert err.value.field == field
 
     def test_x0_finite(self):
         kw = self._kwargs()
@@ -264,51 +259,39 @@ def test_simulation_deterministic(golden_scn, golden_trace):
 
 
 class TestLocateEvent:
+    """Event location inside one grid step of the simulator."""
+
     def test_scalar_crossing(self):
-        scn = _scalar_scenario()
-        flow = probe_from_scenario(scn)
-        t_star = locate_event(flow, 0.0, 1.0, 1e-9)
+        tr = simulate(_scalar_scenario())
         # e^t - 1 = 0.5 at t = ln 1.5 (alpha is negligible)
-        assert 0.0 <= t_star - math.log(1.5) <= 2e-9
+        assert 0.0 <= tr.triggers[0] - math.log(1.5) <= 2e-9
 
     def test_tolerance_honored(self):
-        scn = _scalar_scenario()
-        flow = probe_from_scenario(scn)
         for tol in (1e-3, 1e-6, 1e-11):
-            t_star = locate_event(flow, 0.0, 1.0, tol)
-            assert 0.0 <= t_star - math.log(1.5) <= tol + 1e-13
-
-    def test_bracket_violations(self):
-        scn = _scalar_scenario()
-        flow = probe_from_scenario(scn)
-        with pytest.raises(ValueError, match="no bracket"):
-            locate_event(flow, 0.0, 0.1, 1e-9)
-        with pytest.raises(ValueError, match="already positive"):
-            locate_event(flow, 0.8, 1.0, 1e-9)
-        with pytest.raises(ValueError):
-            locate_event(flow, 1.0, 0.5, 1e-9)
-        with pytest.raises(ValueError):
-            locate_event(flow, 0.0, 1.0, 0.0)
+            tr = simulate(_scalar_scenario(event_tol=tol))
+            assert 0.0 <= tr.triggers[0] - math.log(1.5) <= tol + 1e-13
 
     def test_margin_sign(self):
-        scn = _scalar_scenario()
-        flow = probe_from_scenario(scn)
-        assert flow.margin(0.0) < 0
-        assert flow.margin(1.0) > 0
-        with pytest.raises(ValueError):
-            flow.state(-0.5)
+        tr = simulate(_scalar_scenario())
+        margin = tr.e_s_norm - tr.threshold
+        first = int(np.flatnonzero(tr.triggered)[0])
+        assert np.all(margin[:first] <= 0.0)
+        # the located instant is the upper end of the bracket: strictly above
+        assert margin[first] > 0.0
 
 
 def test_probe_matches_trace(vehicle7, trace7):
-    flow = probe_from_scenario(vehicle7)
-    first = trace7.triggers[0]
-    t_query = trace7.t[(trace7.t > 0) & (trace7.t < first)][5]
-    z = flow.state(float(t_query))
-    row = int(np.flatnonzero(trace7.t == t_query)[0])
+    # Before the first trigger, (x, x_c) flows from (x0, x0) under gamma_matrix.
+    g = gamma_matrix(vehicle7.plant, vehicle7.model, vehicle7.gain)
+    z0 = np.concatenate([vehicle7.x0, vehicle7.x0])
     n = vehicle7.n
-    assert np.allclose(z[:n], trace7.x[row], atol=1e-10)
-    assert np.allclose(z[2 * n:], trace7.x_c[row], atol=1e-10)
-    assert np.array_equal(z[n: 2 * n], np.zeros(n))
+    rows = np.flatnonzero(trace7.t < trace7.triggers[0])[1::97]
+    assert rows.size >= 5
+    for row in rows:
+        z = mat_exp(g, float(trace7.t[row])) @ z0
+        assert np.allclose(z[:n], trace7.x[row], atol=1e-10)
+        assert np.allclose(z[n:], trace7.x_c[row], atol=1e-10)
+        assert np.array_equal(trace7.x_s[row], trace7.x_c[row])
 
 
 def _tiny_trace(triggers, deliveries):

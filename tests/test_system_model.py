@@ -4,17 +4,13 @@ from scipy.integrate import solve_ivp
 
 from lossyetc.numerics import eigendecompose, mat_exp
 from lossyetc.system_model import (
-    AugmentedState,
-    EstimatorKind,
     Gain,
+    ModelError,
     NominalModel,
     Plant,
-    augmented_generator,
     closed_loop,
     gamma_matrix,
     gamma_zoh,
-    jump_on_delivery,
-    jump_on_trigger,
 )
 
 
@@ -71,45 +67,12 @@ def test_gamma_zoh_blocks():
     assert np.array_equal(g[n:, :], np.zeros((n, 2 * n)))
 
 
-def test_augmented_generator_scalar_blocks():
-    plant = Plant(A=np.array([[2.0]]), B=np.array([[3.0]]))
-    model = NominalModel(A_hat=np.array([[1.5]]), B_hat=np.array([[2.5]]))
-    gain = Gain(K=np.array([[-2.0]]))
-    g = augmented_generator(plant, model, gain, EstimatorKind.MODEL_BASED)
-    s0 = 1.5 + 2.5 * (-2.0)
-    expected = np.array(
-        [[2.0, 0.0, 3.0 * (-2.0)], [0.0, s0, 0.0], [0.0, 0.0, s0]]
-    )
-    assert np.array_equal(g, expected)
-
-
-def test_augmented_generator_zoh_holds_estimates():
-    rng = np.random.default_rng(3)
-    plant, model, gain = _random_instance(rng)
-    n = plant.n
-    g = augmented_generator(plant, model, gain, EstimatorKind.ZERO_ORDER_HOLD)
-    assert np.array_equal(g[n:, :], np.zeros((2 * n, 3 * n)))
-    assert np.array_equal(g[:n, 2 * n :], plant.B @ gain.K)
-    assert np.array_equal(g[:n, n : 2 * n], np.zeros((n, n)))
-
-
-def test_augmented_generator_exact_model_copy_blocks_share_spectrum():
-    rng = np.random.default_rng(4)
-    plant, _, gain = _random_instance(rng)
-    model = NominalModel(A_hat=plant.A.copy(), B_hat=plant.B.copy())
-    n = plant.n
-    g = augmented_generator(plant, model, gain, EstimatorKind.MODEL_BASED)
-    loop_eigs = np.sort_complex(np.linalg.eigvals(plant.A + plant.B @ gain.K))
-    for block in (g[n : 2 * n, n : 2 * n], g[2 * n :, 2 * n :]):
-        assert np.allclose(np.sort_complex(np.linalg.eigvals(block)), loop_eigs)
-
-
 def test_flow_matches_adaptive_ode_oracle():
     rng = np.random.default_rng(5)
-    for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
+    for hold in (False, True):
         plant, model, gain = _random_instance(rng)
-        g = augmented_generator(plant, model, gain, kind)
-        y0 = rng.normal(size=3 * plant.n)
+        g = gamma_zoh(plant, gain) if hold else gamma_matrix(plant, model, gain)
+        y0 = rng.normal(size=2 * plant.n)
         dt = 0.8
         sol = solve_ivp(
             lambda _t, y: g @ y, (0.0, dt), y0, method="DOP853",
@@ -120,22 +83,18 @@ def test_flow_matches_adaptive_ode_oracle():
         assert np.linalg.norm(got - ref) <= 1e-7 * max(1.0, np.linalg.norm(ref))
 
 
-def test_jumps_copy_plant_state():
-    rng = np.random.default_rng(6)
-    x, x_s, x_c = rng.normal(size=(3, 4))
-    st = AugmentedState(t=1.25, x=x, x_s=x_s, x_c=x_c)
-    after_trigger = jump_on_trigger(st)
-    assert np.array_equal(after_trigger.x_s, x)
-    assert np.array_equal(after_trigger.x_c, x_c)
-    after_delivery = jump_on_delivery(after_trigger)
-    assert np.array_equal(after_delivery.x_c, x)
-    # originals untouched
-    assert np.array_equal(st.x_s, x_s)
-
-
 def test_dimension_mismatch_rejected():
-    plant = Plant(A=np.eye(2), B=np.ones((2, 1)))
-    model = NominalModel(A_hat=np.eye(3), B_hat=np.ones((3, 1)))
-    gain = Gain(K=np.ones((1, 2)))
-    with pytest.raises(Exception):
-        augmented_generator(plant, model, gain, EstimatorKind.MODEL_BASED)
+    # Each constructor names the argument at fault.
+    with pytest.raises(ModelError, match="B_hat must be 3 x m") as err:
+        NominalModel(A_hat=np.eye(3), B_hat=np.ones((2, 1)))
+    assert err.value.field == "B_hat"
+    with pytest.raises(ModelError) as err:
+        NominalModel(A_hat=np.ones((3, 2)), B_hat=np.ones((3, 1)))
+    assert err.value.field == "A_hat"
+    with pytest.raises(ModelError) as err:
+        Plant(A=np.eye(2), B=np.ones((3, 1)))
+    assert err.value.field == "B"
+    with pytest.raises(ModelError) as err:
+        Gain(K=[[np.nan, 0.0]])
+    assert err.value.field == "K"
+    assert isinstance(err.value, ValueError)

@@ -15,7 +15,6 @@ from lossyetc.trigger_channel import (
     channel_offer,
     initial_channel_state,
     random_drop_script,
-    should_trigger,
     threshold_value,
 )
 
@@ -40,37 +39,32 @@ def test_threshold_values():
     assert np.all(vals > 0)
 
 
-def test_should_trigger_is_strict():
-    thr = threshold_value(4.0, CFG)
-    assert not should_trigger(thr, 4.0, CFG)
-    assert should_trigger(0.2, 4.0, CFG)
-    assert not should_trigger(0.0, 0.0, CFG)
-
-
 def test_trigger_config_validation():
     for beta, alpha in [(-1.0, 0.25), (0.0, 0.25), (0.5, 0.0), (0.5, -2.0),
                         (math.inf, 0.25), (0.5, math.nan)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             TriggerConfig(beta=beta, alpha=alpha)
+        assert err.value.field == ("beta" if beta != 0.5 else "alpha")
 
 
 def test_policy_validation():
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=1, mode=ChannelMode.WORST_CASE)
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI)  # p missing
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=1.5)
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE, p=0.3)
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=5, mode=ChannelMode.SCRIPTED)  # script missing
-    with pytest.raises(ChannelError):
-        ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE, script=(True,))
+    for kwargs, field in [
+        (dict(M=1, mode=ChannelMode.WORST_CASE), "M"),
+        (dict(M=5, mode=ChannelMode.BERNOULLI), "p"),  # p missing
+        (dict(M=5, mode=ChannelMode.BERNOULLI, p=1.5), "p"),
+        (dict(M=5, mode=ChannelMode.WORST_CASE, p=0.3), "p"),
+        (dict(M=5, mode=ChannelMode.SCRIPTED), "script"),  # script missing
+        (dict(M=5, mode=ChannelMode.WORST_CASE, script=(True,)), "script"),
+    ]:
+        with pytest.raises(ChannelError) as err:
+            ChannelPolicy(**kwargs)
+        assert err.value.field == field
+        assert isinstance(err.value, ValueError)
     with pytest.raises(ChannelError) as err:
         ChannelPolicy(M=3, mode=ChannelMode.SCRIPTED,
                       script=(False, True, True, True, False))
     assert "3 consecutive drops" in str(err.value)
+    assert err.value.field == "script"
     # a run of exactly M - 1 is fine
     ChannelPolicy(M=3, mode=ChannelMode.SCRIPTED, script=(True, True, False))
 
