@@ -20,6 +20,7 @@ from .scenarios import (
     load_scenario,
     save_trace,
     summary_to_dict,
+    trace_to_dict,
     zoh_report_to_dict,
 )
 from .simulator import Scenario, SimulationError, Trace, simulate, summarize
@@ -135,18 +136,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         save_trace(tr, str(out))
     else:
-        doc = {
-            "t": tr.t.tolist(),
-            "x": tr.x.tolist(),
-            "x_s": tr.x_s.tolist(),
-            "x_c": tr.x_c.tolist(),
-            "es_norm": tr.e_s_norm.tolist(),
-            "ec_norm": tr.e_c_norm.tolist(),
-            "threshold": tr.threshold.tolist(),
-            "triggered": [int(v) for v in tr.triggered],
-            "delivered": [int(v) for v in tr.delivered],
-        }
-        _write_json(out, doc)
+        _write_json(out, trace_to_dict(tr))
     summary_path = out.with_suffix(".summary.json")
     _write_json(summary_path, summary_to_dict(stats))
     print(

@@ -9,7 +9,7 @@ line it appears on.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from typing import Any
@@ -310,55 +310,63 @@ def load_scenario(path: str) -> Scenario:
 
 # --- trace CSV ----------------------------------------------------------------
 
-def save_trace(tr: Trace, path: str) -> None:
-    """Write the trace as CSV with exact (17-significant-digit) numbers."""
-    n = tr.x.shape[1]
-    header = (
+# Rows formatted per write; bounds the size of the formatted text in memory.
+_BLOCK_ROWS = 2048
+
+
+def _trace_header(n: int) -> list[str]:
+    """Column names of the trace CSV for an n-dimensional state."""
+    return (
         ["t"]
         + [f"x_{i}" for i in range(n)]
         + [f"xs_{i}" for i in range(n)]
         + [f"xc_{i}" for i in range(n)]
         + ["es_norm", "ec_norm", "threshold", "triggered", "delivered"]
     )
+
+
+def save_trace(tr: Trace, path: str) -> None:
+    """Write the trace as CSV with exact (17-significant-digit) numbers.
+
+    Floats are written with ``%.17g``, the two flags as ``0``/``1``, and every
+    line ends in CRLF.
+    """
+    n = tr.x.shape[1]
+    table = np.column_stack(
+        (tr.t, tr.x, tr.x_s, tr.x_c, tr.e_s_norm, tr.e_c_norm, tr.threshold,
+         tr.triggered, tr.delivered)
+    )
+    row = ",".join(["%.17g"] * (3 * n + 4)) + ",%d,%d\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(tr.num_samples):
-            row = (
-                [f"{tr.t[i]:.17g}"]
-                + [f"{v:.17g}" for v in tr.x[i]]
-                + [f"{v:.17g}" for v in tr.x_s[i]]
-                + [f"{v:.17g}" for v in tr.x_c[i]]
-                + [
-                    f"{tr.e_s_norm[i]:.17g}",
-                    f"{tr.e_c_norm[i]:.17g}",
-                    f"{tr.threshold[i]:.17g}",
-                    str(int(tr.triggered[i])),
-                    str(int(tr.delivered[i])),
-                ]
-            )
-            writer.writerow(row)
+        fh.write(",".join(_trace_header(n)) + "\r\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_trace(path: str) -> Trace:
-    """Parse a trace CSV back into arrays; exact round-trip of save_trace."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    n = (len(header) - 6) // 3
-    expected = (
-        ["t"]
-        + [f"x_{i}" for i in range(n)]
-        + [f"xs_{i}" for i in range(n)]
-        + [f"xc_{i}" for i in range(n)]
-        + ["es_norm", "ec_norm", "threshold", "triggered", "delivered"]
-    )
-    if header != expected:
-        raise ValueError(f"unexpected trace header {header!r}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
+    """Parse a trace CSV back into arrays; exact round-trip of save_trace.
+
+    Raises ValueError on a header that is not save_trace's, a non-numeric
+    field, or a row whose column count differs from the header's.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        n = (len(header) - 6) // 3
+        if header != _trace_header(n):
+            raise ValueError(f"unexpected trace header {header!r}")
+        # loadtxt warns on input without rows, so a bodiless file skips it
+        first = next((line for line in fh if not line.isspace()), "")
+        if first:
+            data = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
+            )
+        else:
+            data = np.empty((0, len(header)))
+    if data.shape[1] != len(header):
+        raise ValueError(
+            f"trace rows have {data.shape[1]} columns, header has {len(header)}"
+        )
     t = data[:, 0]
     x = data[:, 1 : 1 + n]
     x_s = data[:, 1 + n : 1 + 2 * n]
@@ -408,6 +416,20 @@ def zoh_report_to_dict(rep: ZohBoundsReport) -> dict[str, Any]:
 
 def subspace_report_to_dict(rep: SubspaceReport) -> dict[str, Any]:
     return {"residual": rep.residual, "basis_dim": rep.basis_dim}
+
+
+def trace_to_dict(tr: Trace) -> dict[str, Any]:
+    return {
+        "t": tr.t.tolist(),
+        "x": tr.x.tolist(),
+        "x_s": tr.x_s.tolist(),
+        "x_c": tr.x_c.tolist(),
+        "es_norm": tr.e_s_norm.tolist(),
+        "ec_norm": tr.e_c_norm.tolist(),
+        "threshold": tr.threshold.tolist(),
+        "triggered": tr.triggered.astype(int).tolist(),
+        "delivered": tr.delivered.astype(int).tolist(),
+    }
 
 
 def summary_to_dict(stats: SummaryStats) -> dict[str, Any]:

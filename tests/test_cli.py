@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,8 +134,12 @@ class TestUsageErrors:
         assert err.value.code == 0
 
     def test_module_entry_usage_error(self):
+        # the child must import the same source tree as this process
+        src = str(Path(le.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "lossyetc"], capture_output=True, text=True
+            [sys.executable, "-m", "lossyetc"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()

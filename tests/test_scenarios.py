@@ -1,4 +1,8 @@
+import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +21,11 @@ from lossyetc.scenarios import (
     scenario_to_dict,
     subspace_report_to_dict,
     summary_to_dict,
+    trace_to_dict,
     vehicle_preset,
     zoh_report_to_dict,
 )
-from lossyetc.simulator import summarize
+from lossyetc.simulator import Trace, summarize
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy, random_drop_script
 
@@ -262,6 +267,52 @@ class TestScenarioErrors:
             load_scenario(str(path))
 
 
+# Finite doubles that stress a text round-trip: signed zero, the subnormal
+# range, the largest finite values, and values that need all 17 digits.
+_ADVERSARIAL_DOUBLES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+    0.30000000000000004, 1e23, 9007199254740991.0, 2.0**-1074 * 3,
+)
+
+
+def _hand_trace(t, x, x_s, x_c, norms, triggered, delivered):
+    return Trace(
+        t=t, x=x, x_s=x_s, x_c=x_c,
+        e_s_norm=norms[:, 0], e_c_norm=norms[:, 1], threshold=norms[:, 2],
+        triggered=triggered, delivered=delivered,
+        triggers=t[triggered], deliveries=t[delivered],
+    )
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    value = st.one_of(
+        st.sampled_from(_ADVERSARIAL_DOUBLES),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+
+    def flags():
+        return np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+
+    return _hand_trace(
+        floats(rows), floats(rows, n), floats(rows, n), floats(rows, n),
+        floats(rows, 3), flags(), flags(),
+    )
+
+
+def _write_rows(path, rows):
+    """A trace CSV for a 1-dimensional state with the given body lines."""
+    header = "t,x_0,xs_0,xc_0,es_norm,ec_norm,threshold,triggered,delivered"
+    path.write_text("\r\n".join([header, *rows]) + "\r\n")
+
+
 class TestTraceCsv:
     def test_round_trip_bitwise(self, golden_trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -287,6 +338,64 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()[1:]
         flags = {line.rsplit(",", 2)[-2] for line in lines}
         assert flags <= {"0", "1"}
+
+    def test_bytes_pinned(self, golden_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(golden_trace, str(path))
+        data = path.read_bytes()
+        assert golden_trace.num_samples == 60079
+        assert len(data) == 21_662_417
+        assert data.count(b"\r\n") == 60080
+        assert hashlib.sha256(data).hexdigest() == (
+            "4f620afec3bb4bb85bb4a562998574cfd3b020efefadb3bf452feff41926567a"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(tr=_traces())
+    def test_round_trip_adversarial_doubles(self, tr):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "trace.csv")
+            save_trace(tr, path)
+            loaded = load_trace(path)
+        for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
+                     "triggered", "delivered", "triggers", "deliveries"):
+            a, b = getattr(loaded, name), getattr(tr, name)
+            # byte comparison, so a lost sign bit on -0.0 fails too
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_header_only_loads_empty(self, tmp_path):
+        empty = np.empty(0)
+        tr = _hand_trace(
+            empty, np.empty((0, 4)), np.empty((0, 4)), np.empty((0, 4)),
+            np.empty((0, 3)), empty.astype(bool), empty.astype(bool),
+        )
+        path = tmp_path / "trace.csv"
+        save_trace(tr, str(path))
+        assert path.read_bytes().count(b"\r\n") == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_trace(str(path))
+        assert loaded.num_samples == 0
+        assert loaded.x.shape == loaded.x_s.shape == loaded.x_c.shape == (0, 4)
+        assert loaded.triggered.dtype == bool and loaded.triggers.shape == (0,)
+
+    def test_non_numeric_field_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, ["0,1,2,3,4,5,6,0,0", "0.5,1,2,abc,4,5,6,0,0"])
+        with pytest.raises(ValueError, match="abc"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("rows", [
+        ["0,1,2,3,4,5,6,0,0", "0.5,1,2,3,4,5,6,0"],
+        ["0,1,2,3,4,5,6,0", "0.5,1,2,3,4,5,6,0"],
+        ["0,1,2,3,4,5,6,0,0,1"],
+    ])
+    def test_wrong_column_count_rejected(self, tmp_path, rows):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, rows)
+        with pytest.raises(ValueError, match="column"):
+            load_trace(str(path))
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "nottrace.csv"
@@ -324,6 +433,17 @@ class TestReportSerializers:
         doc = subspace_report_to_dict(rep)
         assert set(doc) == {"residual", "basis_dim"}
         json.dumps(doc)
+
+    def test_trace_keys_and_flags(self, golden_trace):
+        doc = trace_to_dict(golden_trace)
+        assert list(doc) == [
+            "t", "x", "x_s", "x_c", "es_norm", "ec_norm", "threshold",
+            "triggered", "delivered",
+        ]
+        assert doc["x"] == golden_trace.x.tolist()
+        flags = doc["triggered"] + doc["delivered"]
+        assert {type(v) for v in flags} == {int} and set(flags) == {0, 1}
+        assert sum(doc["triggered"]) == golden_trace.triggers.size
 
     def test_summary_keys_and_values(self, trace7, vehicle7):
         stats = summarize(trace7, vehicle7.trigger)
