@@ -243,41 +243,42 @@ class _Buffers:
         self.size = i + 1
 
 
-def _step_propagator(scn: Scenario, dt: float) -> np.ndarray:
+def _step_propagator(gen: np.ndarray, estimator: EstimatorKind, dt: float) -> np.ndarray:
     """exp(dt * stacked generator), assembled block-wise.
 
     The held blocks of the hold estimator are exact identities and the
     discrepancy block never couples to the rest, so a drift-free stretch
     stays drift-free to the last bit.
     """
-    n = scn.n
+    n = gen.shape[0] // 2
     p = np.zeros((3 * n, 3 * n))
-    if scn.estimator is EstimatorKind.MODEL_BASED:
-        q = mat_exp(gamma_matrix(scn.plant, scn.model, scn.gain), dt)
-        p[:n, :n] = q[:n, :n]
-        p[:n, 2 * n :] = q[:n, n:]
+    q = mat_exp(gen, dt)
+    p[:n, :n] = q[:n, :n]
+    p[:n, 2 * n :] = q[:n, n:]
+    if estimator is EstimatorKind.MODEL_BASED:
         # w and x_c share the nominal closed-loop block of the propagator.
         p[2 * n :, 2 * n :] = q[n:, n:]
         p[n : 2 * n, n : 2 * n] = q[n:, n:]
     else:
-        q = mat_exp(gamma_zoh(scn.plant, scn.gain), dt)
-        p[:n, :n] = q[:n, :n]
-        p[:n, 2 * n :] = q[:n, n:]
         p[n : 2 * n, n : 2 * n] = np.eye(n)
         p[2 * n :, 2 * n :] = np.eye(n)
     return p
 
 
-def _halvings(scn: Scenario, width: float, levels: int) -> list[np.ndarray]:
+def _halvings(
+    gen: np.ndarray, estimator: EstimatorKind, width: float, levels: int
+) -> list[np.ndarray]:
     """Propagators over width/2, width/4, ... width/2^levels."""
-    return [_step_propagator(scn, width * 0.5 ** (i + 1)) for i in range(levels)]
+    return [
+        _step_propagator(gen, estimator, width * 0.5 ** (i + 1)) for i in range(levels)
+    ]
 
 
-def _errors(scn: Scenario, z: np.ndarray) -> tuple[float, float]:
-    n = scn.n
+def _errors(n: int, z: np.ndarray) -> tuple[float, float]:
+    """(||e_s||, ||e_c||); sqrt(e.e) is np.linalg.norm's own formula for a vector."""
     e_c = z[2 * n :] - z[:n]
     e_s = z[n : 2 * n] + e_c
-    return float(np.linalg.norm(e_s)), float(np.linalg.norm(e_c))
+    return math.sqrt(e_s.dot(e_s)), math.sqrt(e_c.dot(e_c))
 
 
 def _bisect_step(
@@ -292,9 +293,13 @@ def _bisect_step(
     """Localize the crossing inside one flow step.
 
     Invariant: margin <= 0 at the moving lower end, > 0 at the upper end.
-    Each level halves the bracket with a single matrix-vector product.
+    Each level halves the bracket with a single matrix-vector product and
+    forms only the sensor error, with the same operations as _errors and
+    threshold_value, so every comparison matches theirs bit for bit.
     Returns the upper end, where the threshold is strictly exceeded.
     """
+    n = scn.n
+    beta, alpha = scn.trigger.beta, scn.trigger.alpha
     lo_off = 0.0
     hi_off = width
     t_hi = t_lo + width
@@ -304,8 +309,8 @@ def _bisect_step(
         mid_off = lo_off + (hi_off - lo_off) * 0.5
         z_mid = h @ z_lo
         t_mid = t_lo + mid_off
-        es, _ = _errors(scn, z_mid)
-        if es > threshold_value(t_mid, scn.trigger):
+        e_s = z_mid[n : 2 * n] + (z_mid[2 * n :] - z_mid[:n])
+        if math.sqrt(e_s.dot(e_s)) > beta * np.exp(-alpha * t_mid):
             hi_off = mid_off
             t_hi = t_mid
             z_hi = z_mid
@@ -340,9 +345,14 @@ def simulate(scn: Scenario) -> Trace:
     if grid[-1] < scn.t_max - 1e-9 * max(1.0, scn.t_max):
         grid = np.append(grid, scn.t_max)
 
-    p_step = _step_propagator(scn, dt)
+    # One stacked (x, x_c) generator per run; every propagator derives from it.
+    if scn.estimator is EstimatorKind.MODEL_BASED:
+        gen = gamma_matrix(scn.plant, scn.model, scn.gain)
+    else:
+        gen = gamma_zoh(scn.plant, scn.gain)
+    p_step = _step_propagator(gen, scn.estimator, dt)
     grid_levels = _levels_for(dt, scn.event_tol)
-    grid_halvings = _halvings(scn, dt, grid_levels)
+    grid_halvings = _halvings(gen, scn.estimator, dt, grid_levels)
 
     # Cumulative powers: powers[k] advances the stack k+1 grid steps.
     powers = np.empty((_BATCH, 3 * n, 3 * n))
@@ -363,7 +373,7 @@ def simulate(scn: Scenario) -> Trace:
                 f"inter-event gap {t_star - triggers[-1]:.3e} below {ZENO_GAP:.0e} "
                 f"at t={t_star:.6f}: event accumulation, aborting"
             )
-        es_pre, ec_pre = _errors(scn, z_pre)
+        es_pre, ec_pre = _errors(n, z_pre)
         x_pre = z_pre[:n]
         xc_pre = z_pre[2 * n :]
         xs_pre = z_pre[n : 2 * n] + xc_pre
@@ -403,7 +413,7 @@ def simulate(scn: Scenario) -> Trace:
         z = z_post
 
     # Row 0 at t = 0.
-    es0, ec0 = _errors(scn, z)
+    es0, ec0 = _errors(n, z)
     buffers.append_row(
         0.0, z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], es0, ec0,
         float(threshold_value(0.0, scn.trigger)),
@@ -457,15 +467,15 @@ def simulate(scn: Scenario) -> Trace:
         if width <= 0.0:
             next_idx += 1
             continue
-        prop = _step_propagator(scn, width)
+        prop = _step_propagator(gen, scn.estimator, width)
         z_next = prop @ z
-        es_t, ec_t = _errors(scn, z_next)
+        es_t, ec_t = _errors(n, z_next)
         thr_t = float(threshold_value(target, scn.trigger))
         if es_t > thr_t:
             levels = _levels_for(width, scn.event_tol)
             t_star, z_pre = _bisect_step(
-                scn, t_cursor, z, width, z_next, _halvings(scn, width, levels),
-                scn.event_tol,
+                scn, t_cursor, z, width, z_next,
+                _halvings(gen, scn.estimator, width, levels), scn.event_tol,
             )
             record_event_rows(t_star, z_pre)
             t_cursor = t_star

@@ -137,11 +137,13 @@ def random_drop_script(
         raise ChannelError("drop_prob", f"drop_prob must lie in [0, 1], got {drop_prob!r}")
     if length < 1:
         raise ChannelError("length", f"length must be positive, got {length!r}")
-    gen = np.random.Generator(np.random.Philox(seed))
+    # One block draw yields the same Philox doubles as `length` scalar draws.
+    uniforms = np.random.Generator(np.random.Philox(seed)).random(length).tolist()
+    p = float(drop_prob)
     out = []
     run = 0
-    for _ in range(length):
-        dropped = bool(float(gen.random()) < drop_prob) and run < m - 1
+    for u in uniforms:
+        dropped = u < p and run < m - 1
         run = run + 1 if dropped else 0
         out.append(dropped)
     return tuple(out)

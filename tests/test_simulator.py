@@ -1,8 +1,13 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lossyetc import simulator
 
 from lossyetc.numerics import mat_exp
 from lossyetc.simulator import Scenario, SummaryStats, Trace, simulate, summarize
@@ -178,6 +183,69 @@ def test_zoh_regression(trace_zoh7):
     assert float(np.min(np.diff(trace_zoh7.triggers))) == pytest.approx(
         0.037113754272461108, rel=1e-9
     )
+
+
+def test_zoh_trace_bytes_pinned(trace_zoh7):
+    # Every Trace field of the event-heavy run, bit for bit: event location
+    # must not move a single double.
+    h = hashlib.sha256()
+    for f in dataclasses.fields(Trace):
+        a = np.ascontiguousarray(getattr(trace_zoh7, f.name))
+        h.update(f"{f.name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    assert trace_zoh7.num_samples == 61873
+    assert h.hexdigest() == (
+        "42da19f4d46c52b165b0e537a5b152411920b04cbf2b80d5f8850d139dc4aa61"
+    )
+
+
+def test_one_generator_build_per_run(monkeypatch, vehicle7, zoh7):
+    builds = []
+
+    def counting(fn):
+        def wrapper(*args):
+            builds.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "gamma_matrix", counting(simulator.gamma_matrix))
+    monkeypatch.setattr(simulator, "gamma_zoh", counting(simulator.gamma_zoh))
+    assert simulate(zoh7).triggers.size == 936
+    assert builds == ["gamma_zoh"]
+    builds.clear()
+    assert simulate(vehicle7).triggers.size > 0
+    assert builds == ["gamma_matrix"]
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.225073858507201e-308, 1e154, -1e154, 1.3407807929942596e154,
+                 9.9e153, 1.0, -1.0]
+_doubles = st.one_of(
+    st.sampled_from(_EDGE_DOUBLES),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.floats(min_value=-1.5e154, max_value=1.5e154),
+)
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(1, 8))
+    return n, np.array(draw(st.lists(_doubles, min_size=3 * n, max_size=3 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_stacks())
+def test_errors_match_linalg_norm_bitwise(stack):
+    # The bisection compares sqrt(e.e) against the threshold; it must be the
+    # very double np.linalg.norm gives for the same slices.
+    n, z = stack
+    e_c = z[2 * n :] - z[:n]
+    e_s = z[n : 2 * n] + e_c
+    with np.errstate(over="ignore"):  # near 1e154 the squares overflow to inf
+        got = simulator._errors(n, z)
+        want = (float(np.linalg.norm(e_s)), float(np.linalg.norm(e_c)))
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_zoh_summary(trace_zoh7, zoh7):

@@ -154,6 +154,26 @@ def test_random_drop_script_properties():
         random_drop_script(3, 0.5, 0, seed=0)
 
 
+def _scalar_draw_script(m, drop_prob, length, seed):
+    """Reference: one scalar Philox draw per offer."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    out, run = [], 0
+    for _ in range(length):
+        dropped = bool(float(gen.random()) < drop_prob) and run < m - 1
+        run = run + 1 if dropped else 0
+        out.append(dropped)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
+def test_random_drop_script_matches_scalar_draws(m, p):
+    for seed in (0, 5, 7919):
+        script = random_drop_script(m, p, 2000, seed=seed)
+        assert script == _scalar_draw_script(m, p, 2000, seed)
+        assert all(type(v) is bool for v in script)
+
+
 def test_forced_delivery_resets_run():
     policy = ChannelPolicy(M=2, mode=ChannelMode.WORST_CASE)
     state = initial_channel_state(policy)
