@@ -371,7 +371,8 @@ def stability_envelope_bound(scn: Scenario, report: BoundsReport) -> float:
 
 # --- trace-grounded report builders -------------------------------------------
 
-def _worst_case_trace(scn: Scenario) -> Trace:
+def worst_case_trace(scn: Scenario) -> Trace:
+    """One run of the scenario under the worst-case channel of its drop budget."""
     policy = ChannelPolicy(mode=ChannelMode.WORST_CASE, M=scn.channel.M)
     return simulate(replace(scn, channel=policy))
 
@@ -428,16 +429,14 @@ def _growth_rate(gamma_mat: np.ndarray) -> float:
     return 0.99 * float(np.min(eig.eigenvalues.real[growing]))
 
 
-def analyze_scenario(scn: Scenario, tr: Trace | None = None) -> BoundsReport:
+def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
     """Full model-based certificate for one scenario.
 
-    Grounds the per-interval constants on a worst-case dropout trace (the
-    given one, or a fresh run), takes the worst window's amplification, and
-    assembles the inter-event and stability constants from the scenario
-    matrices.
+    Grounds the per-interval constants on a worst-case dropout trace of the
+    scenario (see worst_case_trace), takes the worst window's amplification,
+    and assembles the inter-event and stability constants from the scenario
+    matrices.  Only the drop budget M is read from the scenario's channel.
     """
-    if tr is None:
-        tr = _worst_case_trace(scn)
     m = scn.channel.M
     s_mat = closed_loop(scn.model, scn.gain)
     env_model = decay_envelope(s_mat)
@@ -486,10 +485,8 @@ def analyze_scenario(scn: Scenario, tr: Trace | None = None) -> BoundsReport:
     )
 
 
-def analyze_scenario_zoh(scn: Scenario, tr: Trace | None = None) -> ZohBoundsReport:
+def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
     """Hold-type certificate for one scenario, grounded like analyze_scenario."""
-    if tr is None:
-        tr = _worst_case_trace(scn)
     m = scn.channel.M
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
 

@@ -13,7 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import analyze_scenario, analyze_scenario_zoh, verify_ec_bound
+from .bounds import (
+    analyze_scenario,
+    analyze_scenario_zoh,
+    verify_ec_bound,
+    worst_case_trace,
+)
 from .numerics import NumericsError
 from .scenarios import (
     bounds_report_to_dict,
@@ -23,24 +28,10 @@ from .scenarios import (
     trace_to_dict,
     zoh_report_to_dict,
 )
-from .simulator import Scenario, SimulationError, Trace, simulate, summarize
+from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind
 from .trigger_channel import ChannelMode, ChannelPolicy, random_drop_script
 
-_SWEEP_COLUMNS = [
-    "param",
-    "value",
-    "repeat",
-    "estimator",
-    "trigger_count",
-    "delivery_count",
-    "min_inter_event",
-    "mean_inter_event",
-    "min_receive_interval",
-    "mean_receive_interval",
-    "final_state_norm",
-    "empirical_amplification",
-]
 # Offers per run never approach this for the preset horizon.
 _SWEEP_SCRIPT_LENGTH = 20000
 
@@ -108,14 +99,6 @@ def _load(args) -> Scenario:
     return scn
 
 
-def _worst_case(scn: Scenario) -> tuple[Scenario, Trace]:
-    """The scenario under the worst-case channel, and its one simulated run."""
-    worst = dataclasses.replace(
-        scn, channel=ChannelPolicy(M=scn.channel.M, mode=ChannelMode.WORST_CASE)
-    )
-    return worst, simulate(worst)
-
-
 def _out_path(args, suffix: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -152,13 +135,13 @@ def cmd_bounds(args) -> int:
         print("lossyetc bounds: reports serialize as JSON only", file=sys.stderr)
         return 1
     scn = _load(args)
-    worst, tr = _worst_case(scn)
-    rep = analyze_scenario(worst, tr)
+    tr = worst_case_trace(scn)
+    rep = analyze_scenario(scn, tr)
     out = _out_path(args, ".bounds.json")
     _write_json(out, bounds_report_to_dict(rep))
     line = f"bounds: Delta={rep.Delta:.6g}, miet={rep.miet:.6g}, wrote {out}"
     if scn.estimator is EstimatorKind.ZERO_ORDER_HOLD:
-        zrep = analyze_scenario_zoh(worst, tr)
+        zrep = analyze_scenario_zoh(scn, tr)
         zout = out.with_suffix(".zoh.json")
         _write_json(zout, zoh_report_to_dict(zrep))
         line += f"; Delta_zoh={zrep.Delta_zoh:.6g}, wrote {zout}"
@@ -171,11 +154,11 @@ def cmd_verify(args) -> int:
         print("lossyetc verify: reports serialize as JSON only", file=sys.stderr)
         return 1
     scn = _load(args)
-    worst, tr = _worst_case(scn)
+    tr = worst_case_trace(scn)
     stats = summarize(tr, scn.trigger)
     checks: dict[str, bool] = {}
     if scn.estimator is EstimatorKind.MODEL_BASED:
-        rep = analyze_scenario(worst, tr)
+        rep = analyze_scenario(scn, tr)
         check = verify_ec_bound(tr, rep.Delta, scn.trigger)
         checks["ec_bound"] = check.ok
         checks["miet_positive"] = rep.miet > 0.0
@@ -188,7 +171,7 @@ def cmd_verify(args) -> int:
             "observed_min_gap": stats.min_inter_event,
         }
     else:
-        zrep = analyze_scenario_zoh(worst, tr)
+        zrep = analyze_scenario_zoh(scn, tr)
         check = verify_ec_bound(tr, zrep.Delta_zoh, scn.trigger)
         checks["ec_bound"] = check.ok
         checks["gaps_positive"] = min(zrep.delta_bar_zoh) > 0.0
@@ -247,26 +230,15 @@ def cmd_sweep(args) -> int:
             )
             for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
                 run = dataclasses.replace(scn, estimator=kind, channel=policy)
-                stats = summarize(simulate(run), run.trigger)
+                stats = summary_to_dict(summarize(simulate(run), run.trigger))
                 rows.append(
-                    [
-                        args.param,
-                        f"{value:.17g}",
-                        repeat,
-                        kind.value,
-                        stats.trigger_count,
-                        stats.delivery_count,
-                        _fmt(stats.min_inter_event),
-                        _fmt(stats.mean_inter_event),
-                        _fmt(stats.min_receive_interval),
-                        _fmt(stats.mean_receive_interval),
-                        f"{stats.final_state_norm:.17g}",
-                        f"{stats.empirical_amplification:.17g}",
-                    ]
+                    [args.param, _fmt(value), repeat, kind.value]
+                    + [_fmt(v) for v in stats.values()]
                 )
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
+        # Every run's summary has the same keys; the last one names the columns.
+        writer.writerow(["param", "value", "repeat", "estimator", *stats])
         writer.writerows(rows)
     print(f"sweep: {len(rows)} runs over {args.param}={values}, wrote {out}")
     return 0

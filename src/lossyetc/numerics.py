@@ -17,8 +17,6 @@ from scipy.linalg import expm as _scipy_expm
 
 Matrix = np.ndarray
 
-# Relative accuracy of mat_exp (scaling-and-squaring Pade, scipy).
-EXPM_REL_TOL = 1e-10
 # Per-eigenpair residual gate: ||M v - lambda v|| <= tol * ||v||.
 EIG_RESIDUAL_TOL = 1e-8
 # Real parts closer to zero than this are treated as marginal, not growing.
@@ -57,11 +55,6 @@ class EigenDecomposition:
     def num_growing(self) -> int:
         """Count of eigenvalues with real part above the marginal band."""
         return int(np.sum(self.eigenvalues.real > MARGINAL_RE_TOL))
-
-    @property
-    def num_nondecaying(self) -> int:
-        """Count of eigenvalues not strictly inside the open left half plane."""
-        return int(np.sum(self.eigenvalues.real > -MARGINAL_RE_TOL))
 
 
 @dataclass(frozen=True)

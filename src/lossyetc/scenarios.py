@@ -367,21 +367,7 @@ def load_trace(path: str) -> Trace:
         raise ValueError(
             f"trace rows have {data.shape[1]} columns, header has {len(header)}"
         )
-    t = data[:, 0]
-    x = data[:, 1 : 1 + n]
-    x_s = data[:, 1 + n : 1 + 2 * n]
-    x_c = data[:, 1 + 2 * n : 1 + 3 * n]
-    es, ec, thr = data[:, 1 + 3 * n], data[:, 2 + 3 * n], data[:, 3 + 3 * n]
-    trig = data[:, 4 + 3 * n] != 0.0
-    deliv = data[:, 5 + 3 * n] != 0.0
-    arrays = dict(
-        t=t, x=x, x_s=x_s, x_c=x_c, e_s_norm=es, e_c_norm=ec, threshold=thr,
-        triggered=trig, delivered=deliv,
-        triggers=t[trig].copy(), deliveries=t[deliv].copy(),
-    )
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return Trace(**arrays)
+    return Trace.from_table(data[:, :-2], data[:, -2] != 0.0, data[:, -1] != 0.0)
 
 
 # --- report JSON --------------------------------------------------------------

@@ -14,7 +14,7 @@ enters the bound checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +141,35 @@ class Trace:
     triggers: np.ndarray
     deliveries: np.ndarray
 
+    @classmethod
+    def from_table(
+        cls, table: np.ndarray, triggered: np.ndarray, delivered: np.ndarray
+    ) -> Trace:
+        """Read-only trace over the rows [t, x, x_s, x_c, es, ec, threshold].
+
+        The table is 3n + 4 columns wide, in the float-column order of the
+        trace CSV; the two boolean row flags come separately.  Event instants
+        are the times of the flagged rows.
+        """
+        n = (table.shape[1] - 4) // 3
+        t = table[:, 0]
+        arrays = dict(
+            t=t,
+            x=table[:, 1 : 1 + n],
+            x_s=table[:, 1 + n : 1 + 2 * n],
+            x_c=table[:, 1 + 2 * n : 1 + 3 * n],
+            e_s_norm=table[:, 1 + 3 * n],
+            e_c_norm=table[:, 2 + 3 * n],
+            threshold=table[:, 3 + 3 * n],
+            triggered=triggered,
+            delivered=delivered,
+            triggers=t[triggered],
+            deliveries=t[delivered],
+        )
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return cls(**arrays)
+
     @property
     def num_samples(self) -> int:
         return self.t.shape[0]
@@ -161,86 +190,6 @@ class SummaryStats:
     mean_receive_interval: float | None
     final_state_norm: float
     empirical_amplification: float
-
-
-@dataclass
-class _Buffers:
-    """Growable column store for trace rows."""
-
-    n: int
-    cap: int
-    size: int = 0
-    t: np.ndarray = field(init=False)
-    x: np.ndarray = field(init=False)
-    x_s: np.ndarray = field(init=False)
-    x_c: np.ndarray = field(init=False)
-    es: np.ndarray = field(init=False)
-    ec: np.ndarray = field(init=False)
-    thr: np.ndarray = field(init=False)
-    trig: np.ndarray = field(init=False)
-    deliv: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.t = np.empty(self.cap)
-        self.x = np.empty((self.cap, self.n))
-        self.x_s = np.empty((self.cap, self.n))
-        self.x_c = np.empty((self.cap, self.n))
-        self.es = np.empty(self.cap)
-        self.ec = np.empty(self.cap)
-        self.thr = np.empty(self.cap)
-        self.trig = np.zeros(self.cap, dtype=bool)
-        self.deliv = np.zeros(self.cap, dtype=bool)
-
-    def _ensure(self, extra: int):
-        need = self.size + extra
-        if need <= self.cap:
-            return
-        new_cap = max(need, 2 * self.cap)
-        for name in ("t", "es", "ec", "thr"):
-            arr = getattr(self, name)
-            grown = np.empty(new_cap)
-            grown[: self.size] = arr[: self.size]
-            setattr(self, name, grown)
-        for name in ("x", "x_s", "x_c"):
-            arr = getattr(self, name)
-            grown = np.empty((new_cap, self.n))
-            grown[: self.size] = arr[: self.size]
-            setattr(self, name, grown)
-        for name in ("trig", "deliv"):
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=bool)
-            grown[: self.size] = arr[: self.size]
-            setattr(self, name, grown)
-        self.cap = new_cap
-
-    def append_block(self, t, x, x_s, x_c, es, ec, thr):
-        k = t.shape[0]
-        if k == 0:
-            return
-        self._ensure(k)
-        i, j = self.size, self.size + k
-        self.t[i:j] = t
-        self.x[i:j] = x
-        self.x_s[i:j] = x_s
-        self.x_c[i:j] = x_c
-        self.es[i:j] = es
-        self.ec[i:j] = ec
-        self.thr[i:j] = thr
-        self.size = j
-
-    def append_row(self, t, x, x_s, x_c, es, ec, thr, trig=False, deliv=False):
-        self._ensure(1)
-        i = self.size
-        self.t[i] = t
-        self.x[i] = x
-        self.x_s[i] = x_s
-        self.x_c[i] = x_c
-        self.es[i] = es
-        self.ec[i] = ec
-        self.thr[i] = thr
-        self.trig[i] = trig
-        self.deliv[i] = deliv
-        self.size = i + 1
 
 
 def _step_propagator(gen: np.ndarray, estimator: EstimatorKind, dt: float) -> np.ndarray:
@@ -362,17 +311,42 @@ def simulate(scn: Scenario) -> Trace:
 
     z = np.concatenate([scn.x0, np.zeros(n), scn.x0])
     ch_state = initial_channel_state(scn.channel)
-    buffers = _Buffers(n=n, cap=grid.shape[0] + 256)
-    triggers: list[float] = []
-    deliveries: list[float] = []
+    # Rows [t, x, x_s, x_c, es, ec, threshold]; the first `size` are filled.
+    table = np.empty((grid.shape[0] + 256, 3 * n + 4))
+    size = 0
+    trigger_rows: list[int] = []
+    delivery_rows: list[int] = []
+    last_trigger = -math.inf
+
+    def append(t, x, x_s, x_c, es, ec, thr):
+        """Write one row (scalar t) or a block of rows, growing the table."""
+        nonlocal table, size
+        block = isinstance(t, np.ndarray)
+        k = len(t) if block else 1
+        if size + k > table.shape[0]:
+            # Copy only the filled rows: spare capacity stays untouched.
+            grown = np.empty((max(size + k, 2 * table.shape[0]), table.shape[1]))
+            grown[:size] = table[:size]
+            table = grown
+        # Columns first: a block's rows transposed, or the one row itself.
+        cols = table[size : size + k].T if block else table[size]
+        cols[0] = t
+        cols[1 : 1 + n] = x.T
+        cols[1 + n : 1 + 2 * n] = x_s.T
+        cols[1 + 2 * n : 1 + 3 * n] = x_c.T
+        cols[1 + 3 * n] = es
+        cols[2 + 3 * n] = ec
+        cols[3 + 3 * n] = thr
+        size += k
 
     def record_event_rows(t_star: float, z_pre: np.ndarray):
-        nonlocal z, ch_state
-        if triggers and t_star - triggers[-1] < ZENO_GAP:
+        nonlocal z, ch_state, last_trigger
+        if t_star - last_trigger < ZENO_GAP:
             raise SimulationError(
-                f"inter-event gap {t_star - triggers[-1]:.3e} below {ZENO_GAP:.0e} "
+                f"inter-event gap {t_star - last_trigger:.3e} below {ZENO_GAP:.0e} "
                 f"at t={t_star:.6f}: event accumulation, aborting"
             )
+        last_trigger = t_star
         es_pre, ec_pre = _errors(n, z_pre)
         x_pre = z_pre[:n]
         xc_pre = z_pre[2 * n :]
@@ -380,10 +354,10 @@ def simulate(scn: Scenario) -> Trace:
         thr = float(threshold_value(t_star, scn.trigger))
         outcome, ch_state = channel_offer(scn.channel, ch_state)
         got = outcome is Outcome.DELIVERED
-        buffers.append_row(
-            t_star, x_pre, xs_pre, xc_pre, es_pre, ec_pre, thr, trig=True, deliv=got
-        )
-        triggers.append(t_star)
+        trigger_rows.append(size)
+        if got:
+            delivery_rows.append(size)
+        append(t_star, x_pre, xs_pre, xc_pre, es_pre, ec_pre, thr)
         # Jumps: the sensor copy resets at every trigger; the controller copy
         # resets only on delivery.  In discrepancy coordinates:
         #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
@@ -391,30 +365,25 @@ def simulate(scn: Scenario) -> Trace:
         if got:
             z_post[n : 2 * n] = 0.0
             z_post[2 * n :] = z_pre[:n]
-            deliveries.append(t_star)
         else:
             z_post[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
         t_plus = float(np.nextafter(t_star, np.inf))
-        x_post = z_post[:n]
-        xc_post = z_post[2 * n :]
         # Post-jump sensor copy equals the plant state by definition of the
         # reset; record that value, not a reconstruction.
-        xs_post = x_post.copy()
-        ec_post = 0.0 if got else ec_pre
-        buffers.append_row(
+        append(
             t_plus,
-            x_post,
-            xs_post,
-            xc_post,
+            z_post[:n],
+            z_post[:n],
+            z_post[2 * n :],
             0.0,
-            ec_post,
+            0.0 if got else ec_pre,
             float(threshold_value(t_plus, scn.trigger)),
         )
         z = z_post
 
     # Row 0 at t = 0.
     es0, ec0 = _errors(n, z)
-    buffers.append_row(
+    append(
         0.0, z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], es0, ec0,
         float(threshold_value(0.0, scn.trigger)),
     )
@@ -438,16 +407,13 @@ def simulate(scn: Scenario) -> Trace:
             thrb = threshold_value(tb, scn.trigger)
             bad = np.flatnonzero(esb > thrb)
             if bad.size == 0:
-                buffers.append_block(tb, xb, xsb, xcb, esb, ecb, thrb)
+                append(tb, xb, xsb, xcb, esb, ecb, thrb)
                 z = zb[batch - 1]
                 t_cursor = tb[batch - 1]
                 next_idx += batch
                 continue
             j = int(bad[0])
-            if j > 0:
-                buffers.append_block(
-                    tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j]
-                )
+            append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
             t_lo = t_cursor if j == 0 else tb[j - 1]
             z_lo = z if j == 0 else zb[j - 1]
             t_star, z_pre = _bisect_step(
@@ -482,30 +448,19 @@ def simulate(scn: Scenario) -> Trace:
             if t_star == target:
                 next_idx += 1
             continue
-        x_t = z_next[:n]
-        xc_t = z_next[2 * n :]
-        xs_t = z_next[n : 2 * n] + xc_t
-        buffers.append_row(target, x_t, xs_t, xc_t, es_t, ec_t, thr_t)
+        append(
+            target, z_next[:n], z_next[n : 2 * n] + z_next[2 * n :], z_next[2 * n :],
+            es_t, ec_t, thr_t,
+        )
         z = z_next
         t_cursor = target
         next_idx += 1
 
-    m = buffers.size
-    frozen = {}
-    for name, col in (
-        ("t", buffers.t), ("e_s_norm", buffers.es), ("e_c_norm", buffers.ec),
-        ("threshold", buffers.thr), ("triggered", buffers.trig),
-        ("delivered", buffers.deliv), ("x", buffers.x), ("x_s", buffers.x_s),
-        ("x_c", buffers.x_c),
-    ):
-        arr = col[:m].copy()
-        arr.flags.writeable = False
-        frozen[name] = arr
-    trig_arr = np.asarray(triggers, dtype=float)
-    deliv_arr = np.asarray(deliveries, dtype=float)
-    trig_arr.flags.writeable = False
-    deliv_arr.flags.writeable = False
-    return Trace(triggers=trig_arr, deliveries=deliv_arr, **frozen)
+    triggered = np.zeros(size, dtype=bool)
+    triggered[trigger_rows] = True
+    delivered = np.zeros(size, dtype=bool)
+    delivered[delivery_rows] = True
+    return Trace.from_table(table[:size], triggered, delivered)
 
 
 def summarize(tr: Trace, cfg: TriggerConfig) -> SummaryStats:

@@ -29,7 +29,7 @@ from lossyetc.bounds import (
     verify_ec_bound,
 )
 from lossyetc.numerics import decay_envelope
-from lossyetc.simulator import Trace, summarize
+from lossyetc.simulator import Trace, simulate, summarize
 from lossyetc.system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix
 from lossyetc.trigger_channel import TriggerConfig
 
@@ -49,7 +49,7 @@ SCALAR_GAMMA = np.array([[1.0, 0.5], [0.0, -1.0]])
 
 @pytest.fixture(scope="module")
 def report0(vehicle0):
-    return analyze_scenario(vehicle0)
+    return analyze_scenario(vehicle0, simulate(vehicle0))
 
 
 def _scalar_flow_trace(ts):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -258,7 +259,7 @@ class TestVerify:
         def boom(*_args, **_kwargs):
             raise SimulationError("synthetic event pile-up")
 
-        monkeypatch.setattr("lossyetc.cli.simulate", boom)
+        monkeypatch.setattr("lossyetc.bounds.simulate", boom)
         assert main(["verify", "--config", config_seed1, "--tmax", "20"]) == 3
         assert "synthetic event pile-up" in capsys.readouterr().err
 
@@ -295,6 +296,17 @@ class TestSweep:
                 "--values", "0.5", "--repeats", "1", "--tmax", "10",
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_pinned(self, config_seed1, tmp_path):
+        out = tmp_path / "table.sweep.csv"
+        assert main([
+            "sweep", "--config", config_seed1, "--out", str(out), "--tmax", "20",
+        ]) == 0
+        data = out.read_bytes()
+        assert len(data) == 1428
+        assert hashlib.sha256(data).hexdigest() == (
+            "518832a1bc0aa8805bd5cd731182e36748e71bdee2172cee7e0c73d377300346"
+        )
 
     def test_rejections(self, config_seed1, capsys):
         assert main([

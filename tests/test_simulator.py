@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from lossyetc import simulator
 
 from lossyetc.numerics import mat_exp
-from lossyetc.simulator import Scenario, SummaryStats, Trace, simulate, summarize
+from lossyetc.scenarios import load_trace, save_trace
+from lossyetc.simulator import (
+    Scenario,
+    SimulationError,
+    SummaryStats,
+    Trace,
+    simulate,
+    summarize,
+)
 from lossyetc.system_model import (
     EstimatorKind,
     Gain,
@@ -185,18 +193,40 @@ def test_zoh_regression(trace_zoh7):
     )
 
 
-def test_zoh_trace_bytes_pinned(trace_zoh7):
-    # Every Trace field of the event-heavy run, bit for bit: event location
-    # must not move a single double.
+def _trace_sha256(tr):
     h = hashlib.sha256()
     for f in dataclasses.fields(Trace):
-        a = np.ascontiguousarray(getattr(trace_zoh7, f.name))
+        a = np.ascontiguousarray(getattr(tr, f.name))
         h.update(f"{f.name}:{a.dtype.str}:{a.shape}".encode())
         h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_zoh_trace_bytes_pinned(trace_zoh7):
+    # Every Trace field of the event-heavy run, bit for bit: event location
+    # must not move a single double.  Its rows outnumber the row table's
+    # initial capacity, so the pin also covers the table's growth.
     assert trace_zoh7.num_samples == 61873
-    assert h.hexdigest() == (
+    assert _trace_sha256(trace_zoh7) == (
         "42da19f4d46c52b165b0e537a5b152411920b04cbf2b80d5f8850d139dc4aa61"
     )
+
+
+def test_mb_trace_bytes_pinned(trace7):
+    # The model-based run fits the initial capacity of the row table.
+    assert trace7.num_samples == 60167
+    assert _trace_sha256(trace7) == (
+        "55cf5c7473f7a6c03a0f9aca7f5b544fe0607ce3ff1363dc20dfc5fdf23211d6"
+    )
+
+
+def test_event_accumulation_aborts(monkeypatch, vehicle7, trace7):
+    # A gap floor above the first inter-event gap turns the second trigger
+    # into an event pile-up.
+    first_gap = float(trace7.triggers[1] - trace7.triggers[0])
+    monkeypatch.setattr(simulator, "ZENO_GAP", 2.0 * first_gap)
+    with pytest.raises(SimulationError, match="event accumulation"):
+        simulate(vehicle7)
 
 
 def test_one_generator_build_per_run(monkeypatch, vehicle7, zoh7):
@@ -299,14 +329,19 @@ def test_threshold_soundness(trace7, trace_zoh7, golden_trace):
         assert np.all(tr.e_s_norm[quiet] <= tr.threshold[quiet] + 1e-9)
 
 
-def test_trace_structure(trace7, vehicle7):
+def test_trace_structure(trace7, vehicle7, tmp_path):
     assert np.all(np.diff(trace7.t) > 0)
     assert set(np.round(trace7.deliveries, 12)) <= set(np.round(trace7.triggers, 12))
-    assert not trace7.x.flags.writeable
-    assert not trace7.triggers.flags.writeable
     assert trace7.num_samples == len(trace7) == trace7.t.shape[0]
     assert trace7.t[0] == 0.0
     assert trace7.t[-1] == pytest.approx(vehicle7.t_max, abs=1e-9)
+    path = tmp_path / "trace7.csv"
+    save_trace(trace7, str(path))
+    for tr in (trace7, load_trace(str(path))):
+        for f in dataclasses.fields(Trace):
+            assert not getattr(tr, f.name).flags.writeable, f.name
+        assert np.array_equal(tr.triggers, tr.t[tr.triggered])
+        assert np.array_equal(tr.deliveries, tr.t[tr.delivered])
 
 
 def test_bounded_drop_runs_in_flags(trace7, vehicle7):
