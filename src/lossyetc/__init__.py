@@ -14,14 +14,11 @@ from .bounds import BoundsError, analyze_scenario, analyze_scenario_zoh, verify_
 from .numerics import NumericsError
 from .scenarios import (
     ScenarioFormatError,
-    bounds_report_to_dict,
     load_scenario,
     load_trace,
     save_scenario,
     save_trace,
-    summary_to_dict,
     vehicle_preset,
-    zoh_report_to_dict,
 )
 from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind, ModelError
@@ -42,7 +39,6 @@ __all__ = [
     "SimulationError",
     "analyze_scenario",
     "analyze_scenario_zoh",
-    "bounds_report_to_dict",
     "load_scenario",
     "load_trace",
     "random_drop_script",
@@ -50,8 +46,6 @@ __all__ = [
     "save_trace",
     "simulate",
     "summarize",
-    "summary_to_dict",
     "vehicle_preset",
     "verify_ec_bound",
-    "zoh_report_to_dict",
 ]

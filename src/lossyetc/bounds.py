@@ -37,7 +37,6 @@ from .system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix, 
 from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
 from .simulator import Scenario, Trace, simulate
 
-SUBSPACE_RESIDUAL_TOL = 1e-9
 _SUP_GRID_POINTS = 400
 _TRACE_MARGIN = 0.99
 
@@ -75,6 +74,8 @@ class MietBreakdown(NamedTuple):
     F_cap: float
     F_bar: float
     F_bold: float
+    a_hat: float
+    a_tilde: float
 
 
 class BoundCheck(NamedTuple):
@@ -231,12 +232,14 @@ def min_inter_event_time(
     M: int,
     Delta: float,
     x0_norm: float,
+    env_true: DecayEnvelope,
 ) -> MietBreakdown:
     """Strictly positive lower bound on the spacing of trigger events.
 
-    Evaluated at the initial instant, where the driving terms are largest,
-    so the bound is uniform in time; a negative F_bar is clamped to zero,
-    which only shrinks the result.
+    env_true is the decay envelope of the true loop A + BK.  Evaluated at
+    the initial instant, where the driving terms are largest, so the bound
+    is uniform in time; a negative F_bar is clamped to zero, which only
+    shrinks the result.
     """
     if M <= 1:
         raise BoundsError(f"need M > 1, got {M!r}")
@@ -245,8 +248,6 @@ def min_inter_event_time(
     if not (x0_norm >= 0.0 and math.isfinite(x0_norm)):
         raise BoundsError(f"x0_norm must be nonnegative, got {x0_norm!r}")
     s_mat = closed_loop(model, gain)
-    true_loop = plant.A + plant.B @ gain.K
-    env_true = decay_envelope(true_loop)
     c, abar = env_true.c, env_true.rate
     if not cfg.alpha < abar:
         raise BoundsError(
@@ -266,7 +267,9 @@ def min_inter_event_time(
     # log1p keeps the bound strictly positive even when beta/f_bold is far
     # below machine epsilon.
     miet = math.log1p(cfg.beta / f_bold) / (a_hat + abar)
-    return MietBreakdown(miet=miet, F_cap=f_cap, F_bar=f_bar, F_bold=f_bold)
+    return MietBreakdown(
+        miet=miet, F_cap=f_cap, F_bar=f_bar, F_bold=f_bold, a_hat=a_hat, a_tilde=a_tilde
+    )
 
 
 def compute_delta_zoh(
@@ -377,47 +380,44 @@ def worst_case_trace(scn: Scenario) -> Trace:
     return simulate(replace(scn, channel=policy))
 
 
-def _complete_windows(tr: Trace, M: int) -> list[np.ndarray]:
-    """Event times [s_0 .. s_M] of every maximal-drop stretch in the trace.
+def _lower_envelope(ts: np.ndarray, x: np.ndarray, t0: float, gamma: float) -> float:
+    """0.99 times the largest eta with ||x(t)|| >= eta e^{gamma (t - t0)} on the rows."""
+    norms = np.linalg.norm(x, axis=1)
+    if norms.size == 0 or not float(np.min(norms)) > 0.0:
+        raise BoundsError(f"state norm vanished on the rows from t={t0}")
+    return _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * (ts - t0))))
 
-    s_0 is a delivery (or the synchronized start), s_1..s_{M-1} the dropped
-    triggers, s_M the next delivery.
+
+def _dropped_intervals(
+    tr: Trace, M: int, gamma: float
+) -> list[list[tuple[float, float, float]]]:
+    """Rows (t_j, eta_j, ||x(t_j)||) of every maximal-drop window in the trace.
+
+    A window runs from a delivery (or the synchronized start) over M - 1
+    dropped triggers to the next delivery; its j-th dropped interval starts
+    at the j-th dropped trigger t_j and ends at the next event, and eta_j is
+    the trace-grounded growth envelope of the state norm on it.  A trace
+    without a complete window gets one stand-in window of M - 1 equal rows:
+    t_j = 0, the whole-trace envelope and the peak state norm.
     """
     anchors = np.concatenate([[0.0], tr.deliveries])
     windows = []
     for a, b in zip(anchors[:-1], anchors[1:]):
-        interior = tr.triggers[(tr.triggers > a) & (tr.triggers < b)]
-        if interior.size == M - 1:
-            windows.append(np.concatenate([[a], interior, [b]]))
+        dropped = tr.triggers[(tr.triggers > a) & (tr.triggers < b)]
+        if dropped.size != M - 1:
+            continue
+        rows = []
+        for lo, hi in zip(dropped, np.append(dropped[1:], b)):
+            i0 = int(np.searchsorted(tr.t, lo, side="left"))
+            i1 = int(np.searchsorted(tr.t, hi, side="left"))
+            eta = _lower_envelope(tr.t[i0:i1], tr.x[i0:i1], lo, gamma)
+            rows.append((float(lo), eta, float(np.linalg.norm(tr.x[i0]))))
+        windows.append(rows)
+    if not windows:
+        eta = _lower_envelope(tr.t, tr.x, 0.0, gamma)
+        peak = float(np.max(np.linalg.norm(tr.x, axis=1)))
+        windows.append([(0.0, eta, peak)] * (M - 1))
     return windows
-
-
-def _interval_constants(
-    tr: Trace, events: np.ndarray, gamma: float, c_model: float
-) -> list[tuple[float, float]]:
-    """Trace-grounded (eta_j, zeta_j) for each dropped interval of a window."""
-    out = []
-    for j in range(1, events.size - 1):
-        lo, hi = events[j], events[j + 1]
-        i0 = int(np.searchsorted(tr.t, lo, side="left"))
-        i1 = int(np.searchsorted(tr.t, hi, side="left"))
-        norms = np.linalg.norm(tr.x[i0:i1], axis=1)
-        if norms.size == 0 or not float(np.min(norms)) > 0.0:
-            raise BoundsError(f"state norm vanished on interval [{lo}, {hi})")
-        ts = tr.t[i0:i1]
-        eta_j = _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * (ts - lo))))
-        zeta_j = c_model * float(norms[0])
-        out.append((eta_j, zeta_j))
-    return out
-
-
-def _whole_trace_envelope(tr: Trace, gamma: float) -> tuple[float, float]:
-    """Fallback when no maximal-drop window exists: one global (eta, peak norm)."""
-    norms = np.linalg.norm(tr.x, axis=1)
-    if not float(np.min(norms)) > 0.0:
-        raise BoundsError("state norm vanished along the trace")
-    eta = _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * tr.t)))
-    return eta, float(np.max(norms))
 
 
 def _growth_rate(gamma_mat: np.ndarray) -> float:
@@ -438,38 +438,28 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
     matrices.  Only the drop budget M is read from the scenario's channel.
     """
     m = scn.channel.M
-    s_mat = closed_loop(scn.model, scn.gain)
-    env_model = decay_envelope(s_mat)
-    true_loop = scn.plant.A + scn.plant.B @ scn.gain.K
-    env_true = decay_envelope(true_loop)
+    env_model = decay_envelope(closed_loop(scn.model, scn.gain))
+    env_true = decay_envelope(scn.plant.A + scn.plant.B @ scn.gain.K)
     if not scn.trigger.alpha < env_true.rate:
         raise BoundsError(
             f"trigger decay rate {scn.trigger.alpha!r} must stay below the "
             f"closed-loop rate {env_true.rate!r}"
         )
     gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
-    kappa = env_model.rate
-
-    per_window = [
-        _interval_constants(tr, events, gamma, env_model.c)
-        for events in _complete_windows(tr, m)
-    ]
-    if not per_window:
-        eta, peak = _whole_trace_envelope(tr, gamma)
-        per_window = [[(eta, env_model.c * peak)] * (m - 1)]
     frags = [
-        compute_Delta(scn.model, scn.gain, scn.trigger, m, consts, gamma, kappa)
-        for consts in per_window
+        compute_Delta(
+            scn.model, scn.gain, scn.trigger, m,
+            [(eta, env_model.c * x_norm) for _, eta, x_norm in rows],
+            gamma, env_model.rate,
+        )
+        for rows in _dropped_intervals(tr, m, gamma)
     ]
     best = max(frags, key=lambda frag: frag.Delta)
 
     x0_norm = float(np.linalg.norm(scn.x0))
     miet = min_inter_event_time(
-        scn.plant, scn.model, scn.gain, scn.trigger, m, best.Delta, x0_norm
+        scn.plant, scn.model, scn.gain, scn.trigger, m, best.Delta, x0_norm, env_true
     )
-    mismatch = (scn.plant.A - scn.model.A_hat) + (
-        scn.plant.B - scn.model.B_hat
-    ) @ scn.gain.K
     return BoundsReport(
         Delta=best.Delta,
         delta_bar=best.delta_bar,
@@ -478,8 +468,8 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
         F_bar=miet.F_bar,
         F_cap=miet.F_cap,
         F_bold=miet.F_bold,
-        a_hat=float(np.linalg.norm(s_mat, 2)),
-        a_tilde=float(np.linalg.norm(mismatch, 2)),
+        a_hat=miet.a_hat,
+        a_tilde=miet.a_tilde,
         envelopes={"true_loop": env_true, "model_loop": env_model},
         x0_norm=x0_norm,
     )
@@ -489,20 +479,12 @@ def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
     """Hold-type certificate for one scenario, grounded like analyze_scenario."""
     m = scn.channel.M
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
-
-    candidates = []
-    for events in _complete_windows(tr, m):
-        i_rows = [int(np.searchsorted(tr.t, events[j], side="left")) for j in range(1, m)]
-        norms = [float(np.linalg.norm(tr.x[i])) for i in i_rows]
-        etas = [eta for eta, _ in _interval_constants(tr, events, gamma, 1.0)]
-        candidates.append((min(min(etas), min(norms)), norms))
-    if not candidates:
-        eta, peak = _whole_trace_envelope(tr, gamma)
-        candidates.append((eta, [peak] * (m - 1)))
     reports = [
         compute_delta_zoh(
-            scn.plant, scn.gain, scn.trigger, m, norms, GrowthEnvelope(eta=eta, gamma=gamma)
+            scn.plant, scn.gain, scn.trigger, m,
+            [x_norm for _, _, x_norm in rows],
+            GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in rows), gamma=gamma),
         )
-        for eta, norms in candidates
+        for rows in _dropped_intervals(tr, m, gamma)
     ]
     return max(reports, key=lambda rep: rep.Delta_zoh)

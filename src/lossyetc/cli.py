@@ -20,14 +20,7 @@ from .bounds import (
     worst_case_trace,
 )
 from .numerics import NumericsError
-from .scenarios import (
-    bounds_report_to_dict,
-    load_scenario,
-    save_trace,
-    summary_to_dict,
-    trace_to_dict,
-    zoh_report_to_dict,
-)
+from .scenarios import load_scenario, save_trace, trace_to_dict
 from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind
 from .trigger_channel import ChannelMode, ChannelPolicy, random_drop_script
@@ -121,7 +114,7 @@ def cmd_simulate(args) -> int:
     else:
         _write_json(out, trace_to_dict(tr))
     summary_path = out.with_suffix(".summary.json")
-    _write_json(summary_path, summary_to_dict(stats))
+    _write_json(summary_path, dataclasses.asdict(stats))
     print(
         f"simulate[{scn.estimator.value}]: {stats.trigger_count} triggers, "
         f"{stats.delivery_count} deliveries, final |x|={stats.final_state_norm:.3e}, "
@@ -138,12 +131,12 @@ def cmd_bounds(args) -> int:
     tr = worst_case_trace(scn)
     rep = analyze_scenario(scn, tr)
     out = _out_path(args, ".bounds.json")
-    _write_json(out, bounds_report_to_dict(rep))
+    _write_json(out, dataclasses.asdict(rep))
     line = f"bounds: Delta={rep.Delta:.6g}, miet={rep.miet:.6g}, wrote {out}"
     if scn.estimator is EstimatorKind.ZERO_ORDER_HOLD:
         zrep = analyze_scenario_zoh(scn, tr)
         zout = out.with_suffix(".zoh.json")
-        _write_json(zout, zoh_report_to_dict(zrep))
+        _write_json(zout, dataclasses.asdict(zrep))
         line += f"; Delta_zoh={zrep.Delta_zoh:.6g}, wrote {zout}"
     print(line)
     return 0
@@ -156,31 +149,23 @@ def cmd_verify(args) -> int:
     scn = _load(args)
     tr = worst_case_trace(scn)
     stats = summarize(tr, scn.trigger)
-    checks: dict[str, bool] = {}
     if scn.estimator is EstimatorKind.MODEL_BASED:
         rep = analyze_scenario(scn, tr)
-        check = verify_ec_bound(tr, rep.Delta, scn.trigger)
-        checks["ec_bound"] = check.ok
-        checks["miet_positive"] = rep.miet > 0.0
+        amplification = rep.Delta
         gap_ok = stats.min_inter_event is None or stats.min_inter_event >= rep.miet
-        checks["min_gap_at_least_miet"] = gap_ok
-        doc = {
-            "report": bounds_report_to_dict(rep),
-            "checks": checks,
-            "max_ratio": check.max_ratio,
-            "observed_min_gap": stats.min_inter_event,
-        }
+        own_checks = {"miet_positive": rep.miet > 0.0, "min_gap_at_least_miet": gap_ok}
     else:
-        zrep = analyze_scenario_zoh(scn, tr)
-        check = verify_ec_bound(tr, zrep.Delta_zoh, scn.trigger)
-        checks["ec_bound"] = check.ok
-        checks["gaps_positive"] = min(zrep.delta_bar_zoh) > 0.0
-        doc = {
-            "report": zoh_report_to_dict(zrep),
-            "checks": checks,
-            "max_ratio": check.max_ratio,
-            "observed_min_gap": stats.min_inter_event,
-        }
+        rep = analyze_scenario_zoh(scn, tr)
+        amplification = rep.Delta_zoh
+        own_checks = {"gaps_positive": min(rep.delta_bar_zoh) > 0.0}
+    check = verify_ec_bound(tr, amplification, scn.trigger)
+    checks = {"ec_bound": check.ok, **own_checks}
+    doc = {
+        "report": dataclasses.asdict(rep),
+        "checks": checks,
+        "max_ratio": check.max_ratio,
+        "observed_min_gap": stats.min_inter_event,
+    }
     ok = all(checks.values())
     if args.out is not None:
         _write_json(Path(args.out), doc)
@@ -230,7 +215,7 @@ def cmd_sweep(args) -> int:
             )
             for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
                 run = dataclasses.replace(scn, estimator=kind, channel=policy)
-                stats = summary_to_dict(summarize(simulate(run), run.trigger))
+                stats = dataclasses.asdict(summarize(simulate(run), run.trigger))
                 rows.append(
                     [args.param, _fmt(value), repeat, kind.value]
                     + [_fmt(v) for v in stats.values()]

@@ -16,8 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .bounds import BoundsReport, SubspaceReport, ZohBoundsReport
-from .simulator import Scenario, SummaryStats, Trace
+from .simulator import Scenario, Trace
 from .system_model import EstimatorKind, Gain, ModelError, NominalModel, Plant
 from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, TriggerConfig
 
@@ -370,39 +369,7 @@ def load_trace(path: str) -> Trace:
     return Trace.from_table(data[:, :-2], data[:, -2] != 0.0, data[:, -1] != 0.0)
 
 
-# --- report JSON --------------------------------------------------------------
-
-def bounds_report_to_dict(rep: BoundsReport) -> dict[str, Any]:
-    return {
-        "Delta": rep.Delta,
-        "delta_bar": list(rep.delta_bar),
-        "delta_tilde": list(rep.delta_tilde),
-        "miet": rep.miet,
-        "F_bar": rep.F_bar,
-        "F_cap": rep.F_cap,
-        "F_bold": rep.F_bold,
-        "a_hat": rep.a_hat,
-        "a_tilde": rep.a_tilde,
-        "envelopes": {
-            name: {"c": env.c, "rate": env.rate}
-            for name, env in rep.envelopes.items()
-        },
-        "x0_norm": rep.x0_norm,
-    }
-
-
-def zoh_report_to_dict(rep: ZohBoundsReport) -> dict[str, Any]:
-    return {
-        "Delta_zoh": rep.Delta_zoh,
-        "delta_bar_zoh": list(rep.delta_bar_zoh),
-        "growth": {"eta": rep.growth.eta, "gamma": rep.growth.gamma},
-        "state_norms": list(rep.state_norms),
-    }
-
-
-def subspace_report_to_dict(rep: SubspaceReport) -> dict[str, Any]:
-    return {"residual": rep.residual, "basis_dim": rep.basis_dim}
-
+# --- trace JSON ---------------------------------------------------------------
 
 def trace_to_dict(tr: Trace) -> dict[str, Any]:
     return {
@@ -417,15 +384,3 @@ def trace_to_dict(tr: Trace) -> dict[str, Any]:
         "delivered": tr.delivered.astype(int).tolist(),
     }
 
-
-def summary_to_dict(stats: SummaryStats) -> dict[str, Any]:
-    return {
-        "trigger_count": stats.trigger_count,
-        "delivery_count": stats.delivery_count,
-        "min_inter_event": stats.min_inter_event,
-        "mean_inter_event": stats.mean_inter_event,
-        "min_receive_interval": stats.min_receive_interval,
-        "mean_receive_interval": stats.mean_receive_interval,
-        "final_state_norm": stats.final_state_norm,
-        "empirical_amplification": stats.empirical_amplification,
-    }

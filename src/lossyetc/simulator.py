@@ -174,9 +174,6 @@ class Trace:
     def num_samples(self) -> int:
         return self.t.shape[0]
 
-    def __len__(self) -> int:
-        return self.t.shape[0]
-
 
 @dataclass(frozen=True)
 class SummaryStats:

@@ -16,8 +16,8 @@ from lossyetc.bounds import (
     MietBreakdown,
     SubspaceReport,
     ZohBoundsReport,
+    _dropped_intervals,
     _growth_rate,
-    _whole_trace_envelope,
     analyze_scenario,
     analyze_scenario_zoh,
     compute_Delta,
@@ -52,6 +52,10 @@ def report0(vehicle0):
     return analyze_scenario(vehicle0, simulate(vehicle0))
 
 
+def _true_envelope(scn):
+    return decay_envelope(scn.plant.A + scn.plant.B @ scn.gain.K)
+
+
 def _scalar_flow_trace(ts):
     """Event-free trace whose plant state follows the SCALAR_GAMMA flow."""
     k = ts.size
@@ -65,7 +69,7 @@ def _scalar_flow_trace(ts):
 
 
 class TestGrowthConstants:
-    """The growth rate, and the whole-trace envelope of the fallback path."""
+    """The growth rate, and the stand-in window of a trace without drops."""
 
     def test_scalar_example_frozen(self):
         assert _growth_rate(SCALAR_GAMMA) == pytest.approx(0.99, abs=1e-15)
@@ -73,16 +77,19 @@ class TestGrowthConstants:
     def test_scalar_example_against_modal_oracle(self):
         gamma = _growth_rate(SCALAR_GAMMA)
         tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
-        eta, peak = _whole_trace_envelope(tr, gamma)
+        [rows] = _dropped_intervals(tr, 3, gamma)
+        assert rows[0] == rows[1]
+        t_j, eta, peak = rows[0]
         modal = modal_growth_coefficient(SCALAR_GAMMA, np.array([1.0]))
         assert modal == pytest.approx(1.25, rel=1e-12)
+        assert t_j == 0.0
         assert 0.9 * modal <= eta <= 1.1 * modal
         assert peak == pytest.approx(1.25 * math.exp(20.0), rel=1e-12)
 
     def test_scalar_envelope_holds_on_fresh_grid(self):
         gamma = _growth_rate(SCALAR_GAMMA)
         tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
-        eta, _ = _whole_trace_envelope(tr, gamma)
+        [[(_, eta, _)]] = _dropped_intervals(tr, 2, gamma)
         rng = np.random.default_rng(99)
         ts = rng.uniform(5.0, 20.0, 500)
         vals = np.abs(1.25 * np.exp(ts) - 0.25 * np.exp(-ts))
@@ -99,7 +106,7 @@ class TestGrowthConstants:
             _growth_rate(-np.eye(2))
         tr = _scalar_flow_trace(np.linspace(0.0, 1.0, 5))
         with pytest.raises(BoundsError, match="state norm vanished"):
-            _whole_trace_envelope(dataclasses.replace(tr, x=np.zeros((5, 1))), 1.0)
+            _dropped_intervals(dataclasses.replace(tr, x=np.zeros((5, 1))), 2, 1.0)
 
     def test_envelope_value_type(self):
         with pytest.raises(BoundsError):
@@ -275,9 +282,12 @@ class TestMinInterEventTime:
 
     def test_breakdown_fields(self, vehicle0):
         out = min_inter_event_time(
-            vehicle0.plant, vehicle0.model, vehicle0.gain, CFG, 5, 2.0, 1.0
+            vehicle0.plant, vehicle0.model, vehicle0.gain, CFG, 5, 2.0, 1.0,
+            _true_envelope(vehicle0),
         )
         assert isinstance(out, MietBreakdown)
+        assert out.a_tilde == 0.0
+        assert out.a_hat == pytest.approx(23.045194978569295, rel=1e-12)
         assert out.miet > 0.0
         # exact model: the mismatch term vanishes, so F_bar does too
         assert out.F_bar == 0.0
@@ -287,21 +297,23 @@ class TestMinInterEventTime:
 
     def test_zero_initial_norm_clamps(self, vehicle7):
         out = min_inter_event_time(
-            vehicle7.plant, vehicle7.model, vehicle7.gain, CFG, 5, 2.0, 0.0
+            vehicle7.plant, vehicle7.model, vehicle7.gain, CFG, 5, 2.0, 0.0,
+            _true_envelope(vehicle7),
         )
         assert out.F_bar == 0.0 and out.miet > 0.0
 
     def test_validation(self, vehicle0):
         args = (vehicle0.plant, vehicle0.model, vehicle0.gain)
+        env = _true_envelope(vehicle0)
         with pytest.raises(BoundsError, match="M > 1"):
-            min_inter_event_time(*args, CFG, 1, 2.0, 1.0)
+            min_inter_event_time(*args, CFG, 1, 2.0, 1.0, env)
         with pytest.raises(BoundsError, match="Delta"):
-            min_inter_event_time(*args, CFG, 5, 0.5, 1.0)
+            min_inter_event_time(*args, CFG, 5, 0.5, 1.0, env)
         with pytest.raises(BoundsError, match="x0_norm"):
-            min_inter_event_time(*args, CFG, 5, 2.0, -1.0)
+            min_inter_event_time(*args, CFG, 5, 2.0, -1.0, env)
         fast = TriggerConfig(beta=0.5, alpha=5.0)
         with pytest.raises(BoundsError, match="stay below"):
-            min_inter_event_time(*args, fast, 5, 2.0, 1.0)
+            min_inter_event_time(*args, fast, 5, 2.0, 1.0, env)
 
 
 class TestComputeDeltaZoh:

@@ -264,6 +264,56 @@ class TestVerify:
         assert "synthetic event pile-up" in capsys.readouterr().err
 
 
+_BOUNDS_KEYS = [
+    "Delta", "delta_bar", "delta_tilde", "miet", "F_bar", "F_cap", "F_bold",
+    "a_hat", "a_tilde",
+    ("envelopes", [("true_loop", ["c", "rate"]), ("model_loop", ["c", "rate"])]),
+    "x0_norm",
+]
+_ZOH_KEYS = ["Delta_zoh", "delta_bar_zoh", ("growth", ["eta", "gamma"]), "state_norms"]
+
+
+def _key_tree(doc):
+    """Keys of a JSON object in document order, nested objects as (key, keys)."""
+    return [
+        (k, _key_tree(v)) if isinstance(v, dict) else k for k, v in doc.items()
+    ]
+
+
+def test_json_key_order(config_seed1, tmp_path):
+    """Every JSON document the CLI writes keeps its keys in a fixed order."""
+    out = tmp_path / "rep.bounds.json"
+    assert main([
+        "bounds", "--config", config_seed1, "--out", str(out),
+        "--estimator", "zoh", "--tmax", "20",
+    ]) == 0
+    assert _key_tree(json.loads(out.read_text())) == _BOUNDS_KEYS
+    zdoc = json.loads((tmp_path / "rep.bounds.zoh.json").read_text())
+    assert _key_tree(zdoc) == _ZOH_KEYS
+    for estimator, report, checks in (
+        ("mb", _BOUNDS_KEYS, ["ec_bound", "miet_positive", "min_gap_at_least_miet"]),
+        ("zoh", _ZOH_KEYS, ["ec_bound", "gaps_positive"]),
+    ):
+        out = tmp_path / f"verify_{estimator}.json"
+        assert main([
+            "verify", "--config", config_seed1, "--estimator", estimator,
+            "--out", str(out), "--tmax", "20",
+        ]) == 0
+        assert _key_tree(json.loads(out.read_text())) == [
+            ("report", report), ("checks", checks), "max_ratio", "observed_min_gap",
+        ]
+    out = tmp_path / "run.trace.csv"
+    assert main([
+        "simulate", "--config", config_seed1, "--out", str(out), "--tmax", "10",
+    ]) == 0
+    summary = json.loads((tmp_path / "run.trace.summary.json").read_text())
+    assert _key_tree(summary) == [
+        "trigger_count", "delivery_count", "min_inter_event", "mean_inter_event",
+        "min_receive_interval", "mean_receive_interval", "final_state_norm",
+        "empirical_amplification",
+    ]
+
+
 class TestSweep:
     def test_paired_runs(self, config_seed1, tmp_path, capsys):
         out = tmp_path / "table.sweep.csv"

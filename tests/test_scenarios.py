@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -12,18 +13,14 @@ from hypothesis import strategies as st
 import lossyetc as le
 from lossyetc.scenarios import (
     ScenarioFormatError,
-    bounds_report_to_dict,
     load_scenario,
     load_trace,
     save_scenario,
     save_trace,
     scenario_from_dict,
     scenario_to_dict,
-    subspace_report_to_dict,
-    summary_to_dict,
     trace_to_dict,
     vehicle_preset,
-    zoh_report_to_dict,
 )
 from lossyetc.simulator import Trace, summarize
 from lossyetc.system_model import EstimatorKind
@@ -109,8 +106,6 @@ class TestScenarioJson:
         assert loaded.channel.p == 0.7 and loaded.channel.seed == 1
 
     def test_round_trip_scripted(self, vehicle0, tmp_path):
-        import dataclasses
-
         script = random_drop_script(5, 0.6, 40, seed=3)
         scn = dataclasses.replace(
             vehicle0,
@@ -405,23 +400,25 @@ class TestTraceCsv:
 
 
 class TestReportSerializers:
+    """Report JSON is the report dataclass's fields, in field order."""
+
     def test_bounds_report_keys(self, report7):
-        doc = bounds_report_to_dict(report7)
-        assert set(doc) == {
+        doc = dataclasses.asdict(report7)
+        assert list(doc) == [
             "Delta", "delta_bar", "delta_tilde", "miet", "F_bar", "F_cap",
             "F_bold", "a_hat", "a_tilde", "envelopes", "x0_norm",
-        }
-        assert set(doc["envelopes"]) == {"true_loop", "model_loop"}
-        assert set(doc["envelopes"]["true_loop"]) == {"c", "rate"}
+        ]
+        assert list(doc["envelopes"]) == ["true_loop", "model_loop"]
+        assert list(doc["envelopes"]["true_loop"]) == ["c", "rate"]
         assert doc["Delta"] == report7.Delta
         json.dumps(doc)
 
     def test_zoh_report_keys(self, zoh7, trace_zoh7):
         from lossyetc.bounds import analyze_scenario_zoh
 
-        doc = zoh_report_to_dict(analyze_scenario_zoh(zoh7, trace_zoh7))
-        assert set(doc) == {"Delta_zoh", "delta_bar_zoh", "growth", "state_norms"}
-        assert set(doc["growth"]) == {"eta", "gamma"}
+        doc = dataclasses.asdict(analyze_scenario_zoh(zoh7, trace_zoh7))
+        assert list(doc) == ["Delta_zoh", "delta_bar_zoh", "growth", "state_norms"]
+        assert list(doc["growth"]) == ["eta", "gamma"]
         json.dumps(doc)
 
     def test_subspace_report_keys(self, vehicle0):
@@ -430,8 +427,8 @@ class TestReportSerializers:
         rep = stable_subspace_residual(
             vehicle0.plant, vehicle0.model, vehicle0.gain, vehicle0.x0
         )
-        doc = subspace_report_to_dict(rep)
-        assert set(doc) == {"residual", "basis_dim"}
+        doc = dataclasses.asdict(rep)
+        assert list(doc) == ["residual", "basis_dim"]
         json.dumps(doc)
 
     def test_trace_keys_and_flags(self, golden_trace):
@@ -447,12 +444,12 @@ class TestReportSerializers:
 
     def test_summary_keys_and_values(self, trace7, vehicle7):
         stats = summarize(trace7, vehicle7.trigger)
-        doc = summary_to_dict(stats)
-        assert set(doc) == {
+        doc = dataclasses.asdict(stats)
+        assert list(doc) == [
             "trigger_count", "delivery_count", "min_inter_event",
             "mean_inter_event", "min_receive_interval", "mean_receive_interval",
             "final_state_norm", "empirical_amplification",
-        }
+        ]
         assert doc["trigger_count"] == stats.trigger_count
         assert doc["final_state_norm"] == stats.final_state_norm
         json.dumps(doc)
