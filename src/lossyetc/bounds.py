@@ -10,6 +10,11 @@ Three families of certificates, all checkable against simulated traces:
 * for the hold-type estimator, the analogous amplification factor built from
   crossing times of a scalar transcendental equation.
 
+Both amplification factors sum bounds on the dropped intervals of a
+maximal-drop window.  Each interval bound uses the threshold
+beta * exp(-alpha t_j) at its own start t_j, while the factor itself stays
+relative to the global threshold beta * exp(-alpha t).
+
 The per-interval growth and decay constants these formulas consume are not
 constructive in general; the report builders ground them on a worst-case
 dropout trace of the scenario under study, which makes every reported number
@@ -116,7 +121,7 @@ class ZohBoundsReport:
     Delta_zoh: float
     delta_bar_zoh: tuple[float, ...]
     growth: GrowthEnvelope
-    state_norms: tuple[float, ...]
+    state_norms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         m = len(self.delta_bar_zoh) + 1
@@ -188,12 +193,13 @@ def compute_Delta(
     gain: Gain,
     cfg: TriggerConfig,
     M: int,
-    per_interval: list[tuple[float, float]],
+    per_interval: list[tuple[float, float, float]],
     gamma: float,
     kappa: float,
 ) -> DeltaBreakdown:
     """Amplification factor for the controller-side error under M-1 drops.
 
+    per_interval holds (t_j, eta_j, zeta_j) for each dropped interval.
     Delta = 1 + sum over k of e^{alpha tilde_k} * sup ||exp(S s)|| with the
     sup taken over s in [0, tilde_k]; tilde_k is the tail sum of the interval
     bounds, so the stale-data age after k drops never exceeds it.
@@ -205,7 +211,8 @@ def compute_Delta(
             f"need {M - 1} per-interval constants for M={M}, got {len(per_interval)}"
         )
     bars = tuple(
-        delta_bar(eta_j, zeta_j, gamma, kappa, cfg) for eta_j, zeta_j in per_interval
+        delta_bar(eta_j, zeta_j, gamma, kappa, cfg, t_j)
+        for t_j, eta_j, zeta_j in per_interval
     )
     tilde = tuple(float(sum(bars[k:])) for k in range(M - 1))
     s_mat = closed_loop(model, gain)
@@ -277,32 +284,36 @@ def compute_delta_zoh(
     gain: Gain,
     cfg: TriggerConfig,
     M: int,
-    state_norms: list[float],
+    state_norms: list[tuple[float, float]],
     growth: GrowthEnvelope,
 ) -> ZohBoundsReport:
     """Amplification factor for the hold-type estimator.
 
-    Each interval bound solves eta e^{gamma d} - X_j = beta e^{-alpha d} by
-    bisection; the left side starts below the right and grows without bound,
-    so [0, ln((X_j + beta)/eta)/gamma + 1] always brackets the crossing.
+    state_norms holds (t_j, X_j) for each dropped interval.  Each interval
+    bound solves eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with the
+    threshold beta_j = beta e^{-alpha t_j} at the interval's start, by
+    bisection; the left side starts below the right and grows without
+    bound, so [0, ln((X_j + beta_j)/eta)/gamma + 1] always brackets the
+    crossing.
     """
     if M < 1:
         raise BoundsError(f"need M >= 1, got {M!r}")
-    norms = [float(v) for v in state_norms]
-    if len(norms) != M - 1:
-        raise BoundsError(f"need {M - 1} state norms for M={M}, got {len(norms)}")
-    eta, gamma = growth.eta, growth.gamma
-    for j, x_norm in enumerate(norms):
+    rows = tuple((float(t_j), float(x_norm)) for t_j, x_norm in state_norms)
+    if len(rows) != M - 1:
+        raise BoundsError(f"need {M - 1} state norms for M={M}, got {len(rows)}")
+    eta, gamma, alpha = growth.eta, growth.gamma, cfg.alpha
+    for j, (_, x_norm) in enumerate(rows):
         if eta > x_norm:
             raise BoundsError(
                 f"envelope gain {eta!r} exceeds state norm {x_norm!r} at interval {j}"
             )
     bars = []
-    for x_norm in norms:
-        t_cap = math.log((x_norm + cfg.beta) / eta) / gamma + 1.0
+    for t_j, x_norm in rows:
+        beta_j = cfg.beta * math.exp(-alpha * t_j)
+        t_cap = math.log((x_norm + beta_j) / eta) / gamma + 1.0
 
-        def crossing(d: float, x_norm=x_norm) -> float:
-            return eta * math.exp(gamma * d) - x_norm - cfg.beta * math.exp(-cfg.alpha * d)
+        def crossing(d: float, x_norm=x_norm, beta_j=beta_j) -> float:
+            return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
 
         if not crossing(t_cap) > 0.0:
             raise BoundsError(f"crossing bracket failed at cap {t_cap!r}")
@@ -310,12 +321,12 @@ def compute_delta_zoh(
     bars = tuple(bars)
     # Tail sums for k = 1..M; the last is empty, so its term contributes 1.
     tilde = [float(sum(bars[k:])) for k in range(M - 1)] + [0.0]
-    delta_zoh = float(sum(math.exp(cfg.alpha * tk) for tk in tilde))
+    delta_zoh = float(sum(math.exp(alpha * tk) for tk in tilde))
     return ZohBoundsReport(
         Delta_zoh=delta_zoh,
         delta_bar_zoh=bars,
         growth=growth,
-        state_norms=tuple(norms),
+        state_norms=rows,
     )
 
 
@@ -449,7 +460,7 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
     frags = [
         compute_Delta(
             scn.model, scn.gain, scn.trigger, m,
-            [(eta, env_model.c * x_norm) for _, eta, x_norm in rows],
+            [(t_j, eta, env_model.c * x_norm) for t_j, eta, x_norm in rows],
             gamma, env_model.rate,
         )
         for rows in _dropped_intervals(tr, m, gamma)
@@ -482,7 +493,7 @@ def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
     reports = [
         compute_delta_zoh(
             scn.plant, scn.gain, scn.trigger, m,
-            [x_norm for _, _, x_norm in rows],
+            [(t_j, x_norm) for t_j, _, x_norm in rows],
             GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in rows), gamma=gamma),
         )
         for rows in _dropped_intervals(tr, m, gamma)

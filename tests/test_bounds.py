@@ -95,6 +95,22 @@ class TestGrowthConstants:
         vals = np.abs(1.25 * np.exp(ts) - 0.25 * np.exp(-ts))
         assert np.all(vals >= eta * np.exp(gamma * ts) - 1e-9)
 
+    def test_rows_start_at_dropped_triggers(self, vehicle7, trace7):
+        tr = trace7
+        gamma = _growth_rate(gamma_matrix(vehicle7.plant, vehicle7.model, vehicle7.gain))
+        windows = _dropped_intervals(tr, vehicle7.channel.M, gamma)
+        assert windows
+        dropped = set(np.setdiff1d(tr.triggers, tr.deliveries).tolist())
+        for rows in windows:
+            assert len(rows) == vehicle7.channel.M - 1
+            starts = [t_j for t_j, _, _ in rows]
+            assert starts == sorted(starts) and set(starts) <= dropped
+            for t_j, eta, x_norm in rows:
+                i = int(np.searchsorted(tr.t, t_j, side="left"))
+                assert tr.t[i] == t_j
+                assert x_norm == np.linalg.norm(tr.x[i])
+                assert 0.0 < eta < x_norm
+
     def test_vehicle_draw_frozen(self):
         scn = le.vehicle_preset(1)
         gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
@@ -189,7 +205,7 @@ class TestComputeDelta:
         # stable model copy: the transition sup floors at 1
         model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
         gain = Gain(K=[[0.0]])
-        out = compute_Delta(model, gain, CFG, 2, [(1.0, 1.0)], 1.0, 1.0)
+        out = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
         bar = 0.32437208648653149
         assert out.delta_bar == pytest.approx((bar,), rel=1e-15)
         assert out.delta_tilde == pytest.approx((bar,), rel=1e-15)
@@ -199,15 +215,15 @@ class TestComputeDelta:
         # growing model copy: the sup contributes e^{0.5 tilde}
         model = NominalModel(A_hat=[[0.5]], B_hat=[[0.0]])
         gain = Gain(K=[[0.0]])
-        out = compute_Delta(model, gain, CFG, 2, [(1.0, 1.0)], 1.0, 1.0)
+        out = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
         bar = 0.32437208648653149
         assert out.Delta == pytest.approx(1.0 + math.exp(0.75 * bar), rel=1e-10)
 
     def test_tail_sums_and_growth_in_budget(self):
         model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
         gain = Gain(K=[[0.0]])
-        two = compute_Delta(model, gain, CFG, 2, [(1.0, 1.0)], 1.0, 1.0)
-        three = compute_Delta(model, gain, CFG, 3, [(1.0, 1.0)] * 2, 1.0, 1.0)
+        two = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+        three = compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0)] * 2, 1.0, 1.0)
         assert three.Delta > two.Delta >= 1.0
         assert three.delta_tilde[0] == pytest.approx(sum(three.delta_bar), rel=1e-12)
         assert np.all(np.diff(three.delta_tilde) < 0.0)
@@ -218,7 +234,16 @@ class TestComputeDelta:
         with pytest.raises(BoundsError, match="M > 1"):
             compute_Delta(model, gain, CFG, 1, [], 1.0, 1.0)
         with pytest.raises(BoundsError, match="per-interval"):
-            compute_Delta(model, gain, CFG, 3, [(1.0, 1.0)], 1.0, 1.0)
+            compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+
+    def test_interval_start_shrinks_threshold(self):
+        model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
+        gain = Gain(K=[[0.0]])
+        late = compute_Delta(model, gain, CFG, 2, [(4.0, 1.0, 1.0)], 1.0, 1.0)
+        bar = delta_bar_reference(1.0, 1.0, 1.0, 1.0, CFG.beta, CFG.alpha, 4.0)
+        assert late.delta_bar == pytest.approx((bar,), rel=1e-9)
+        early = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+        assert late.Delta < early.Delta
 
 
 class TestVerifyEcBound:
@@ -319,7 +344,9 @@ class TestMinInterEventTime:
 class TestComputeDeltaZoh:
     def test_frozen_crossing(self, vehicle0):
         growth = GrowthEnvelope(eta=1.0, gamma=1.0)
-        rep = compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 2, [1.0], growth)
+        rep = compute_delta_zoh(
+            vehicle0.plant, vehicle0.gain, CFG, 2, [(0.0, 1.0)], growth
+        )
         root = 0.37516811896670577
         assert rep.delta_bar_zoh[0] == pytest.approx(root, abs=1e-9)
         assert rep.Delta_zoh == pytest.approx(1.0 + math.exp(0.25 * root), rel=1e-9)
@@ -332,12 +359,15 @@ class TestComputeDeltaZoh:
             gamma = float(rng.uniform(0.05, 2.0))
             beta = float(rng.uniform(1e-3, 4.0))
             alpha = float(rng.uniform(0.05, 2.0))
+            t_j = float(rng.uniform(0.0, 10.0))
             cfg = TriggerConfig(beta=beta, alpha=alpha)
             growth = GrowthEnvelope(eta=eta, gamma=gamma)
             rep = compute_delta_zoh(
-                vehicle0.plant, vehicle0.gain, cfg, 2, [x_norm], growth
+                vehicle0.plant, vehicle0.gain, cfg, 2, [(t_j, x_norm)], growth
             )
-            ref = zoh_crossing_reference(eta, gamma, x_norm, beta, alpha)
+            # the threshold at the interval's start takes beta's place
+            beta_j = beta * math.exp(-alpha * t_j)
+            ref = zoh_crossing_reference(eta, gamma, x_norm, beta_j, alpha)
             assert rep.delta_bar_zoh[0] == pytest.approx(ref, abs=1e-9)
 
     def test_forced_only_budget(self, vehicle0):
@@ -349,7 +379,8 @@ class TestComputeDeltaZoh:
     def test_floor_and_positivity(self, vehicle0):
         growth = GrowthEnvelope(eta=0.5, gamma=0.8)
         rep = compute_delta_zoh(
-            vehicle0.plant, vehicle0.gain, CFG, 4, [2.0, 1.5, 0.7], growth
+            vehicle0.plant, vehicle0.gain, CFG, 4, [(0.0, 2.0), (0.3, 1.5), (0.6, 0.7)],
+            growth,
         )
         assert rep.Delta_zoh >= 4.0
         assert all(d > 0.0 for d in rep.delta_bar_zoh)
@@ -357,9 +388,9 @@ class TestComputeDeltaZoh:
     def test_validation(self, vehicle0):
         growth = GrowthEnvelope(eta=2.0, gamma=1.0)
         with pytest.raises(BoundsError, match="exceeds state norm"):
-            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 2, [1.0], growth)
+            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 2, [(0.0, 1.0)], growth)
         with pytest.raises(BoundsError, match="state norms"):
-            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 3, [3.0], growth)
+            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 3, [(0.0, 3.0)], growth)
         with pytest.raises(BoundsError, match="M >= 1"):
             compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 0, [], growth)
 
@@ -426,8 +457,11 @@ class TestSubspaceResidual:
 
 class TestReports:
     def test_perturbed_report_frozen(self, report7):
-        assert report7.Delta == pytest.approx(4446393563400.5059, rel=1e-6)
-        assert report7.miet == pytest.approx(7.9035852856589915e-16, rel=1e-6)
+        # From tests/oracles.py on the trace-grounded rows of trace7:
+        # delta_bar_reference at each row's t_j, sups of taylor_expm over 400
+        # points, the worst window, then miet_reference at that Delta.
+        assert report7.Delta == pytest.approx(6233.454929862856, rel=1e-6)
+        assert report7.miet == pytest.approx(5.637679149948192e-07, rel=1e-6)
 
     def test_report_invariants(self, report7, vehicle7):
         assert report7.Delta >= 1.0
@@ -469,7 +503,9 @@ class TestReports:
 
     def test_zoh_report_frozen(self, zoh7, trace_zoh7):
         rep = analyze_scenario_zoh(zoh7, trace_zoh7)
-        assert rep.Delta_zoh == pytest.approx(560939918775.32117, rel=1e-6)
+        # From zoh_crossing_reference with beta e^{-alpha t_j} on every window
+        # of trace_zoh7, the worst window's tail-sum exponentials.
+        assert rep.Delta_zoh == pytest.approx(24.95097201229083, rel=1e-6)
         assert rep.Delta_zoh >= zoh7.channel.M
         assert len(rep.delta_bar_zoh) == zoh7.channel.M - 1
 
@@ -496,7 +532,8 @@ class TestReports:
             )
         with pytest.raises(BoundsError, match="positive"):
             ZohBoundsReport(
-                Delta_zoh=5.0, delta_bar_zoh=(0.0,), growth=growth, state_norms=(1.0,)
+                Delta_zoh=5.0, delta_bar_zoh=(0.0,), growth=growth,
+                state_norms=((0.0, 1.0),),
             )
 
 

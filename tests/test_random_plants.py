@@ -31,9 +31,11 @@ PERTURBATION = 0.05
 
 def _scenario(n, m, M, estimator, seed):
     rng = np.random.default_rng(seed)
-    # Orthogonal similarity keeps the model well conditioned; mode 0 grows.
+    # Orthogonal similarity keeps the model well conditioned.  Only mode 0
+    # grows: several nearby growing modes behind one input need huge gains,
+    # which the plant perturbation then destabilizes.
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    modes = np.concatenate([[rng.uniform(0.2, 1.0)], rng.uniform(-1.0, 1.0, n - 1)])
+    modes = np.concatenate([[rng.uniform(0.2, 1.0)], rng.uniform(-1.0, -0.2, n - 1)])
     a_hat = q @ np.diag(modes) @ q.T
     b_hat = rng.normal(size=(n, m))
     try:
@@ -72,7 +74,7 @@ def _check_protocol(tr, M):
 
 
 @settings(
-    max_examples=12,
+    max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
