@@ -391,9 +391,8 @@ def worst_case_trace(scn: Scenario) -> Trace:
     return simulate(replace(scn, channel=policy))
 
 
-def _lower_envelope(ts: np.ndarray, x: np.ndarray, t0: float, gamma: float) -> float:
-    """0.99 times the largest eta with ||x(t)|| >= eta e^{gamma (t - t0)} on the rows."""
-    norms = np.linalg.norm(x, axis=1)
+def _lower_envelope(ts: np.ndarray, norms: np.ndarray, t0: float, gamma: float) -> float:
+    """0.99 times the largest eta with norms >= eta e^{gamma (ts - t0)}."""
     if norms.size == 0 or not float(np.min(norms)) > 0.0:
         raise BoundsError(f"state norm vanished on the rows from t={t0}")
     return _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * (ts - t0))))
@@ -421,13 +420,14 @@ def _dropped_intervals(
         for lo, hi in zip(dropped, np.append(dropped[1:], b)):
             i0 = int(np.searchsorted(tr.t, lo, side="left"))
             i1 = int(np.searchsorted(tr.t, hi, side="left"))
-            eta = _lower_envelope(tr.t[i0:i1], tr.x[i0:i1], lo, gamma)
+            norms = np.linalg.norm(tr.x[i0:i1], axis=1)
+            eta = _lower_envelope(tr.t[i0:i1], norms, lo, gamma)
             rows.append((float(lo), eta, float(np.linalg.norm(tr.x[i0]))))
         windows.append(rows)
     if not windows:
-        eta = _lower_envelope(tr.t, tr.x, 0.0, gamma)
-        peak = float(np.max(np.linalg.norm(tr.x, axis=1)))
-        windows.append([(0.0, eta, peak)] * (M - 1))
+        norms = np.linalg.norm(tr.x, axis=1)
+        eta = _lower_envelope(tr.t, norms, 0.0, gamma)
+        windows.append([(0.0, eta, float(np.max(norms)))] * (M - 1))
     return windows
 
 
