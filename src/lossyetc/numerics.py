@@ -116,6 +116,49 @@ def spectral_abscissa(matrix: Matrix) -> float:
     return float(np.max(eigendecompose(matrix).eigenvalues.real))
 
 
+def _eigen_basis(m: Matrix) -> tuple[Matrix, np.ndarray, Matrix] | None:
+    """(V, eigenvalues, V^-1) of m, or None when m is too far from diagonalizable."""
+    try:
+        dec = eigendecompose(m)
+        v = dec.eigenvectors
+        vinv = np.linalg.inv(v)
+        if np.linalg.cond(v) < 1e7:
+            return v, dec.eigenvalues, vinv
+    except (EigendecompositionError, np.linalg.LinAlgError):
+        pass
+    return None
+
+
+def _exp_batch(m: Matrix, basis, ts: np.ndarray) -> np.ndarray | None:
+    """exp(m t) stacked over ts, rebuilt from the eigen-basis.
+
+    Cross-checked against expm at the middle grid point; None when there is
+    no basis or the check fails, so the caller falls back to expm per point.
+    """
+    if basis is None:
+        return None
+    v, values, vinv = basis
+    try:
+        batch = np.einsum("ij,tj,jk->tik", v, np.exp(np.outer(ts, values)), vinv)
+        direct = mat_exp(m, float(ts[len(ts) // 2]))
+        err = np.linalg.norm(batch[len(ts) // 2].real - direct)
+    except np.linalg.LinAlgError:
+        return None
+    if err <= 1e-9 * max(1.0, np.linalg.norm(direct)):
+        return batch.real
+    return None
+
+
+def _all_norms(m: Matrix, batch: np.ndarray | None, ts: np.ndarray) -> np.ndarray:
+    """2-norm of every exponential: batched SVDs, else one expm per point."""
+    if batch is not None:
+        try:
+            return np.linalg.svd(batch, compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError:
+            pass
+    return np.array([np.linalg.norm(mat_exp(m, float(t)), 2) for t in ts])
+
+
 def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
     """2-norms of exp(matrix * t) for each t in ts.
 
@@ -128,22 +171,58 @@ def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0)
-    try:
-        dec = eigendecompose(m)
-        v = dec.eigenvectors
-        vinv = np.linalg.inv(v)
-        if np.linalg.cond(v) < 1e7:
-            batch = np.einsum(
-                "ij,tj,jk->tik", v, np.exp(np.outer(ts, dec.eigenvalues)), vinv
-            )
-            probe = ts[len(ts) // 2]
-            direct = mat_exp(m, float(probe))
-            err = np.linalg.norm(batch[len(ts) // 2].real - direct)
-            if err <= 1e-9 * max(1.0, np.linalg.norm(direct)):
-                return np.linalg.svd(batch.real, compute_uv=False)[:, 0]
-    except (EigendecompositionError, np.linalg.LinAlgError):
-        pass
-    return np.array([np.linalg.norm(mat_exp(m, float(t)), 2) for t in ts])
+    return _all_norms(m, _exp_batch(m, _eigen_basis(m), ts), ts)
+
+
+# SVDs per screening step of grid_norm_maxes.
+_SCREEN_CHUNK = 8
+
+
+def grid_norm_maxes(matrix: Matrix, grids: list[np.ndarray]) -> list[float]:
+    """float(np.max(exp_norms_on_grid(matrix, ts))) for each non-empty ts, bit for bit.
+
+    One eigendecomposition serves every grid. On the batched path the
+    Frobenius norm bounds each point's 2-norm from above (||A||_2 <= ||A||_F,
+    equal for rank-1 A). Inflated by 64 n eps, the computed Frobenius norm
+    also covers the round-off of both computed norms at the sizes this module
+    handles, so a point whose bound is below a computed 2-norm cannot hold
+    the max. SVDs run in chunks in descending bound order and stop at the
+    first chunk whose bound falls below the best 2-norm so far. A non-finite
+    bound sends the grid through exp_norms_on_grid's full path, so inf and
+    NaN come out as they do there.
+    """
+    m = _as_square(matrix)
+    basis = _eigen_basis(m)
+    slack = 1.0 + 64.0 * m.shape[0] * np.finfo(float).eps
+    maxes = []
+    for ts in grids:
+        ts = np.asarray(ts, dtype=float)
+        if ts.size == 0:
+            raise ValueError("grid_norm_maxes needs non-empty grids")
+        batch = _exp_batch(m, basis, ts)
+        maxes.append(_screened_max(m, batch, ts, slack))
+    return maxes
+
+
+def _screened_max(m: Matrix, batch: np.ndarray | None, ts: np.ndarray, slack: float) -> float:
+    """Max 2-norm over the grid, with SVDs only where slack * ||.||_F reaches it."""
+    if batch is not None:
+        bound = slack * np.sqrt(np.einsum("tij,tij->t", batch, batch))
+        if np.all(np.isfinite(bound)):
+            order = np.argsort(-bound, kind="stable")
+            best = -np.inf
+            try:
+                for start in range(0, order.size, _SCREEN_CHUNK):
+                    idx = order[start:start + _SCREEN_CHUNK]
+                    if bound[idx[0]] < best:
+                        break
+                    sigma = np.linalg.svd(batch[idx], compute_uv=False)[:, 0]
+                    best = max(best, float(np.max(sigma)))
+                return best
+            except np.linalg.LinAlgError:
+                # The full batch holds this chunk, so its SVD fails too.
+                batch = None
+    return float(np.max(_all_norms(m, batch, ts)))
 
 
 def decay_envelope(matrix: Matrix) -> DecayEnvelope:

@@ -17,6 +17,11 @@ from typing import Any
 
 import numpy as np
 
+# Seeds the throwaway generator channel_offer loads each Bernoulli state into;
+# its own state is overwritten at once, and a fixed seed sequence spares the
+# OS entropy draw that Philox() makes.
+_RESTORE_SEED = np.random.SeedSequence(0)
+
 
 class ChannelError(ValueError):
     """Malformed trigger or channel configuration, or an exhausted script.
@@ -161,7 +166,7 @@ def channel_offer(policy: ChannelPolicy, state: ChannelState) -> tuple[Outcome, 
     elif policy.mode is ChannelMode.WORST_CASE:
         wants_drop = True
     elif policy.mode is ChannelMode.BERNOULLI:
-        gen = np.random.Generator(np.random.Philox())
+        gen = np.random.Generator(np.random.Philox(_RESTORE_SEED))
         gen.bit_generator.state = rng_state
         wants_drop = float(gen.random()) < policy.p
         rng_state = gen.bit_generator.state

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -27,8 +28,10 @@ from lossyetc.bounds import (
     stability_envelope_bound,
     stable_subspace_residual,
     verify_ec_bound,
+    worst_case_trace,
 )
-from lossyetc.numerics import decay_envelope
+from lossyetc import numerics
+from lossyetc.numerics import NumericsError, decay_envelope
 from lossyetc.simulator import Trace, simulate, summarize
 from lossyetc.system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix
 from lossyetc.trigger_channel import TriggerConfig
@@ -244,6 +247,35 @@ class TestComputeDelta:
         assert late.delta_bar == pytest.approx((bar,), rel=1e-9)
         early = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
         assert late.Delta < early.Delta
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, 0.5]], B_hat=[[0.0], [1.0]])
+        gain = Gain(K=[[0.0, -2.0]])
+        calls = []
+        real = numerics.eigendecompose
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(numerics, "eigendecompose", counting)
+        compute_Delta(model, gain, CFG, 5, [(0.0, 1.0, 2.0)] * 4, 1.0, 1.0)
+        assert len(calls) == 1
+
+    def test_sup_falls_back_to_envelope_ceiling(self, monkeypatch):
+        # the second interval starts where the threshold has underflowed, so
+        # its tail sum is 0 and its sup is 1 without a grid
+        model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, -1.0]], B_hat=[[0.0], [0.0]])
+        gain = Gain(K=[[0.0, 0.0]])
+
+        def fail(*_args):
+            raise NumericsError("synthetic grid failure")
+
+        monkeypatch.setattr("lossyetc.bounds.grid_norm_maxes", fail)
+        out = compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0), (1e4, 1.0, 1.0)], 1.0, 1.0)
+        assert out.delta_tilde[1] == 0.0
+        ceiling = max(1.0, decay_envelope(model.A_hat).c)
+        assert out.Delta == 1.0 + math.exp(CFG.alpha * out.delta_tilde[0]) * ceiling + 1.0
 
 
 class TestVerifyEcBound:
@@ -462,6 +494,32 @@ class TestReports:
         # points, the worst window, then miet_reference at that Delta.
         assert report7.Delta == pytest.approx(6233.454929862856, rel=1e-6)
         assert report7.miet == pytest.approx(5.637679149948192e-07, rel=1e-6)
+
+    @pytest.mark.parametrize("draw, digest", [
+        (1, "0c0ef283049b580e81b858e7f79608ae081a91d143ab259e1eea2fc169242833"),
+        (7, "bcbacaabaa6abb585e23574fe64f7e7c03d093ae05b283f08c22364f59913bd1"),
+        (8, "6aca09dd5cf7ac97c077763fec52c38f5e74fd9b00225fd81275366caeba078b"),
+    ])
+    def test_report_bytes_pinned(self, draw, digest):
+        # Every field to the last bit, beyond the Delta and MIET pins.
+        scn = le.vehicle_preset(draw)
+        rep = analyze_scenario(scn, worst_case_trace(scn))
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+    def test_analysis_svd_budget(self, vehicle7, trace7, monkeypatch):
+        # The two decay envelopes take 700 SVDs each; the Delta sups, which
+        # would take 400 each, screen most grid points out.
+        svd = np.linalg.svd
+        taken = []
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            taken.append(math.prod(a.shape[:-2]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        analyze_scenario(vehicle7, trace7)
+        assert sum(taken) <= 2000
 
     def test_report_invariants(self, report7, vehicle7):
         assert report7.Delta >= 1.0

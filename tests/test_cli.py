@@ -188,6 +188,12 @@ class TestBounds:
         zdoc = json.loads((tmp_path / "rep.bounds.zoh.json").read_text())
         assert set(zdoc) == {"Delta_zoh", "delta_bar_zoh", "growth", "state_norms"}
         assert zdoc["Delta_zoh"] >= 1.0
+        for name, digest in [
+            ("rep.bounds.json", "08538348278458ba6f7e721fb8068d73f6c7dff082acff67971f4ce2d6c8e089"),
+            ("rep.bounds.zoh.json", "9c65c7b2bba060f6e6c7300ad9730ee86754e6af5d16dfcd7fa8d766203c4cb9"),
+        ]:
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_zoh_simulates_worst_case_once(self, config_seed1, tmp_path, monkeypatch):
         calls = []

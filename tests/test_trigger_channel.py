@@ -174,6 +174,25 @@ def test_random_drop_script_matches_scalar_draws(m, p):
         assert all(type(v) is bool for v in script)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 7919])
+def test_bernoulli_offers_follow_philox_stream(seed):
+    m, p, count = 4, 0.5, 2000
+    ref = np.random.Generator(np.random.Philox(seed))
+    uniforms = ref.random(count)
+    expected, run = [], 0
+    for u in uniforms:
+        dropped = bool(u < p) and run < m - 1
+        run = run + 1 if dropped else 0
+        expected.append(Outcome.DROPPED if dropped else Outcome.DELIVERED)
+    policy = ChannelPolicy(M=m, mode=ChannelMode.BERNOULLI, p=p, seed=seed)
+    outcomes, state = _drain(policy, count)
+    assert outcomes == expected
+    # the state left behind continues the same stream
+    after = np.random.Generator(np.random.Philox())
+    after.bit_generator.state = state.rng_state
+    assert after.random(8).tolist() == ref.random(8).tolist()
+
+
 def test_forced_delivery_resets_run():
     policy = ChannelPolicy(M=2, mode=ChannelMode.WORST_CASE)
     state = initial_channel_state(policy)
