@@ -27,6 +27,10 @@ class ModelError(ValueError):
         super().__init__(message)
         self.field = field
 
+    def __reduce__(self):
+        # Keeps field and message across pickling, e.g. out of a sweep worker.
+        return type(self), (self.field, self.args[0])
+
 
 def _frozen_array(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):

@@ -33,6 +33,10 @@ class ChannelError(ValueError):
         super().__init__(message)
         self.field = field
 
+    def __reduce__(self):
+        # Keeps field and message across pickling, e.g. out of a sweep worker.
+        return type(self), (self.field, self.args[0])
+
 
 @dataclass(frozen=True)
 class TriggerConfig:

@@ -1,14 +1,18 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import lossyetc as le
+from lossyetc import cli, simulator
 from lossyetc.bounds import BoundCheck
 from lossyetc.cli import main
 from lossyetc.numerics import NumericsError
@@ -40,6 +44,13 @@ def config_bern(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "bern.json"
     save_scenario(scn, str(path))
     return str(path)
+
+
+def _module_env() -> dict:
+    # the child must import the same source tree as this process
+    src = str(Path(le.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSimulate:
@@ -135,12 +146,9 @@ class TestUsageErrors:
         assert err.value.code == 0
 
     def test_module_entry_usage_error(self):
-        # the child must import the same source tree as this process
-        src = str(Path(le.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lossyetc"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_module_env(),
         )
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()
@@ -320,6 +328,40 @@ def test_json_key_order(config_seed1, tmp_path):
     ]
 
 
+def _usable_cpus(monkeypatch, n: int) -> list[int]:
+    """Make `cli` see n usable CPUs; returns the worker count of each pool it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    pools = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    return pools
+
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _openblas_threads(run=None) -> list[int]:
+    """Thread counts of the OpenBLAS libraries loaded in this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads",
+        ):
+            if hasattr(lib, name):
+                counts.append(getattr(lib, name)())
+                break
+    return counts
+
+
 class TestSweep:
     def test_paired_runs(self, config_seed1, tmp_path, capsys):
         out = tmp_path / "table.sweep.csv"
@@ -353,16 +395,82 @@ class TestSweep:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bytes_pinned(self, config_seed1, tmp_path):
+    @pytest.mark.parametrize(
+        "cpus, pools", [(2, [2] if _FORK else []), (1, [])], ids=["pool", "in_process"]
+    )
+    def test_bytes_pinned(self, config_seed1, tmp_path, monkeypatch, capsys, cpus, pools):
+        started = _usable_cpus(monkeypatch, cpus)
         out = tmp_path / "table.sweep.csv"
         assert main([
             "sweep", "--config", config_seed1, "--out", str(out), "--tmax", "20",
         ]) == 0
+        assert started == pools
         data = out.read_bytes()
         assert len(data) == 1428
         assert hashlib.sha256(data).hexdigest() == (
             "518832a1bc0aa8805bd5cd731182e36748e71bdee2172cee7e0c73d377300346"
         )
+        assert capsys.readouterr().out == (
+            f"sweep: 8 runs over channel.p=[0.0, 0.3, 0.7, 0.9], wrote {out}\n"
+        )
+
+    def test_script_exhaustion_in_worker_exits_one(
+        self, config_seed1, tmp_path, monkeypatch, capsys
+    ):
+        started = _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_SWEEP_SCRIPT_LENGTH", 3)
+        assert main([
+            "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
+            "--values", "0.5", "--tmax", "10",
+        ]) == 1
+        assert started == ([2] if _FORK else [])
+        assert "script exhausted" in capsys.readouterr().err
+
+    def test_event_accumulation_in_worker_exits_three(
+        self, config_seed1, tmp_path, monkeypatch, capsys
+    ):
+        started = _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulator, "ZENO_GAP", 1e3)
+        assert main([
+            "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
+            "--values", "0.9", "--tmax", "10",
+        ]) == 3
+        assert started == ([2] if _FORK else [])
+        assert "event accumulation" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_killed_worker_exits_three(self, config_seed1, tmp_path, monkeypatch, capsys):
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "simulate", lambda run: os._exit(1))
+        assert main([
+            "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
+            "--values", "0.5", "--tmax", "10",
+        ]) == 3
+        assert "terminated abruptly" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not (_FORK and os.path.exists("/proc/self/maps")), reason="needs fork and /proc"
+    )
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_summary", _openblas_threads)
+        counts = cli._run_summaries([le.vehicle_preset(1)] * 2)
+        if not any(counts):
+            pytest.skip("no OpenBLAS loaded")
+        assert counts == [[1] * len(counts[0])] * 2
+
+    def test_module_entry_prints_one_line(self, config_seed1, tmp_path):
+        # stdout on a pipe is block-buffered, so forked workers must not
+        # inherit unflushed output.
+        out = tmp_path / "s.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lossyetc", "sweep", "--config", config_seed1,
+             "--out", str(out), "--values", "0,0.9", "--tmax", "5"],
+            capture_output=True, text=True, env=_module_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == f"sweep: 4 runs over channel.p=[0.0, 0.9], wrote {out}\n"
 
     def test_rejections(self, config_seed1, capsys):
         assert main([

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -98,3 +100,10 @@ def test_dimension_mismatch_rejected():
         Gain(K=[[np.nan, 0.0]])
     assert err.value.field == "K"
     assert isinstance(err.value, ValueError)
+
+
+def test_model_error_pickles():
+    # A sweep worker sends its errors back pickled.
+    err = pickle.loads(pickle.dumps(ModelError("B_hat", "B_hat must be 3 x m")))
+    assert type(err) is ModelError
+    assert (err.field, str(err)) == ("B_hat", "B_hat must be 3 x m")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ def test_scripted_replay_and_exhaustion():
     assert [o is Outcome.DROPPED for o in outcomes] == list(script)
     with pytest.raises(ChannelError, match="exhausted"):
         channel_offer(policy, state)
+
+
+def test_channel_error_pickles():
+    # A sweep worker sends its errors back pickled.
+    err = pickle.loads(pickle.dumps(ChannelError("script", "script exhausted after 5 offers")))
+    assert type(err) is ChannelError
+    assert (err.field, str(err)) == ("script", "script exhausted after 5 offers")
 
 
 def test_random_drop_script_properties():
