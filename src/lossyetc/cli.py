@@ -8,13 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import json
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bounds import (
@@ -24,6 +20,7 @@ from .bounds import (
     worst_case_trace,
 )
 from .numerics import NumericsError
+from .pool import fork_map
 from .scenarios import load_scenario, save_trace, trace_to_dict
 from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind
@@ -31,15 +28,6 @@ from .trigger_channel import ChannelMode, ChannelPolicy, random_drop_script
 
 # Offers per run never approach this for the preset horizon.
 _SWEEP_SCRIPT_LENGTH = 20000
-
-# Thread-count setters of the OpenBLAS builds in numpy and scipy wheels, and of
-# a plain OpenBLAS.
-_OPENBLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,7 +217,15 @@ def cmd_sweep(args) -> int:
             for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
                 keys.append([args.param, _fmt(value), repeat, kind.value])
                 runs.append(dataclasses.replace(scn, estimator=kind, channel=policy))
-    summaries = _run_summaries(runs)
+    # Hold-estimator runs take 2.5-6x as long as model-based ones (preset 7,
+    # p = 0/0.5/0.9: 60/122/191 ms against 24/27/33 ms), so they go first
+    # and the short runs fill in behind them. On the preset-7 sweep, median
+    # of 8: sequential 464 ms, input order 349-373 ms, hold first 327 ms.
+    order = sorted(
+        range(len(runs)),
+        key=lambda i: runs[i].estimator is not EstimatorKind.ZERO_ORDER_HOLD,
+    )
+    summaries = list(fork_map(_summary, runs, order))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         # Every run's summary has the same keys; the last one names the columns.
@@ -244,69 +240,6 @@ def cmd_sweep(args) -> int:
 
 def _summary(run: Scenario) -> dict:
     return dataclasses.asdict(summarize(simulate(run), run.trigger))
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_summaries(runs: list[Scenario]) -> list[dict]:
-    """`_summary` of every run, in input order, spread over the usable CPUs.
-
-    The runs share no state, so each worker's result is the in-process one.
-    Workers are forked: spawn would re-import scipy per worker, and module
-    state set by the caller (e.g. `simulator.ZENO_GAP`) must reach them.
-    """
-    workers = min(len(runs), _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_summary(run) for run in runs]
-    # A forked worker flushes its copy of these buffers when it exits.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    # Hold-estimator runs take 2.5-6x as long as model-based ones (preset 7,
-    # p = 0/0.5/0.9: 60/122/191 ms against 24/27/33 ms), so they go first
-    # and the short runs fill in behind them. On the preset-7 sweep, median
-    # of 8: sequential 464 ms, input order 349-373 ms, hold first 327 ms.
-    order = sorted(
-        range(len(runs)),
-        key=lambda i: runs[i].estimator is not EstimatorKind.ZERO_ORDER_HOLD,
-    )
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_one_blas_thread,
-    )
-    try:
-        futures = {i: pool.submit(_summary, runs[i]) for i in order}
-        return [futures[i].result() for i in range(len(runs))]
-    finally:
-        # After a failed run, drop the queued ones instead of waiting on them.
-        pool.shutdown(cancel_futures=True)
-
-
-def _one_blas_thread() -> None:
-    """Sweep worker initializer: one thread in every loaded OpenBLAS.
-
-    The workers already fill the usable CPUs, and BLAS threads on top of them
-    spin against each other: on a 2-CPU host with OpenBLAS's default of 2
-    threads, the preset-7 sweep took 4.2 s, and 0.39 s with this initializer.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:  # no /proc: leave the thread counts alone
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SET_THREADS:
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-                break
 
 
 def _fmt(value: float | None) -> str:
@@ -333,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SimulationError, NumericsError) as exc:
         print(f"lossyetc {args.command}: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # last resort, e.g. a sweep worker killed by the OS
+    except Exception as exc:  # last resort, e.g. a pool worker killed by the OS
         print(f"lossyetc {args.command}: unexpected failure: {exc}", file=sys.stderr)
         return 3
 

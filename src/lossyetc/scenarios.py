@@ -9,6 +9,8 @@ line it appears on.
 
 from __future__ import annotations
 
+import functools
+import io
 import itertools
 import json
 import math
@@ -16,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from .pool import fork_map
 from .simulator import Scenario, Trace
 from .system_model import EstimatorKind, Gain, ModelError, NominalModel, Plant
 from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, TriggerConfig
@@ -27,6 +30,10 @@ class ScenarioFormatError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+    def __reduce__(self):
+        # Unpickling would otherwise pass the joined message back as `problems`.
+        return type(self), (self.problems,)
 
 
 # Nominal lateral/yaw parameters of the lane-following vehicle scenario.
@@ -309,8 +316,10 @@ def load_scenario(path: str) -> Scenario:
 
 # --- trace CSV ----------------------------------------------------------------
 
-# Rows formatted per write; bounds the size of the formatted text in memory.
+# Rows per save_trace task; bounds the size of the formatted text in memory.
 _BLOCK_ROWS = 2048
+# Body bytes per load_trace task, cut at a line end.
+_SPAN_BYTES = 1 << 20
 
 
 def _trace_header(n: int) -> list[str]:
@@ -328,7 +337,7 @@ def save_trace(tr: Trace, path: str) -> None:
     """Write the trace as CSV with exact (17-significant-digit) numbers.
 
     Floats are written with ``%.17g``, the two flags as ``0``/``1``, and every
-    line ends in CRLF.
+    line ends in CRLF. Blocks of rows are formatted on the usable CPUs.
     """
     n = tr.x.shape[1]
     table = np.column_stack(
@@ -336,11 +345,14 @@ def save_trace(tr: Trace, path: str) -> None:
          tr.triggered, tr.delivered)
     )
     row = ",".join(["%.17g"] * (3 * n + 4)) + ",%d,%d\r\n"
+    blocks = [table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trace_header(n)) + "\r\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
+
+
+def _format_block(row: str, block: np.ndarray) -> str:
+    return (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def load_trace(path: str) -> Trace:
@@ -354,19 +366,87 @@ def load_trace(path: str) -> Trace:
         n = (len(header) - 6) // 3
         if header != _trace_header(n):
             raise ValueError(f"unexpected trace header {header!r}")
-        # loadtxt warns on input without rows, so a bodiless file skips it
-        first = next((line for line in fh if not line.isspace()), "")
-        if first:
-            data = np.loadtxt(
-                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
-            )
-        else:
-            data = np.empty((0, len(header)))
+        data = _load_spans(path, header)
+        if data is None:
+            # loadtxt warns on input without rows, so a bodiless file skips it
+            first = next((line for line in fh if not line.isspace()), "")
+            if first:
+                data = np.loadtxt(
+                    itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
+                )
+            else:
+                data = np.empty((0, len(header)))
     if data.shape[1] != len(header):
         raise ValueError(
             f"trace rows have {data.shape[1]} columns, header has {len(header)}"
         )
     return Trace.from_table(data[:, :-2], data[:, -2] != 0.0, data[:, -1] != 0.0)
+
+
+def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
+    """The body parsed span by span on the usable CPUs, or None.
+
+    None means a body of one span, a span that raised ValueError, or a span
+    that does not hold one row of the header's width per line. The caller
+    then parses the body in one piece, which gives an error message its row
+    number counted from the top of the body.
+    """
+    spans = _body_spans(path, ",".join(header).encode())
+    if len(spans) < 2:
+        return None
+    width = len(header)
+    data = np.empty((sum(rows for _, _, rows in spans), width))
+    parts = fork_map(functools.partial(_parse_span, path), spans)
+    done = 0
+    try:
+        for (_, _, rows), part in zip(spans, parts):
+            if part.shape != (rows, width):
+                return None
+            data[done : done + rows] = part
+            done += rows
+    except ValueError:
+        return None
+    return data
+
+
+def _body_spans(path: str, header: bytes) -> list[tuple[int, int, int]]:
+    """(start, stop, lines) byte spans of about _SPAN_BYTES covering the body.
+
+    Each span but the last ends just after a newline, so it holds whole lines
+    under the universal-newline reading of load_trace. `lines` counts its
+    newlines, plus one for an unterminated last line. Returns [] where the
+    spans could differ from that reading: a header line not ended by CRLF or
+    LF, a line longer than a span, or a span of empty lines only (loadtxt
+    warns on it; the one-piece parse skips it).
+    """
+    spans = []
+    with open(path, "rb") as fh:
+        if fh.readline() not in (header + b"\r\n", header + b"\n"):
+            return []
+        start = fh.tell()
+        while chunk := fh.read(_SPAN_BYTES):
+            stop = len(chunk)
+            if stop == _SPAN_BYTES:
+                stop = chunk.rfind(b"\n") + 1
+                if stop == 0:
+                    return []
+                fh.seek(start + stop)
+            if len(chunk) - len(chunk.lstrip(b"\r\n")) >= stop:
+                return []
+            # numpy counts about 3x as fast as bytes.count
+            newlines = np.count_nonzero(np.frombuffer(chunk, np.uint8, stop) == ord("\n"))
+            lines = int(newlines) + (chunk[stop - 1] != ord("\n"))
+            spans.append((start, start + stop, lines))
+            start += stop
+    return spans
+
+
+def _parse_span(path: str, span: tuple[int, int, int]) -> np.ndarray:
+    start, stop, _ = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        lines = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 # --- trace JSON ---------------------------------------------------------------

@@ -1,9 +1,12 @@
 import dataclasses
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import lossyetc as le
+from lossyetc import pool
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
 
@@ -68,3 +71,26 @@ def qualifying_seeds():
             out.append(seed)
         seed += 1
     return out
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Call with n to make `pool.fork_map` see n usable CPUs.
+
+    The call returns a list that receives the worker count of each pool
+    started from then on.
+    """
+
+    def set_cpus(n: int) -> list[int]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        pools = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", Recording)
+        return pools
+
+    return set_cpus

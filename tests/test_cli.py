@@ -6,19 +6,25 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import lossyetc as le
-from lossyetc import cli, simulator
+from lossyetc import cli, pool, scenarios, simulator
 from lossyetc.bounds import BoundCheck
 from lossyetc.cli import main
 from lossyetc.numerics import NumericsError
 from lossyetc.scenarios import load_trace, save_scenario, scenario_to_dict
 from lossyetc.simulator import SimulationError, simulate
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _exit_at_once(*args):
+    """Stands in for a worker's task: the worker dies as if the OS killed it."""
+    os._exit(1)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,20 @@ class TestSimulate:
             "--seed", "2", "--tmax", "10",
         ]) == 0
         assert a.read_bytes() == again.read_bytes()
+
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_killed_formatting_worker_exits_three(
+        self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
+    ):
+        started = usable_cpus(2)
+        monkeypatch.setattr(scenarios, "_format_block", _exit_at_once)
+        assert main([
+            "simulate", "--config", config_seed1, "--out", str(tmp_path / "run.trace.csv"),
+            "--tmax", "10",
+        ]) == 3
+        assert started == [2]
+        assert "terminated abruptly" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -328,24 +348,8 @@ def test_json_key_order(config_seed1, tmp_path):
     ]
 
 
-def _usable_cpus(monkeypatch, n: int) -> list[int]:
-    """Make `cli` see n usable CPUs; returns the worker count of each pool it starts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    pools = []
 
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
-    return pools
-
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def _openblas_threads(run=None) -> list[int]:
+def _openblas_threads(item=None) -> list[int]:
     """Thread counts of the OpenBLAS libraries loaded in this process."""
     with open("/proc/self/maps") as fh:
         paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
@@ -398,8 +402,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "cpus, pools", [(2, [2] if _FORK else []), (1, [])], ids=["pool", "in_process"]
     )
-    def test_bytes_pinned(self, config_seed1, tmp_path, monkeypatch, capsys, cpus, pools):
-        started = _usable_cpus(monkeypatch, cpus)
+    def test_bytes_pinned(self, config_seed1, tmp_path, usable_cpus, capsys, cpus, pools):
+        started = usable_cpus(cpus)
         out = tmp_path / "table.sweep.csv"
         assert main([
             "sweep", "--config", config_seed1, "--out", str(out), "--tmax", "20",
@@ -415,9 +419,9 @@ class TestSweep:
         )
 
     def test_script_exhaustion_in_worker_exits_one(
-        self, config_seed1, tmp_path, monkeypatch, capsys
+        self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
     ):
-        started = _usable_cpus(monkeypatch, 2)
+        started = usable_cpus(2)
         monkeypatch.setattr(cli, "_SWEEP_SCRIPT_LENGTH", 3)
         assert main([
             "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
@@ -427,9 +431,9 @@ class TestSweep:
         assert "script exhausted" in capsys.readouterr().err
 
     def test_event_accumulation_in_worker_exits_three(
-        self, config_seed1, tmp_path, monkeypatch, capsys
+        self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
     ):
-        started = _usable_cpus(monkeypatch, 2)
+        started = usable_cpus(2)
         monkeypatch.setattr(simulator, "ZENO_GAP", 1e3)
         assert main([
             "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
@@ -439,8 +443,10 @@ class TestSweep:
         assert "event accumulation" in capsys.readouterr().err
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
-    def test_killed_worker_exits_three(self, config_seed1, tmp_path, monkeypatch, capsys):
-        _usable_cpus(monkeypatch, 2)
+    def test_killed_worker_exits_three(
+        self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
+    ):
+        usable_cpus(2)
         monkeypatch.setattr(cli, "simulate", lambda run: os._exit(1))
         assert main([
             "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
@@ -451,10 +457,9 @@ class TestSweep:
     @pytest.mark.skipif(
         not (_FORK and os.path.exists("/proc/self/maps")), reason="needs fork and /proc"
     )
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        _usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "_summary", _openblas_threads)
-        counts = cli._run_summaries([le.vehicle_preset(1)] * 2)
+    def test_workers_run_one_blas_thread(self, usable_cpus):
+        usable_cpus(2)
+        counts = list(pool.fork_map(_openblas_threads, [None, None]))
         if not any(counts):
             pytest.skip("no OpenBLAS loaded")
         assert counts == [[1] * len(counts[0])] * 2

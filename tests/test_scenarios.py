@@ -1,16 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import pickle
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lossyetc as le
+from lossyetc import scenarios
 from lossyetc.scenarios import (
     ScenarioFormatError,
     load_scenario,
@@ -255,6 +258,14 @@ class TestScenarioErrors:
         with pytest.raises(ScenarioFormatError, match="top level"):
             scenario_from_dict([1, 2, 3])
 
+    def test_error_pickles(self):
+        # Errors cross process boundaries pickled, e.g. out of a pool worker.
+        problems = ["line 3: trigger.beta: must be positive", "channel.M: must be >= 2"]
+        err = pickle.loads(pickle.dumps(ScenarioFormatError(problems)))
+        assert type(err) is ScenarioFormatError
+        assert err.problems == problems
+        assert str(err) == "line 3: trigger.beta: must be positive; channel.M: must be >= 2"
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "plant": {\n')
@@ -302,17 +313,49 @@ def _traces(draw):
     )
 
 
+def _multi_block_trace():
+    """6,144 rows of adversarial doubles and random floats: three save blocks
+    and two load spans."""
+    rng = np.random.default_rng(0)
+    rows, n = 6144, 3
+    size = rows * (3 * n + 4)
+    values = np.where(
+        rng.random(size) < 0.5,
+        rng.choice(_ADVERSARIAL_DOUBLES, size),
+        rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size),
+    ).reshape(rows, -1)
+    return _hand_trace(
+        values[:, 0], values[:, 1 : n + 1], values[:, n + 1 : 2 * n + 1],
+        values[:, 2 * n + 1 : 3 * n + 1], values[:, 3 * n + 1 :],
+        rng.random(rows) < 0.5, rng.random(rows) < 0.5,
+    )
+
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+# Usable CPUs, and the worker count of each pool that save plus load start.
+_POOL_CASES = pytest.mark.parametrize(
+    "cpus, pools", [(2, [2, 2] if _FORK else []), (1, [])], ids=["pool", "in_process"]
+)
+
+
+_HEADER = "t,x_0,xs_0,xc_0,es_norm,ec_norm,threshold,triggered,delivered"
+# Body lines for a 1-dimensional state, 19 bytes each with their CRLF.
+_ROWS = [f"{i},1,2,3,4,5,6,0,0" for i in range(4)]
+
+
 def _write_rows(path, rows):
     """A trace CSV for a 1-dimensional state with the given body lines."""
-    header = "t,x_0,xs_0,xc_0,es_norm,ec_norm,threshold,triggered,delivered"
-    path.write_text("\r\n".join([header, *rows]) + "\r\n")
+    path.write_text("\r\n".join([_HEADER, *rows]) + "\r\n")
 
 
 class TestTraceCsv:
-    def test_round_trip_bitwise(self, golden_trace, tmp_path):
+    @_POOL_CASES
+    def test_round_trip_bitwise(self, golden_trace, tmp_path, usable_cpus, cpus, pools):
+        started = usable_cpus(cpus)
         path = tmp_path / "trace.csv"
         save_trace(golden_trace, str(path))
         loaded = load_trace(str(path))
+        assert started == pools
         for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
                      "triggered", "delivered", "triggers", "deliveries"):
             assert np.array_equal(getattr(loaded, name), getattr(golden_trace, name)), name
@@ -334,9 +377,12 @@ class TestTraceCsv:
         flags = {line.rsplit(",", 2)[-2] for line in lines}
         assert flags <= {"0", "1"}
 
-    def test_bytes_pinned(self, golden_trace, tmp_path):
+    @_POOL_CASES
+    def test_bytes_pinned(self, golden_trace, tmp_path, usable_cpus, cpus, pools):
+        started = usable_cpus(cpus)
         path = tmp_path / "trace.csv"
         save_trace(golden_trace, str(path))
+        assert started == pools[:1]
         data = path.read_bytes()
         assert golden_trace.num_samples == 60079
         assert len(data) == 21_662_417
@@ -345,13 +391,21 @@ class TestTraceCsv:
             "4f620afec3bb4bb85bb4a562998574cfd3b020efefadb3bf452feff41926567a"
         )
 
-    @settings(max_examples=60, deadline=None)
+    @_POOL_CASES
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(tr=_traces())
-    def test_round_trip_adversarial_doubles(self, tr):
+    @example(tr=_multi_block_trace())
+    def test_round_trip_adversarial_doubles(self, usable_cpus, cpus, pools, tr):
+        started = usable_cpus(cpus)
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "trace.csv")
             save_trace(tr, path)
             loaded = load_trace(path)
+        # the drawn traces fit in one block and one span, so never fork
+        assert started == (pools if tr.num_samples > 2048 else [])
         for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
                      "triggered", "delivered", "triggers", "deliveries"):
             a, b = getattr(loaded, name), getattr(tr, name)
@@ -359,7 +413,8 @@ class TestTraceCsv:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
-    def test_header_only_loads_empty(self, tmp_path):
+    def test_header_only_loads_empty(self, tmp_path, usable_cpus):
+        started = usable_cpus(2)
         empty = np.empty(0)
         tr = _hand_trace(
             empty, np.empty((0, 4)), np.empty((0, 4)), np.empty((0, 4)),
@@ -374,6 +429,7 @@ class TestTraceCsv:
         assert loaded.num_samples == 0
         assert loaded.x.shape == loaded.x_s.shape == loaded.x_c.shape == (0, 4)
         assert loaded.triggered.dtype == bool and loaded.triggers.shape == (0,)
+        assert started == []
 
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -391,6 +447,62 @@ class TestTraceCsv:
         _write_rows(path, rows)
         with pytest.raises(ValueError, match="column"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("5,1,2,abc,4,5,6,0,0", "could not convert string 'abc' to float64 at row 5, column 4."),
+        ("5,1,2,3,4,5,6,0", "the number of columns changed from 9 to 8 at row 6; "),
+    ], ids=["non_numeric", "short_row"])
+    def test_error_in_later_span_keeps_its_message(
+        self, tmp_path, monkeypatch, usable_cpus, bad, message
+    ):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, [f"{i},1,2,3,4,5,6,0,0" for i in range(5)] + [bad, "6,1,2,3,4,5,6,0,0"])
+        with pytest.raises(ValueError) as in_process:
+            load_trace(str(path))
+        # spans of three rows: the bad row is the last of the second span
+        monkeypatch.setattr(scenarios, "_SPAN_BYTES", 64)
+        started = usable_cpus(2)
+        with pytest.raises(ValueError) as pooled:
+            load_trace(str(path))
+        assert started == ([2] if _FORK else [])
+        assert str(pooled.value) == str(in_process.value)
+        assert str(pooled.value).startswith(message)
+
+    def test_short_later_span_rejected(self, tmp_path, monkeypatch, usable_cpus):
+        path = tmp_path / "trace.csv"
+        # three full rows, then a span of three rows that parses, one column short
+        _write_rows(path, [f"{i},1,2,3,4,5,6,0,0" for i in range(3)]
+                    + [f"{i},1,2,3,4,5,6,0" for i in range(3, 6)])
+        monkeypatch.setattr(scenarios, "_SPAN_BYTES", 64)
+        started = usable_cpus(2)
+        with pytest.raises(ValueError, match="column"):
+            load_trace(str(path))
+        assert started == ([2] if _FORK else [])
+
+    @pytest.mark.parametrize("text, pools", [
+        # a span of one row and one empty line: the pooled parse falls back
+        ("\r\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\r\n", [2] if _FORK else []),
+        # a span of empty lines only: loadtxt would warn, so no span is parsed
+        ("\r\n".join(_ROWS + [""] * 20) + "\r\n", []),
+        # a header ended by a lone CR: its binary line runs into the first row
+        ("\r" + "\r\n".join(_ROWS) + "\r\n", []),
+    ], ids=["inner_empty_line", "trailing_empty_lines", "cr_header"])
+    def test_newlines_read_as_in_one_piece(
+        self, tmp_path, monkeypatch, usable_cpus, text, pools
+    ):
+        path = tmp_path / "trace.csv"
+        path.write_bytes((_HEADER + ("" if text.startswith("\r") else "\r\n") + text).encode())
+        whole = load_trace(str(path))
+        assert whole.num_samples == len(_ROWS)
+        # spans of one line, plus an empty line that fits beside it
+        monkeypatch.setattr(scenarios, "_SPAN_BYTES", 24)
+        started = usable_cpus(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_trace(str(path))
+        assert started == pools
+        for name in ("t", "x", "x_s", "x_c", "e_s_norm", "triggered", "delivered"):
+            assert np.array_equal(getattr(loaded, name), getattr(whole, name)), name
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "nottrace.csv"
