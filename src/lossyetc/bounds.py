@@ -387,11 +387,28 @@ def worst_case_trace(scn: Scenario) -> Trace:
     return simulate(replace(scn, channel=policy))
 
 
-def _lower_envelope(ts: np.ndarray, norms: np.ndarray, t0: float, gamma: float) -> float:
-    """0.99 times the largest eta with norms >= eta e^{gamma (ts - t0)}."""
-    if norms.size == 0 or not float(np.min(norms)) > 0.0:
-        raise BoundsError(f"state norm vanished on the rows from t={t0}")
-    return _TRACE_MARGIN * float(np.min(norms * np.exp(-gamma * (ts - t0))))
+def _lower_envelopes(
+    t: np.ndarray, norms: np.ndarray, i0: np.ndarray, i1: np.ndarray, t0: np.ndarray,
+    gamma: float,
+) -> np.ndarray:
+    """0.99 times the largest eta_k with norms >= eta_k e^{gamma (t - t0_k)}.
+
+    Entry k spans the samples i0[k]..i1[k]-1; all spans are evaluated in one
+    pass with the same elementwise operations as one span at a time.
+    """
+    sizes = i1 - i0
+    starts = np.cumsum(sizes) - sizes
+    rows = np.arange(sizes.sum()) + np.repeat(i0 - starts, sizes)
+    span_norms = norms[rows]
+    mins = np.zeros(sizes.shape)  # an empty row span counts as vanished
+    filled = sizes > 0
+    if filled.any():
+        mins[filled] = np.minimum.reduceat(span_norms, starts[filled])
+    vanished = np.flatnonzero(~(mins > 0.0))
+    if vanished.size:
+        raise BoundsError(f"state norm vanished on the rows from t={t0[vanished[0]]}")
+    decayed = span_norms * np.exp(-gamma * (t[rows] - np.repeat(t0, sizes)))
+    return _TRACE_MARGIN * np.minimum.reduceat(decayed, starts)
 
 
 def _dropped_intervals(
@@ -406,25 +423,29 @@ def _dropped_intervals(
     without a complete window gets one stand-in window of M - 1 equal rows:
     t_j = 0, the whole-trace envelope and the peak state norm.
     """
+    norms = np.linalg.norm(tr.x, axis=1)
     anchors = np.concatenate([[0.0], tr.deliveries])
-    windows = []
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        dropped = tr.triggers[(tr.triggers > a) & (tr.triggers < b)]
-        if dropped.size != M - 1:
-            continue
-        rows = []
-        for lo, hi in zip(dropped, np.append(dropped[1:], b)):
-            i0 = int(np.searchsorted(tr.t, lo, side="left"))
-            i1 = int(np.searchsorted(tr.t, hi, side="left"))
-            norms = np.linalg.norm(tr.x[i0:i1], axis=1)
-            eta = _lower_envelope(tr.t[i0:i1], norms, lo, gamma)
-            rows.append((float(lo), eta, float(np.linalg.norm(tr.x[i0]))))
-        windows.append(rows)
-    if not windows:
-        norms = np.linalg.norm(tr.x, axis=1)
-        eta = _lower_envelope(tr.t, norms, 0.0, gamma)
-        windows.append([(0.0, eta, float(np.max(norms)))] * (M - 1))
-    return windows
+    # The triggers strictly between consecutive anchors start at `first`.
+    first = np.searchsorted(tr.triggers, anchors[:-1], side="right")
+    count = np.searchsorted(tr.triggers, anchors[1:], side="left") - first
+    full = np.flatnonzero(count == M - 1)
+    if full.size == 0:
+        eta = _lower_envelopes(
+            tr.t, norms, np.array([0]), np.array([tr.num_samples]), np.array([0.0]), gamma
+        )
+        return [[(0.0, float(eta[0]), float(np.max(norms)))] * (M - 1)]
+    lo = tr.triggers[first[full, None] + np.arange(M - 1)]
+    hi = np.concatenate([lo[:, 1:], anchors[full + 1, None]], axis=1)
+    i0 = np.searchsorted(tr.t, lo.ravel(), side="left")
+    i1 = np.searchsorted(tr.t, hi.ravel(), side="left")
+    etas = _lower_envelopes(tr.t, norms, i0, i1, lo.ravel(), gamma).reshape(lo.shape)
+    return [
+        [
+            (float(t_j), float(eta), float(np.linalg.norm(tr.x[i])))
+            for t_j, eta, i in zip(lo_row, eta_row, i0_row)
+        ]
+        for lo_row, eta_row, i0_row in zip(lo, etas, i0.reshape(lo.shape))
+    ]
 
 
 def _growth_rate(gamma_mat: np.ndarray) -> float:

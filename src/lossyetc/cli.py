@@ -20,7 +20,7 @@ from .bounds import (
     worst_case_trace,
 )
 from .numerics import NumericsError
-from .pool import fork_map
+from .pool import _one_blas_thread, fork_map
 from .scenarios import load_scenario, save_trace, trace_to_dict
 from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind
@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
         return 1
     scn = _load(args)
     out = _out_path(args, ".sweep.csv")
-    keys, runs = [], []
+    keys, runs, ranks = [], [], []
     for vi, value in enumerate(values):
         for repeat in range(args.repeats):
             # Both estimators face the identical drop sequence so the
@@ -217,14 +217,14 @@ def cmd_sweep(args) -> int:
             for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
                 keys.append([args.param, _fmt(value), repeat, kind.value])
                 runs.append(dataclasses.replace(scn, estimator=kind, channel=policy))
-    # Hold-estimator runs take 2.5-6x as long as model-based ones (preset 7,
-    # p = 0/0.5/0.9: 60/122/191 ms against 24/27/33 ms), so they go first
-    # and the short runs fill in behind them. On the preset-7 sweep, median
-    # of 8: sequential 464 ms, input order 349-373 ms, hold first 327 ms.
-    order = sorted(
-        range(len(runs)),
-        key=lambda i: runs[i].estimator is not EstimatorKind.ZERO_ORDER_HOLD,
-    )
+                ranks.append((kind is EstimatorKind.MODEL_BASED, -value))
+    # Longest first: hold-estimator runs take 2.5-6x as long as model-based
+    # ones, and longer the more packets drop (preset 7, p = 0/0.5/0.9:
+    # 57/109/171 ms against 23/26/31 ms), so they go in descending p and the
+    # short runs fill in behind them. Estimated by list-scheduling measured
+    # run times on 2 workers (draws 7/45/56, best of 5): ascending p
+    # 228/227/225 ms, descending 220/218/213 ms.
+    order = sorted(range(len(runs)), key=ranks.__getitem__)
     summaries = list(fork_map(_summary, runs, order))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -255,6 +255,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # With OpenBLAS's default threads and the other core busy, the preset-7
+    # hold-estimator simulate took 0.48 s against 0.19 s on one thread.
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

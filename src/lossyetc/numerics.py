@@ -9,6 +9,7 @@ purpose: bound verification must not depend on per-run knobs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,10 +77,17 @@ def _as_square(matrix: Matrix, name: str = "matrix") -> Matrix:
 
 def mat_exp(matrix: Matrix, t: float = 1.0) -> Matrix:
     """exp(matrix * t) via scaling-and-squaring Pade."""
-    m = _as_square(matrix)
-    if not np.isfinite(t):
+    m = np.asarray(matrix, dtype=float)
+    if not math.isfinite(t):
+        _as_square(m)
         raise NumericsError("time argument must be finite")
-    return _scipy_expm(m * t)
+    mt = m * t
+    # One finiteness test of the product covers the matrix as well; only a
+    # failure looks further, to name the fault.
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(mt).all():
+        _as_square(m)
+        raise NumericsError(f"matrix * t overflows at t={t!r}")
+    return _scipy_expm(mt)
 
 
 def eigendecompose(matrix: Matrix) -> EigenDecomposition:

@@ -8,6 +8,7 @@ worker count.
 from __future__ import annotations
 
 import ctypes
+import functools
 import multiprocessing
 import os
 import sys
@@ -31,6 +32,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def would_fork(tasks: int) -> bool:
+    """Whether fork_map runs this many tasks on forked workers."""
+    return (
+        min(tasks, _usable_cpus()) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
 def fork_map(
     fn: Callable[[Any], Any], items: Sequence, order: Sequence[int] | None = None
 ) -> Iterator[Any]:
@@ -44,8 +53,7 @@ def fork_map(
     them. A task that raises re-raises here; a worker the OS kills raises
     `BrokenProcessPool`.
     """
-    workers = min(len(items), _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if not would_fork(len(items)):
         for item in items:
             yield fn(item)
         return
@@ -53,7 +61,7 @@ def fork_map(
     sys.stdout.flush()
     sys.stderr.flush()
     pool = ProcessPoolExecutor(
-        workers,
+        min(len(items), _usable_cpus()),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_one_blas_thread,
     )
@@ -69,12 +77,16 @@ def fork_map(
         pool.shutdown(cancel_futures=True)
 
 
+@functools.cache
 def _one_blas_thread() -> None:
-    """Worker initializer: one thread in every loaded OpenBLAS.
+    """One thread in every loaded OpenBLAS, set once per process.
 
-    The workers already fill the usable CPUs, and BLAS threads on top of them
-    spin against each other: on a 2-CPU host with OpenBLAS's default of 2
-    threads, the preset-7 sweep took 4.2 s, and 0.39 s with this initializer.
+    Runs in the CLI process and in every pool worker; a worker forked after
+    the CLI set it inherits the setting. The package's matrices are 3n x 3n
+    at most (12 x 12 for the vehicle), too small for BLAS threads to help,
+    and BLAS threads on top of the workers spin against each other: on a
+    2-CPU host with OpenBLAS's default of 2 threads, the preset-7 sweep took
+    4.2 s, and 0.39 s with one.
     """
     try:
         with open("/proc/self/maps") as fh:

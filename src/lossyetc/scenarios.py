@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .pool import fork_map
+from .pool import fork_map, would_fork
 from .simulator import Scenario, Trace
 from .system_model import EstimatorKind, Gain, ModelError, NominalModel, Plant
 from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, TriggerConfig
@@ -386,11 +386,13 @@ def load_trace(path: str) -> Trace:
 def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
     """The body parsed span by span on the usable CPUs, or None.
 
-    None means a body of one span, a span that raised ValueError, or a span
-    that does not hold one row of the header's width per line. The caller
-    then parses the body in one piece, which gives an error message its row
-    number counted from the top of the body.
+    None means no pool to parse on, a body of one span, a span that raised
+    ValueError, or a span that does not hold one row of the header's width
+    per line. The caller then parses the body in one piece, which gives an
+    error message its row number counted from the top of the body.
     """
+    if not would_fork(2):
+        return None  # cutting spans would reread the whole file for nothing
     spans = _body_spans(path, ",".join(header).encode())
     if len(spans) < 2:
         return None

@@ -189,35 +189,40 @@ class SummaryStats:
     empirical_amplification: float
 
 
-def _step_propagator(gen: np.ndarray, estimator: EstimatorKind, dt: float) -> np.ndarray:
-    """exp(dt * stacked generator), assembled block-wise.
+class _Flow:
+    """Exact propagators of one run's stacked flow, all from one generator.
 
     The held blocks of the hold estimator are exact identities and the
     discrepancy block never couples to the rest, so a drift-free stretch
     stays drift-free to the last bit.
     """
-    n = gen.shape[0] // 2
-    p = np.zeros((3 * n, 3 * n))
-    q = mat_exp(gen, dt)
-    p[:n, :n] = q[:n, :n]
-    p[:n, 2 * n :] = q[:n, n:]
-    if estimator is EstimatorKind.MODEL_BASED:
-        # w and x_c share the nominal closed-loop block of the propagator.
-        p[2 * n :, 2 * n :] = q[n:, n:]
-        p[n : 2 * n, n : 2 * n] = q[n:, n:]
-    else:
-        p[n : 2 * n, n : 2 * n] = np.eye(n)
-        p[2 * n :, 2 * n :] = np.eye(n)
-    return p
 
+    def __init__(self, gen: np.ndarray, estimator: EstimatorKind):
+        self.n = n = gen.shape[0] // 2
+        self.gen = gen
+        self.model_based = estimator is EstimatorKind.MODEL_BASED
+        # Every propagator starts as a copy of this: zeros, plus the hold
+        # estimator's identity blocks for w and x_c.
+        self.blank = np.zeros((3 * n, 3 * n))
+        if not self.model_based:
+            self.blank[n:, n:] = np.eye(2 * n)
 
-def _halvings(
-    gen: np.ndarray, estimator: EstimatorKind, width: float, levels: int
-) -> list[np.ndarray]:
-    """Propagators over width/2, width/4, ... width/2^levels."""
-    return [
-        _step_propagator(gen, estimator, width * 0.5 ** (i + 1)) for i in range(levels)
-    ]
+    def step(self, dt: float) -> np.ndarray:
+        """exp(dt * stacked generator), assembled block-wise."""
+        n = self.n
+        p = self.blank.copy()
+        q = mat_exp(self.gen, dt)
+        p[:n, :n] = q[:n, :n]
+        p[:n, 2 * n :] = q[:n, n:]
+        if self.model_based:
+            # w and x_c share the nominal closed-loop block of the propagator.
+            p[2 * n :, 2 * n :] = q[n:, n:]
+            p[n : 2 * n, n : 2 * n] = q[n:, n:]
+        return p
+
+    def halvings(self, width: float, levels: int) -> list[np.ndarray]:
+        """Propagators over width/2, width/4, ... width/2^levels."""
+        return [self.step(width * 0.5 ** (i + 1)) for i in range(levels)]
 
 
 def _errors(n: int, z: np.ndarray) -> tuple[float, float]:
@@ -253,7 +258,7 @@ def _bisect_step(
         if hi_off - lo_off <= tol:
             break
         mid_off = lo_off + (hi_off - lo_off) * 0.5
-        z_mid = h @ z_lo
+        z_mid = h.dot(z_lo)
         t_mid = t_lo + mid_off
         e_s = z_mid[n : 2 * n] + (z_mid[2 * n :] - z_mid[:n])
         if math.sqrt(e_s.dot(e_s)) > beta * np.exp(-alpha * t_mid):
@@ -296,9 +301,9 @@ def simulate(scn: Scenario) -> Trace:
         gen = gamma_matrix(scn.plant, scn.model, scn.gain)
     else:
         gen = gamma_zoh(scn.plant, scn.gain)
-    p_step = _step_propagator(gen, scn.estimator, dt)
-    grid_levels = _levels_for(dt, scn.event_tol)
-    grid_halvings = _halvings(gen, scn.estimator, dt, grid_levels)
+    flow = _Flow(gen, scn.estimator)
+    p_step = flow.step(dt)
+    grid_halvings = flow.halvings(dt, _levels_for(dt, scn.event_tol))
 
     # Cumulative powers: powers[k] advances the stack k+1 grid steps.
     powers = np.empty((_BATCH, 3 * n, 3 * n))
@@ -314,6 +319,7 @@ def simulate(scn: Scenario) -> Trace:
     trigger_rows: list[int] = []
     delivery_rows: list[int] = []
     last_trigger = -math.inf
+    head = _BATCH  # rows in the first einsum of the next batch
 
     def append(t, x, x_s, x_c, es, ec, thr):
         """Write one row (scalar t) or a block of rows, growing the table."""
@@ -337,12 +343,16 @@ def simulate(scn: Scenario) -> Trace:
         size += k
 
     def record_event_rows(t_star: float, z_pre: np.ndarray):
-        nonlocal z, ch_state, last_trigger
-        if t_star - last_trigger < ZENO_GAP:
+        nonlocal z, ch_state, last_trigger, head
+        gap = t_star - last_trigger
+        if gap < ZENO_GAP:
             raise SimulationError(
-                f"inter-event gap {t_star - last_trigger:.3e} below {ZENO_GAP:.0e} "
+                f"inter-event gap {gap:.3e} below {ZENO_GAP:.0e} "
                 f"at t={t_star:.6f}: event accumulation, aborting"
             )
+        # The next event tends to come about as many rows on as this one did:
+        # the next batch looks twice that far before it evaluates the rest.
+        head = max(1, int(min(2.0 * gap / dt, _BATCH)))
         last_trigger = t_star
         es_pre, ec_pre = _errors(n, z_pre)
         x_pre = z_pre[:n]
@@ -364,7 +374,7 @@ def simulate(scn: Scenario) -> Trace:
             z_post[2 * n :] = z_pre[:n]
         else:
             z_post[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
-        t_plus = float(np.nextafter(t_star, np.inf))
+        t_plus = math.nextafter(t_star, math.inf)
         # Post-jump sensor copy equals the plant state by definition of the
         # reset; record that value, not a reconstruction.
         append(
@@ -393,36 +403,45 @@ def simulate(scn: Scenario) -> Trace:
     while next_idx <= last:
         on_grid = t_cursor == grid[next_idx - 1]
         if on_grid and next_idx <= uniform_until:
+            # Rows lo..hi-1 of the batch from its start state z_base: all of
+            # them at once, or after an event first only `head` rows, then
+            # the rest if the event did not recur there.
             batch = min(_BATCH, uniform_until - next_idx + 1)
-            zb = np.einsum("kij,j->ki", powers[:batch], z)
-            tb = grid[next_idx : next_idx + batch]
-            xb = zb[:, :n]
-            xcb = zb[:, 2 * n :]
-            xsb = zb[:, n : 2 * n] + xcb
-            esb = np.linalg.norm(xsb - xb, axis=1)
-            ecb = np.linalg.norm(xcb - xb, axis=1)
-            thrb = threshold_value(tb, scn.trigger)
-            bad = np.flatnonzero(esb > thrb)
-            if bad.size == 0:
-                append(tb, xb, xsb, xcb, esb, ecb, thrb)
-                z = zb[batch - 1]
-                t_cursor = tb[batch - 1]
-                next_idx += batch
-                continue
-            j = int(bad[0])
-            append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
-            t_lo = t_cursor if j == 0 else tb[j - 1]
-            z_lo = z if j == 0 else zb[j - 1]
-            t_star, z_pre = _bisect_step(
-                scn, t_lo, z_lo, dt, zb[j], grid_halvings, scn.event_tol
-            )
-            record_event_rows(t_star, z_pre)
-            t_cursor = t_star
-            next_idx += j
-            if t_star == grid[next_idx]:
-                # Bisection landed exactly on the grid point; its pre/post
-                # rows already cover that sample.
-                next_idx += 1
+            lo, hi = 0, min(head, batch)
+            head = _BATCH
+            z_base = z
+            while lo < hi:
+                zb = np.einsum("kij,j->ki", powers[lo:hi], z_base)
+                tb = grid[next_idx : next_idx + hi - lo]
+                xb = zb[:, :n]
+                xcb = zb[:, 2 * n :]
+                xsb = zb[:, n : 2 * n] + xcb
+                esb = np.linalg.norm(xsb - xb, axis=1)
+                ecb = np.linalg.norm(xcb - xb, axis=1)
+                thrb = threshold_value(tb, scn.trigger)
+                bad = np.flatnonzero(esb > thrb)
+                if bad.size == 0:
+                    append(tb, xb, xsb, xcb, esb, ecb, thrb)
+                    z = zb[-1]
+                    t_cursor = tb[-1]
+                    next_idx += hi - lo
+                    lo, hi = hi, batch
+                    continue
+                j = int(bad[0])
+                append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
+                t_lo = t_cursor if j == 0 else tb[j - 1]
+                z_lo = z if j == 0 else zb[j - 1]
+                t_star, z_pre = _bisect_step(
+                    scn, t_lo, z_lo, dt, zb[j], grid_halvings, scn.event_tol
+                )
+                record_event_rows(t_star, z_pre)
+                t_cursor = t_star
+                next_idx += j
+                if t_star == grid[next_idx]:
+                    # Bisection landed exactly on the grid point; its pre/post
+                    # rows already cover that sample.
+                    next_idx += 1
+                break
             continue
         # Off the uniform grid: partial step to the next grid time.
         target = grid[next_idx]
@@ -430,15 +449,14 @@ def simulate(scn: Scenario) -> Trace:
         if width <= 0.0:
             next_idx += 1
             continue
-        prop = _step_propagator(gen, scn.estimator, width)
-        z_next = prop @ z
+        z_next = flow.step(width).dot(z)
         es_t, ec_t = _errors(n, z_next)
         thr_t = float(threshold_value(target, scn.trigger))
         if es_t > thr_t:
             levels = _levels_for(width, scn.event_tol)
             t_star, z_pre = _bisect_step(
                 scn, t_cursor, z, width, z_next,
-                _halvings(gen, scn.estimator, width, levels), scn.event_tol,
+                flow.halvings(width, levels), scn.event_tol,
             )
             record_event_rows(t_star, z_pre)
             t_cursor = t_star

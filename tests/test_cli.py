@@ -464,6 +464,29 @@ class TestSweep:
             pytest.skip("no OpenBLAS loaded")
         assert counts == [[1] * len(counts[0])] * 2
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    def test_cli_process_runs_one_blas_thread(self, tmp_path):
+        # Every matrix is small: the CLI process itself drops to one BLAS
+        # thread, whatever the environment asks for.
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_cli import _openblas_threads\n"
+            "from lossyetc.cli import main\n"
+            "before = _openblas_threads()\n"
+            f"main(['simulate', '--config', {str(tmp_path / 'missing.json')!r}])\n"
+            "print(json.dumps([before, _openblas_threads()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**_module_env(), "OPENBLAS_NUM_THREADS": "2"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        if not before or max(before) < 2:
+            pytest.skip("no OpenBLAS with 2 threads loaded")
+        assert after == [1] * len(before)
+
     def test_module_entry_prints_one_line(self, config_seed1, tmp_path):
         # stdout on a pipe is block-buffered, so forked workers must not
         # inherit unflushed output.

@@ -46,6 +46,25 @@ def test_mat_exp_semigroup_property():
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("matrix, t, message", [
+    (np.eye(2), np.inf, "time argument must be finite"),
+    (np.eye(2), np.nan, "time argument must be finite"),
+    (np.full((2, 2), np.inf), 0.0, "matrix has non-finite entries"),
+    (np.full((2, 2), np.nan), 1.0, "matrix has non-finite entries"),
+    (np.full((2, 2), np.nan), np.inf, "matrix has non-finite entries"),
+    (np.ones((2, 3)), 1.0, "matrix must be square"),
+    (np.full((2, 2), 1e300), 1e300, "overflows"),
+], ids=["inf_t", "nan_t", "inf_matrix", "nan_matrix", "both", "not_square", "overflow"])
+def test_mat_exp_names_the_bad_argument(matrix, t, message):
+    # One finiteness test of matrix * t on the fast path; a failure still
+    # names the argument at fault, the matrix first.  The product itself may
+    # overflow or be inf * 0.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericsError, match=message
+    ):
+        mat_exp(matrix, t)
+
+
 def test_eigendecompose_matches_charpoly_roots():
     rng = np.random.default_rng(11)
     for _ in range(20):

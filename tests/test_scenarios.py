@@ -361,6 +361,21 @@ class TestTraceCsv:
             assert np.array_equal(getattr(loaded, name), getattr(golden_trace, name)), name
         assert not loaded.x.flags.writeable
 
+    def test_one_cpu_parses_in_one_piece(
+        self, golden_trace, tmp_path, monkeypatch, usable_cpus
+    ):
+        # With no pool to parse spans on, cutting them would only reread the file.
+        path = tmp_path / "trace.csv"
+        save_trace(golden_trace, str(path))
+        started = usable_cpus(1)
+        monkeypatch.setattr(scenarios, "_body_spans", None)
+        loaded = load_trace(str(path))
+        assert started == []
+        for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
+                     "triggered", "delivered"):
+            a, b = getattr(loaded, name), getattr(golden_trace, name)
+            assert a.tobytes() == b.tobytes(), name
+
     def test_header_layout(self, golden_trace, tmp_path):
         path = tmp_path / "trace.csv"
         save_trace(golden_trace, str(path))

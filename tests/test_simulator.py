@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lossyetc as le
 from lossyetc import simulator
 
 from lossyetc.numerics import mat_exp
@@ -28,7 +29,12 @@ from lossyetc.system_model import (
     closed_loop,
     gamma_matrix,
 )
-from lossyetc.trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
+from lossyetc.trigger_channel import (
+    ChannelMode,
+    ChannelPolicy,
+    TriggerConfig,
+    random_drop_script,
+)
 
 from oracles import hybrid_reference
 
@@ -218,6 +224,83 @@ def test_mb_trace_bytes_pinned(trace7):
     assert _trace_sha256(trace7) == (
         "55cf5c7473f7a6c03a0f9aca7f5b544fe0607ce3ff1363dc20dfc5fdf23211d6"
     )
+
+
+def _record_batches(monkeypatch):
+    """Log the batch einsums and the grid events found in them.
+
+    Returns two lists that fill as `simulate` runs: (first power, rows) of
+    every batch einsum, and (first power of its einsum, row) of every event
+    bracketed in a batch's rows.
+    """
+    chunks, events, last = [], [], {}
+    einsum, bisect = np.einsum, simulator._bisect_step
+
+    def logging_einsum(spec, *operands, **kwargs):
+        out = einsum(spec, *operands, **kwargs)
+        if spec == "kij,j->ki":
+            powers = operands[0]  # a slice of the run's cumulative powers
+            lo = (powers.ctypes.data - powers.base.ctypes.data) // powers.strides[0]
+            chunks.append((lo, len(powers)))
+            last.update(out=out, lo=lo)
+        return out
+
+    def logging_bisect(scn, t_lo, z_lo, width, z_hi, *rest):
+        rows = last.get("out")
+        if rows is not None and z_hi.base is rows:
+            row = (z_hi.ctypes.data - rows.ctypes.data) // rows.strides[0]
+            events.append((last["lo"], row))
+        return bisect(scn, t_lo, z_lo, width, z_hi, *rest)
+
+    monkeypatch.setattr(np, "einsum", logging_einsum)
+    monkeypatch.setattr(simulator, "_bisect_step", logging_bisect)
+    return chunks, events
+
+
+@pytest.mark.parametrize("estimator, channel, rows, digest, split_events, row0_events", [
+    (EstimatorKind.ZERO_ORDER_HOLD,
+     ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.9, seed=3), 61879,
+     "f02cd7fc5190a4bea533dae288f3ffb4a0f386364966cf8f8d1ae95b6c98fda4", 8, 4),
+    (EstimatorKind.ZERO_ORDER_HOLD,
+     ChannelPolicy(
+         M=5, mode=ChannelMode.SCRIPTED, script=random_drop_script(5, 0.5, 20000, seed=5)
+     ),
+     61105, "c76712d8130f50bd9d47eab7596a56e4e5f598bbaf96c09b69ca6aa565ef6c44", 6, 0),
+    (EstimatorKind.MODEL_BASED, ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE), 60201,
+     "690f0df7c64bb006c3b0a2617e003ed49b5a114acc812841bad49878eac27a39", 0, 0),
+], ids=["zoh_bernoulli", "zoh_scripted", "mb_worst_case"])
+def test_split_batch_traces_pinned(
+    monkeypatch, estimator, channel, rows, digest, split_events, row0_events
+):
+    # A batch after an event is evaluated in two einsums from the same start
+    # state; the rows must be the bits of one einsum over the whole batch.
+    # Both hold-estimator runs bracket events in a batch's second einsum; in
+    # the Bernoulli run four of them sit at its row 0, where the bracket's
+    # lower end is the last row of the first einsum.  Pins derived before the
+    # batches were split.
+    scn = dataclasses.replace(
+        le.vehicle_preset(45), estimator=estimator, channel=channel
+    )
+    chunks, events = _record_batches(monkeypatch)
+    tr = simulate(scn)
+    assert tr.num_samples == rows
+    assert _trace_sha256(tr) == digest
+    assert sum(lo > 0 for lo, _ in events) == split_events
+    assert sum(lo > 0 and j == 0 for lo, j in events) == row0_events
+    if estimator is EstimatorKind.MODEL_BASED:
+        assert all(lo == 0 for lo, _ in chunks)
+
+
+def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
+    # Preset 7: the hold estimator's 936 events each threw away the rest of a
+    # 256-row batch (239,085 rows for 61,873 kept); the model-based run's
+    # events are more than a batch apart and keep one einsum per batch.
+    chunks, _ = _record_batches(monkeypatch)
+    simulate(zoh7)
+    assert sum(rows for _, rows in chunks) <= 130_000
+    chunks.clear()
+    simulate(vehicle7)
+    assert len(chunks) <= 271
 
 
 def test_event_accumulation_aborts(monkeypatch, vehicle7, trace7):
