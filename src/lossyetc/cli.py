@@ -38,30 +38,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--config", required=True, help="scenario JSON file")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default=default_format)
-    parser.add_argument("--estimator", choices=("mb", "zoh"), default=None)
-    parser.add_argument(
-        "--policy",
-        choices=[m.value for m in ChannelMode],
-        default=None,
-        help="override channel mode (p/seed/script kept only where valid)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="channel seed override")
-    parser.add_argument("--tmax", type=float, default=None, help="horizon override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lossyetc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    _add_common(sub.add_parser("simulate", help="run one simulation"), "csv")
-    _add_common(sub.add_parser("bounds", help="compute analytical bounds"), "json")
-    _add_common(sub.add_parser("verify", help="check bounds against a run"), "json")
-    sweep = sub.add_parser("sweep", help="paired estimator sweep over a parameter")
-    _add_common(sweep, "csv")
-    sweep.add_argument("--param", default="channel.p", help="swept parameter")
+    simulate = sub.add_parser("simulate", help="run one simulation")
+    bounds = sub.add_parser("bounds", help="certify the worst case at the config's M")
+    verify = sub.add_parser("verify", help="check the certificates on the worst case")
+    sweep = sub.add_parser("sweep", help="paired estimator sweep over channel.p")
+    for cmd in (simulate, bounds, verify, sweep):
+        cmd.add_argument("--config", required=True, help="scenario JSON file")
+        cmd.add_argument("--out", default=None, help="output file path")
+        cmd.add_argument("--tmax", type=float, default=None, help="horizon override")
+    for cmd in (simulate, bounds, verify):
+        cmd.add_argument("--estimator", choices=("mb", "zoh"), default=None)
+    simulate.add_argument("--format", choices=("csv", "json"), default="csv")
+    simulate.add_argument(
+        "--policy",
+        choices=(ChannelMode.ALWAYS_DELIVER.value, ChannelMode.WORST_CASE.value),
+        default=None,
+        help="channel mode override, keeping the config's M",
+    )
+    simulate.add_argument("--seed", type=int, default=None, help="channel seed")
+    sweep.add_argument("--seed", type=int, default=0, help="seeds the drop scripts")
     sweep.add_argument("--values", default="0,0.3,0.7,0.9", help="comma-separated")
     sweep.add_argument("--repeats", type=int, default=1)
     return parser
@@ -69,25 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Scenario:
     scn = load_scenario(args.config)
-    if args.estimator is not None:
+    # sweep has no --estimator: it runs both estimators
+    if getattr(args, "estimator", None) is not None:
         scn = dataclasses.replace(scn, estimator=EstimatorKind(args.estimator))
-    if args.policy is not None:
-        mode = ChannelMode(args.policy)
-        old = scn.channel
-        scn = dataclasses.replace(
-            scn,
-            channel=ChannelPolicy(
-                M=old.M,
-                mode=mode,
-                p=old.p if mode is ChannelMode.BERNOULLI else None,
-                seed=old.seed,
-                script=old.script if mode is ChannelMode.SCRIPTED else None,
-            ),
-        )
-    if args.seed is not None:
-        scn = dataclasses.replace(
-            scn, channel=dataclasses.replace(scn.channel, seed=args.seed)
-        )
     if args.tmax is not None:
         scn = dataclasses.replace(scn, t_max=args.tmax)
     return scn
@@ -107,6 +89,13 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_simulate(args) -> int:
     scn = _load(args)
+    if args.policy is not None:
+        channel = ChannelPolicy(M=scn.channel.M, mode=ChannelMode(args.policy))
+        scn = dataclasses.replace(scn, channel=channel)
+    if args.seed is not None:
+        scn = dataclasses.replace(
+            scn, channel=dataclasses.replace(scn.channel, seed=args.seed)
+        )
     tr = simulate(scn)
     stats = summarize(tr, scn.trigger)
     out = _out_path(args, ".trace.csv" if args.format == "csv" else ".trace.json")
@@ -124,40 +113,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _certify(scn: Scenario, tr):
+    """The report of the scenario's estimator on `tr` and its amplification factor."""
+    if scn.estimator is EstimatorKind.MODEL_BASED:
+        rep = analyze_scenario(scn, tr)
+        return rep, rep.Delta
+    rep = analyze_scenario_zoh(scn, tr)
+    return rep, rep.Delta_zoh
+
+
 def cmd_bounds(args) -> int:
-    if args.format != "json":
-        print("lossyetc bounds: reports serialize as JSON only", file=sys.stderr)
-        return 1
     scn = _load(args)
-    tr = worst_case_trace(scn)
-    rep = analyze_scenario(scn, tr)
+    rep, amplification = _certify(scn, worst_case_trace(scn))
     out = _out_path(args, ".bounds.json")
     _write_json(out, dataclasses.asdict(rep))
-    line = f"bounds: Delta={rep.Delta:.6g}, miet={rep.miet:.6g}, wrote {out}"
-    if scn.estimator is EstimatorKind.ZERO_ORDER_HOLD:
-        zrep = analyze_scenario_zoh(scn, tr)
-        zout = out.with_suffix(".zoh.json")
-        _write_json(zout, dataclasses.asdict(zrep))
-        line += f"; Delta_zoh={zrep.Delta_zoh:.6g}, wrote {zout}"
-    print(line)
+    if scn.estimator is EstimatorKind.MODEL_BASED:
+        figures = f"Delta={amplification:.6g}, miet={rep.miet:.6g}"
+    else:
+        figures = f"Delta_zoh={amplification:.6g}"
+    print(f"bounds: {figures}, wrote {out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.format != "json":
-        print("lossyetc verify: reports serialize as JSON only", file=sys.stderr)
-        return 1
     scn = _load(args)
     tr = worst_case_trace(scn)
     stats = summarize(tr, scn.trigger)
+    rep, amplification = _certify(scn, tr)
     if scn.estimator is EstimatorKind.MODEL_BASED:
-        rep = analyze_scenario(scn, tr)
-        amplification = rep.Delta
         gap_ok = stats.min_inter_event is None or stats.min_inter_event >= rep.miet
         own_checks = {"miet_positive": rep.miet > 0.0, "min_gap_at_least_miet": gap_ok}
     else:
-        rep = analyze_scenario_zoh(scn, tr)
-        amplification = rep.Delta_zoh
         own_checks = {"gaps_positive": min(rep.delta_bar_zoh) > 0.0}
     check = verify_ec_bound(tr, amplification, scn.trigger)
     checks = {"ec_bound": check.ok, **own_checks}
@@ -180,12 +166,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.param != "channel.p":
-        print(f"lossyetc sweep: unsupported --param {args.param!r}", file=sys.stderr)
-        return 1
-    if args.format != "csv":
-        print("lossyetc sweep: summary table serializes as CSV only", file=sys.stderr)
-        return 1
     if args.repeats < 1:
         print("lossyetc sweep: --repeats must be positive", file=sys.stderr)
         return 1
@@ -204,18 +184,17 @@ def cmd_sweep(args) -> int:
         for repeat in range(args.repeats):
             # Both estimators face the identical drop sequence so the
             # trigger-count comparison is apples to apples.
-            seed = args.seed if args.seed is not None else 0
             script = random_drop_script(
                 scn.channel.M,
                 value,
                 _SWEEP_SCRIPT_LENGTH,
-                seed=1000 * vi + repeat + 7919 * seed,
+                seed=1000 * vi + repeat + 7919 * args.seed,
             )
             policy = ChannelPolicy(
                 M=scn.channel.M, mode=ChannelMode.SCRIPTED, script=script
             )
             for kind in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
-                keys.append([args.param, _fmt(value), repeat, kind.value])
+                keys.append(["channel.p", _fmt(value), repeat, kind.value])
                 runs.append(dataclasses.replace(scn, estimator=kind, channel=policy))
                 ranks.append((kind is EstimatorKind.MODEL_BASED, -value))
     # Longest first: hold-estimator runs take 2.5-6x as long as model-based
@@ -234,7 +213,7 @@ def cmd_sweep(args) -> int:
             key + [_fmt(v) for v in stats.values()]
             for key, stats in zip(keys, summaries)
         )
-    print(f"sweep: {len(runs)} runs over {args.param}={values}, wrote {out}")
+    print(f"sweep: {len(runs)} runs over channel.p={values}, wrote {out}")
     return 0
 
 

@@ -42,6 +42,13 @@ def config_seed1(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def config_p7(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "p7.json"
+    save_scenario(le.vehicle_preset(7), str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def config_bern(tmp_path_factory):
     scn = dataclasses.replace(
         le.vehicle_preset(1),
@@ -144,11 +151,44 @@ class TestSimulate:
         assert "terminated abruptly" in capsys.readouterr().err
 
 
+# --format and --param have their own tests: test_csv_format_rejected and
+# TestSweep::test_rejections
+_REMOVED_OPTIONS = [
+    ["simulate", "--policy", "bernoulli"],
+    ["simulate", "--policy", "scripted"],
+    *([cmd, *option] for cmd in ("bounds", "verify") for option in (
+        ["--policy", "worst_case"], ["--seed", "99"],
+    )),
+    ["sweep", "--estimator", "zoh"],
+    ["sweep", "--policy", "worst_case"],
+]
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, config_v0):
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--config", config_v0, "--frobnicate"])
-        assert err.value.code == 1
+        # options a subcommand would ignore or overwrite are unknown to it
+        for cmd, *option in [["simulate", "--frobnicate"], *_REMOVED_OPTIONS]:
+            with pytest.raises(SystemExit) as err:
+                main([cmd, "--config", config_v0, *option])
+            assert err.value.code == 1, [cmd, *option]
+
+    def test_option_sets_pinned(self):
+        (commands,) = (
+            a.choices for a in cli.build_parser()._actions if a.dest == "command"
+        )
+        options = {
+            name: {opt for a in sub._actions for opt in a.option_strings}
+            for name, sub in commands.items()
+        }
+        common = {"-h", "--help", "--config", "--out", "--tmax"}
+        assert options == {
+            "simulate": common | {"--estimator", "--format", "--policy", "--seed"},
+            "bounds": common | {"--estimator"},
+            "verify": common | {"--estimator"},
+            "sweep": common | {"--seed", "--values", "--repeats"},
+        }
+        (policy,) = (a for a in commands["simulate"]._actions if a.dest == "policy")
+        assert list(policy.choices) == ["always_deliver", "worst_case"]
 
     def test_missing_config(self):
         with pytest.raises(SystemExit) as err:
@@ -204,24 +244,33 @@ class TestBounds:
             "F_bold", "a_hat", "a_tilde", "envelopes", "x0_norm",
         }
         assert doc["Delta"] >= 1.0 and doc["miet"] > 0.0
-        assert "Delta=" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c96dc1b1a77b7b5d96ab6d1d8f2cd6b3d4bec8511cfdbb5d7a35209b05e0713f"
+        )
+        assert capsys.readouterr().out == (
+            f"bounds: Delta={doc['Delta']:.6g}, miet={doc['miet']:.6g}, wrote {out}\n"
+        )
 
-    def test_zoh_writes_companion_report(self, config_seed1, tmp_path):
+    def test_zoh_writes_only_its_report(self, config_seed1, tmp_path, monkeypatch, capsys):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("the hold estimator needs no model-based report")
+
+        monkeypatch.setattr("lossyetc.cli.analyze_scenario", boom)
         out = tmp_path / "rep.bounds.json"
         code = main([
             "bounds", "--config", config_seed1, "--out", str(out),
             "--estimator", "zoh", "--tmax", "20",
         ])
         assert code == 0
-        zdoc = json.loads((tmp_path / "rep.bounds.zoh.json").read_text())
-        assert set(zdoc) == {"Delta_zoh", "delta_bar_zoh", "growth", "state_norms"}
+        assert [p.name for p in tmp_path.iterdir()] == ["rep.bounds.json"]
+        zdoc = json.loads(out.read_text())
         assert zdoc["Delta_zoh"] >= 1.0
-        for name, digest in [
-            ("rep.bounds.json", "08538348278458ba6f7e721fb8068d73f6c7dff082acff67971f4ce2d6c8e089"),
-            ("rep.bounds.zoh.json", "9c65c7b2bba060f6e6c7300ad9730ee86754e6af5d16dfcd7fa8d766203c4cb9"),
-        ]:
-            data = (tmp_path / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9c65c7b2bba060f6e6c7300ad9730ee86754e6af5d16dfcd7fa8d766203c4cb9"
+        )
+        assert capsys.readouterr().out == (
+            f"bounds: Delta_zoh={zdoc['Delta_zoh']:.6g}, wrote {out}\n"
+        )
 
     def test_zoh_simulates_worst_case_once(self, config_seed1, tmp_path, monkeypatch):
         calls = []
@@ -239,8 +288,12 @@ class TestBounds:
         assert calls == [ChannelMode.WORST_CASE]
 
     def test_csv_format_rejected(self, config_seed1, capsys):
-        assert main(["bounds", "--config", config_seed1, "--format", "csv"]) == 1
-        assert "JSON only" in capsys.readouterr().err
+        # reports are JSON only, so bounds and verify take no --format
+        for command in ("bounds", "verify"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--config", config_seed1, "--format", "csv"])
+            assert err.value.code == 1
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_numerics_failure_maps_to_three(self, config_seed1, monkeypatch, capsys):
         def boom(*_args, **_kwargs):
@@ -316,18 +369,16 @@ def _key_tree(doc):
 
 def test_json_key_order(config_seed1, tmp_path):
     """Every JSON document the CLI writes keeps its keys in a fixed order."""
-    out = tmp_path / "rep.bounds.json"
-    assert main([
-        "bounds", "--config", config_seed1, "--out", str(out),
-        "--estimator", "zoh", "--tmax", "20",
-    ]) == 0
-    assert _key_tree(json.loads(out.read_text())) == _BOUNDS_KEYS
-    zdoc = json.loads((tmp_path / "rep.bounds.zoh.json").read_text())
-    assert _key_tree(zdoc) == _ZOH_KEYS
     for estimator, report, checks in (
         ("mb", _BOUNDS_KEYS, ["ec_bound", "miet_positive", "min_gap_at_least_miet"]),
         ("zoh", _ZOH_KEYS, ["ec_bound", "gaps_positive"]),
     ):
+        out = tmp_path / f"rep_{estimator}.bounds.json"
+        assert main([
+            "bounds", "--config", config_seed1, "--out", str(out),
+            "--estimator", estimator, "--tmax", "20",
+        ]) == 0
+        assert _key_tree(json.loads(out.read_text())) == report
         out = tmp_path / f"verify_{estimator}.json"
         assert main([
             "verify", "--config", config_seed1, "--estimator", estimator,
@@ -348,6 +399,18 @@ def test_json_key_order(config_seed1, tmp_path):
     ]
 
 
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """The README's command-line examples parse and run, on a short horizon."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [line.split() for line in lines]
+    assert len(commands) == 4 and all(argv[0] == "lossyetc" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    save_scenario(le.vehicle_preset(7), "scn.json")
+    for argv in commands:
+        assert main([*argv[1:], "--tmax", "5"]) == 0, argv
+
 
 def _openblas_threads(item=None) -> list[int]:
     """Thread counts of the OpenBLAS libraries loaded in this process."""
@@ -367,6 +430,25 @@ def _openblas_threads(item=None) -> list[int]:
 
 
 class TestSweep:
+    def test_benchmark_outputs_pinned(self, config_p7, tmp_path, capsys):
+        """The sweep and verify calls of the zoh_sweep benchmark unit, full horizon."""
+        for argv, name, digest, line in [
+            (
+                ["sweep", "--values", "0,0.5,0.9", "--seed", "1"], "s.csv",
+                "98685884eceecfcded2370ca4d164c4754e25a7a7da641bcaaa252bcca681650",
+                "sweep: 6 runs over channel.p=[0.0, 0.5, 0.9], wrote {out}\n",
+            ),
+            (
+                ["verify", "--estimator", "zoh"], "v.json",
+                "b11b727bcbc512da2597f838a2ee401d2718bd65e2200535f19bbfa740f29ff7",
+                "verify[zoh]: ec_bound=ok, gaps_positive=ok, max ratio 0.2092 -> PASS\n",
+            ),
+        ]:
+            out = tmp_path / name
+            assert main([argv[0], "--config", config_p7, "--out", str(out), *argv[1:]]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+            assert capsys.readouterr().out == line.format(out=out)
+
     def test_paired_runs(self, config_seed1, tmp_path, capsys):
         out = tmp_path / "table.sweep.csv"
         code = main([
@@ -501,14 +583,12 @@ class TestSweep:
         assert proc.stdout == f"sweep: 4 runs over channel.p=[0.0, 0.9], wrote {out}\n"
 
     def test_rejections(self, config_seed1, capsys):
-        assert main([
-            "sweep", "--config", config_seed1, "--param", "trigger.beta",
-        ]) == 1
-        assert "unsupported" in capsys.readouterr().err
-        assert main([
-            "sweep", "--config", config_seed1, "--format", "json",
-        ]) == 1
-        capsys.readouterr()
+        # channel.p is the one swept parameter and CSV the one table format
+        for option, value in (("--param", "trigger.beta"), ("--format", "json")):
+            with pytest.raises(SystemExit) as err:
+                main(["sweep", "--config", config_seed1, option, value])
+            assert err.value.code == 1
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert main([
             "sweep", "--config", config_seed1, "--values", "a,b",
         ]) == 1
