@@ -276,8 +276,6 @@ def min_inter_event_time(
 
 
 def compute_delta_zoh(
-    plant: Plant,
-    gain: Gain,
     cfg: TriggerConfig,
     M: int,
     state_norms: list[tuple[float, float]],
@@ -509,8 +507,7 @@ def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
     reports = [
         compute_delta_zoh(
-            scn.plant, scn.gain, scn.trigger, m,
-            [(t_j, x_norm) for t_j, _, x_norm in rows],
+            scn.trigger, m, [(t_j, x_norm) for t_j, _, x_norm in rows],
             GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in rows), gamma=gamma),
         )
         for rows in _dropped_intervals(tr, m, gamma)

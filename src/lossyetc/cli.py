@@ -49,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default=None, help="output file path")
         cmd.add_argument("--tmax", type=float, default=None, help="horizon override")
+        # main reports leftover arguments through the subcommand's own usage
+        cmd.set_defaults(usage_error=cmd.error)
     for cmd in (simulate, bounds, verify):
         cmd.add_argument("--estimator", choices=("mb", "zoh"), default=None)
     simulate.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -237,7 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     # With OpenBLAS's default threads and the other core busy, the preset-7
     # hold-estimator simulate took 0.48 s against 0.19 s on one thread.
     _one_blas_thread()
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _HANDLERS[args.command](args)
     except (OSError, ValueError) as exc:

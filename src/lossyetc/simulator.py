@@ -192,20 +192,34 @@ class SummaryStats:
 class _Flow:
     """Exact propagators of one run's stacked flow, all from one generator.
 
+    Built once per run: the generator, the cumulative powers of the grid
+    step that the batches apply, and the grid step's bisection halvings.
     The held blocks of the hold estimator are exact identities and the
     discrepancy block never couples to the rest, so a drift-free stretch
     stays drift-free to the last bit.
     """
 
-    def __init__(self, gen: np.ndarray, estimator: EstimatorKind):
-        self.n = n = gen.shape[0] // 2
-        self.gen = gen
-        self.model_based = estimator is EstimatorKind.MODEL_BASED
+    def __init__(self, scn: Scenario):
+        self.n = n = scn.n
+        self.tol = scn.event_tol
+        self.model_based = scn.estimator is EstimatorKind.MODEL_BASED
+        # One stacked (x, x_c) generator per run; every propagator derives from it.
+        if self.model_based:
+            self.gen = gamma_matrix(scn.plant, scn.model, scn.gain)
+        else:
+            self.gen = gamma_zoh(scn.plant, scn.gain)
         # Every propagator starts as a copy of this: zeros, plus the hold
         # estimator's identity blocks for w and x_c.
         self.blank = np.zeros((3 * n, 3 * n))
         if not self.model_based:
             self.blank[n:, n:] = np.eye(2 * n)
+        p_step = self.step(scn.sample_dt)
+        self.grid_halvings = self.halvings(scn.sample_dt)
+        # Cumulative powers: powers[k] advances the stack k+1 grid steps.
+        self.powers = np.empty((_BATCH, 3 * n, 3 * n))
+        self.powers[0] = p_step
+        for k in range(1, _BATCH):
+            self.powers[k] = p_step @ self.powers[k - 1]
 
     def step(self, dt: float) -> np.ndarray:
         """exp(dt * stacked generator), assembled block-wise."""
@@ -220,8 +234,11 @@ class _Flow:
             p[n : 2 * n, n : 2 * n] = q[n:, n:]
         return p
 
-    def halvings(self, width: float, levels: int) -> list[np.ndarray]:
-        """Propagators over width/2, width/4, ... width/2^levels."""
+    def halvings(self, width: float) -> list[np.ndarray]:
+        """Propagators over width/2, width/4, ... until a level reaches event_tol."""
+        if width <= self.tol:
+            return []
+        levels = min(_MAX_BISECT_LEVELS, int(math.ceil(math.log2(width / self.tol))) + 1)
         return [self.step(width * 0.5 ** (i + 1)) for i in range(levels)]
 
 
@@ -271,12 +288,6 @@ def _bisect_step(
     return t_hi, z_hi
 
 
-def _levels_for(width: float, tol: float) -> int:
-    if width <= tol:
-        return 0
-    return min(_MAX_BISECT_LEVELS, int(math.ceil(math.log2(width / tol))) + 1)
-
-
 def simulate(scn: Scenario) -> Trace:
     """Run one closed-loop experiment and return its dense trace.
 
@@ -295,21 +306,7 @@ def simulate(scn: Scenario) -> Trace:
     grid = np.arange(n_full + 1, dtype=float) * dt
     if grid[-1] < scn.t_max - 1e-9 * max(1.0, scn.t_max):
         grid = np.append(grid, scn.t_max)
-
-    # One stacked (x, x_c) generator per run; every propagator derives from it.
-    if scn.estimator is EstimatorKind.MODEL_BASED:
-        gen = gamma_matrix(scn.plant, scn.model, scn.gain)
-    else:
-        gen = gamma_zoh(scn.plant, scn.gain)
-    flow = _Flow(gen, scn.estimator)
-    p_step = flow.step(dt)
-    grid_halvings = flow.halvings(dt, _levels_for(dt, scn.event_tol))
-
-    # Cumulative powers: powers[k] advances the stack k+1 grid steps.
-    powers = np.empty((_BATCH, 3 * n, 3 * n))
-    powers[0] = p_step
-    for k in range(1, _BATCH):
-        powers[k] = p_step @ powers[k - 1]
+    flow = _Flow(scn)
 
     z = np.concatenate([scn.x0, np.zeros(n), scn.x0])
     ch_state = initial_channel_state(scn.channel)
@@ -342,52 +339,6 @@ def simulate(scn: Scenario) -> Trace:
         cols[3 + 3 * n] = thr
         size += k
 
-    def record_event_rows(t_star: float, z_pre: np.ndarray):
-        nonlocal z, ch_state, last_trigger, head
-        gap = t_star - last_trigger
-        if gap < ZENO_GAP:
-            raise SimulationError(
-                f"inter-event gap {gap:.3e} below {ZENO_GAP:.0e} "
-                f"at t={t_star:.6f}: event accumulation, aborting"
-            )
-        # The next event tends to come about as many rows on as this one did:
-        # the next batch looks twice that far before it evaluates the rest.
-        head = max(1, int(min(2.0 * gap / dt, _BATCH)))
-        last_trigger = t_star
-        es_pre, ec_pre = _errors(n, z_pre)
-        x_pre = z_pre[:n]
-        xc_pre = z_pre[2 * n :]
-        xs_pre = z_pre[n : 2 * n] + xc_pre
-        thr = float(threshold_value(t_star, scn.trigger))
-        outcome, ch_state = channel_offer(scn.channel, ch_state)
-        got = outcome is Outcome.DELIVERED
-        trigger_rows.append(size)
-        if got:
-            delivery_rows.append(size)
-        append(t_star, x_pre, xs_pre, xc_pre, es_pre, ec_pre, thr)
-        # Jumps: the sensor copy resets at every trigger; the controller copy
-        # resets only on delivery.  In discrepancy coordinates:
-        #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
-        z_post = z_pre.copy()
-        if got:
-            z_post[n : 2 * n] = 0.0
-            z_post[2 * n :] = z_pre[:n]
-        else:
-            z_post[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
-        t_plus = math.nextafter(t_star, math.inf)
-        # Post-jump sensor copy equals the plant state by definition of the
-        # reset; record that value, not a reconstruction.
-        append(
-            t_plus,
-            z_post[:n],
-            z_post[:n],
-            z_post[2 * n :],
-            0.0,
-            0.0 if got else ec_pre,
-            float(threshold_value(t_plus, scn.trigger)),
-        )
-        z = z_post
-
     # Row 0 at t = 0.
     es0, ec0 = _errors(n, z)
     append(
@@ -400,9 +351,10 @@ def simulate(scn: Scenario) -> Trace:
     last = grid.shape[0] - 1
     uniform_until = n_full  # grid[i+1]-grid[i] == dt exactly for i < n_full
 
+    # Each pass writes rows up to a grid point, or brackets the next event
+    # in one step (t_cursor, z) .. (t_cursor + width, z_hi) and handles it.
     while next_idx <= last:
-        on_grid = t_cursor == grid[next_idx - 1]
-        if on_grid and next_idx <= uniform_until:
+        if t_cursor == grid[next_idx - 1] and next_idx <= uniform_until:
             # Rows lo..hi-1 of the batch from its start state z_base: all of
             # them at once, or after an event first only `head` rows, then
             # the rest if the event did not recur there.
@@ -411,7 +363,7 @@ def simulate(scn: Scenario) -> Trace:
             head = _BATCH
             z_base = z
             while lo < hi:
-                zb = np.einsum("kij,j->ki", powers[lo:hi], z_base)
+                zb = np.einsum("kij,j->ki", flow.powers[lo:hi], z_base)
                 tb = grid[next_idx : next_idx + hi - lo]
                 xb = zb[:, :n]
                 xcb = zb[:, 2 * n :]
@@ -420,56 +372,78 @@ def simulate(scn: Scenario) -> Trace:
                 ecb = np.linalg.norm(xcb - xb, axis=1)
                 thrb = threshold_value(tb, scn.trigger)
                 bad = np.flatnonzero(esb > thrb)
-                if bad.size == 0:
-                    append(tb, xb, xsb, xcb, esb, ecb, thrb)
-                    z = zb[-1]
-                    t_cursor = tb[-1]
-                    next_idx += hi - lo
-                    lo, hi = hi, batch
-                    continue
-                j = int(bad[0])
-                append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
-                t_lo = t_cursor if j == 0 else tb[j - 1]
-                z_lo = z if j == 0 else zb[j - 1]
-                t_star, z_pre = _bisect_step(
-                    scn, t_lo, z_lo, dt, zb[j], grid_halvings, scn.event_tol
+                if bad.size:
+                    break
+                append(tb, xb, xsb, xcb, esb, ecb, thrb)
+                z = zb[-1]
+                t_cursor = tb[-1]
+                next_idx += hi - lo
+                lo, hi = hi, batch
+            else:  # no row of the batch crossed the threshold
+                continue
+            j = int(bad[0])
+            append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
+            if j:
+                t_cursor, z = tb[j - 1], zb[j - 1]
+            next_idx += j
+            width, z_hi, halvings = dt, zb[j], flow.grid_halvings
+        else:
+            # Off the uniform grid: partial step to the next grid time.
+            target = grid[next_idx]
+            width = target - t_cursor
+            z_hi = flow.step(width).dot(z)
+            es_t, ec_t = _errors(n, z_hi)
+            thr_t = float(threshold_value(target, scn.trigger))
+            if not es_t > thr_t:
+                append(
+                    target, z_hi[:n], z_hi[n : 2 * n] + z_hi[2 * n :], z_hi[2 * n :],
+                    es_t, ec_t, thr_t,
                 )
-                record_event_rows(t_star, z_pre)
-                t_cursor = t_star
-                next_idx += j
-                if t_star == grid[next_idx]:
-                    # Bisection landed exactly on the grid point; its pre/post
-                    # rows already cover that sample.
-                    next_idx += 1
-                break
-            continue
-        # Off the uniform grid: partial step to the next grid time.
-        target = grid[next_idx]
-        width = target - t_cursor
-        if width <= 0.0:
-            next_idx += 1
-            continue
-        z_next = flow.step(width).dot(z)
-        es_t, ec_t = _errors(n, z_next)
-        thr_t = float(threshold_value(target, scn.trigger))
-        if es_t > thr_t:
-            levels = _levels_for(width, scn.event_tol)
-            t_star, z_pre = _bisect_step(
-                scn, t_cursor, z, width, z_next,
-                flow.halvings(width, levels), scn.event_tol,
-            )
-            record_event_rows(t_star, z_pre)
-            t_cursor = t_star
-            if t_star == target:
+                z = z_hi
+                t_cursor = target
                 next_idx += 1
-            continue
+                continue
+            halvings = flow.halvings(width)
+        t_star, z_pre = _bisect_step(scn, t_cursor, z, width, z_hi, halvings, scn.event_tol)
+        if t_star >= grid[next_idx]:
+            # The event rows cover that sample: the bisection ended on the
+            # grid point, or one ulp past it.
+            next_idx += 1
+        gap = t_star - last_trigger
+        if gap < ZENO_GAP:
+            raise SimulationError(
+                f"inter-event gap {gap:.3e} below {ZENO_GAP:.0e} "
+                f"at t={t_star:.6f}: event accumulation, aborting"
+            )
+        # The next event tends to come about as many rows on as this one did:
+        # the next batch looks twice that far before it evaluates the rest.
+        head = max(1, int(min(2.0 * gap / dt, _BATCH)))
+        last_trigger = t_cursor = t_star
+        es_pre, ec_pre = _errors(n, z_pre)
+        xc_pre = z_pre[2 * n :]
+        thr = float(threshold_value(t_star, scn.trigger))
+        outcome, ch_state = channel_offer(scn.channel, ch_state)
+        got = outcome is Outcome.DELIVERED
+        trigger_rows.append(size)
+        if got:
+            delivery_rows.append(size)
+        append(t_star, z_pre[:n], z_pre[n : 2 * n] + xc_pre, xc_pre, es_pre, ec_pre, thr)
+        # Jumps: the sensor copy resets at every trigger; the controller copy
+        # resets only on delivery.  In discrepancy coordinates:
+        #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
+        z = z_pre.copy()
+        if got:
+            z[n : 2 * n] = 0.0
+            z[2 * n :] = z_pre[:n]
+        else:
+            z[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
+        t_plus = math.nextafter(t_star, math.inf)
+        # Post-jump sensor copy equals the plant state by definition of the
+        # reset; record that value, not a reconstruction.
         append(
-            target, z_next[:n], z_next[n : 2 * n] + z_next[2 * n :], z_next[2 * n :],
-            es_t, ec_t, thr_t,
+            t_plus, z[:n], z[:n], z[2 * n :], 0.0, 0.0 if got else ec_pre,
+            float(threshold_value(t_plus, scn.trigger)),
         )
-        z = z_next
-        t_cursor = target
-        next_idx += 1
 
     triggered = np.zeros(size, dtype=bool)
     triggered[trigger_rows] = True

@@ -374,16 +374,14 @@ class TestMinInterEventTime:
 
 
 class TestComputeDeltaZoh:
-    def test_frozen_crossing(self, vehicle0):
+    def test_frozen_crossing(self):
         growth = GrowthEnvelope(eta=1.0, gamma=1.0)
-        rep = compute_delta_zoh(
-            vehicle0.plant, vehicle0.gain, CFG, 2, [(0.0, 1.0)], growth
-        )
+        rep = compute_delta_zoh(CFG, 2, [(0.0, 1.0)], growth)
         root = 0.37516811896670577
         assert rep.delta_bar_zoh[0] == pytest.approx(root, abs=1e-9)
         assert rep.Delta_zoh == pytest.approx(1.0 + math.exp(0.25 * root), rel=1e-9)
 
-    def test_against_scan_oracle(self, vehicle0):
+    def test_against_scan_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             eta = float(rng.uniform(0.05, 2.0))
@@ -394,37 +392,32 @@ class TestComputeDeltaZoh:
             t_j = float(rng.uniform(0.0, 10.0))
             cfg = TriggerConfig(beta=beta, alpha=alpha)
             growth = GrowthEnvelope(eta=eta, gamma=gamma)
-            rep = compute_delta_zoh(
-                vehicle0.plant, vehicle0.gain, cfg, 2, [(t_j, x_norm)], growth
-            )
+            rep = compute_delta_zoh(cfg, 2, [(t_j, x_norm)], growth)
             # the threshold at the interval's start takes beta's place
             beta_j = beta * math.exp(-alpha * t_j)
             ref = zoh_crossing_reference(eta, gamma, x_norm, beta_j, alpha)
             assert rep.delta_bar_zoh[0] == pytest.approx(ref, abs=1e-9)
 
-    def test_forced_only_budget(self, vehicle0):
+    def test_forced_only_budget(self):
         growth = GrowthEnvelope(eta=1.0, gamma=1.0)
-        rep = compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 1, [], growth)
+        rep = compute_delta_zoh(CFG, 1, [], growth)
         assert rep.Delta_zoh == 1.0
         assert rep.delta_bar_zoh == ()
 
-    def test_floor_and_positivity(self, vehicle0):
+    def test_floor_and_positivity(self):
         growth = GrowthEnvelope(eta=0.5, gamma=0.8)
-        rep = compute_delta_zoh(
-            vehicle0.plant, vehicle0.gain, CFG, 4, [(0.0, 2.0), (0.3, 1.5), (0.6, 0.7)],
-            growth,
-        )
+        rep = compute_delta_zoh(CFG, 4, [(0.0, 2.0), (0.3, 1.5), (0.6, 0.7)], growth)
         assert rep.Delta_zoh >= 4.0
         assert all(d > 0.0 for d in rep.delta_bar_zoh)
 
-    def test_validation(self, vehicle0):
+    def test_validation(self):
         growth = GrowthEnvelope(eta=2.0, gamma=1.0)
         with pytest.raises(BoundsError, match="exceeds state norm"):
-            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 2, [(0.0, 1.0)], growth)
+            compute_delta_zoh(CFG, 2, [(0.0, 1.0)], growth)
         with pytest.raises(BoundsError, match="state norms"):
-            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 3, [(0.0, 3.0)], growth)
+            compute_delta_zoh(CFG, 3, [(0.0, 3.0)], growth)
         with pytest.raises(BoundsError, match="M >= 1"):
-            compute_delta_zoh(vehicle0.plant, vehicle0.gain, CFG, 0, [], growth)
+            compute_delta_zoh(CFG, 0, [], growth)
 
 
 class TestSubspaceResidual:

@@ -165,12 +165,14 @@ _REMOVED_OPTIONS = [
 
 
 class TestUsageErrors:
-    def test_unknown_flag(self, config_v0):
-        # options a subcommand would ignore or overwrite are unknown to it
+    def test_unknown_flag(self, config_v0, capsys):
+        # options a subcommand would ignore or overwrite are unknown to it,
+        # and the error shows that subcommand's usage, not the top-level one
         for cmd, *option in [["simulate", "--frobnicate"], *_REMOVED_OPTIONS]:
             with pytest.raises(SystemExit) as err:
                 main([cmd, "--config", config_v0, *option])
             assert err.value.code == 1, [cmd, *option]
+            assert capsys.readouterr().err.startswith(f"usage: lossyetc {cmd} ")
 
     def test_option_sets_pinned(self):
         (commands,) = (
@@ -410,6 +412,17 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     save_scenario(le.vehicle_preset(7), "scn.json")
     for argv in commands:
         assert main([*argv[1:], "--tmax", "5"]) == 0, argv
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """The README's Python quick start runs to the end in a fresh interpreter."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", block.split("```", 1)[0]], capture_output=True,
+        text=True, env=_module_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _openblas_threads(item=None) -> list[int]:

@@ -291,6 +291,37 @@ def test_split_batch_traces_pinned(
         assert all(lo == 0 for lo, _ in chunks)
 
 
+def _zoh45_short():
+    return dataclasses.replace(
+        le.vehicle_preset(45),
+        estimator=EstimatorKind.ZERO_ORDER_HOLD,
+        channel=ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE),
+        t_max=10.0004567,
+    )
+
+
+@pytest.mark.parametrize("make, rows, digest", [
+    (lambda: _scalar_scenario(), 45,
+     "8cc999f6b4415a5f6d85c5d4fa12b0d6e1595ad70a8e6a8eadd0340d4de02a3b"),
+    (lambda: _scalar_scenario(sample_dt=0.0109, event_tol=0.0109 / 100), 208,
+     "a1925438d2ee0c0194ff27cadf9de1a1a63d30eedc7225787efa1037b9fe417c"),
+    (lambda: _scalar_scenario(sample_dt=0.0134, event_tol=0.0134 / 100), 174,
+     "c6e2d738b52c99b859b3b8ec897353bea7ab01723026ebc906d506ab4bd4b3f6"),
+    (_zoh45_short, 10324,
+     "c6d7955473095534410f3a03bdce297517157c1023369376e8cd95871ffaf0f8"),
+], ids=["event_in_partial_step", "bisection_ends_on_grid_point",
+        "bisection_ends_one_ulp_past_grid_point", "event_in_final_partial_step"])
+def test_rare_loop_branches_pinned(make, rows, digest):
+    # Each run reaches one branch of the event loop that the vehicle pins do
+    # not: an event bracketed by a partial step (after an event, or the last
+    # step before a t_max off the grid), and a bisection whose upper end is
+    # the grid point itself or the double just past it, whose row the event
+    # rows replace.
+    tr = simulate(make())
+    assert tr.num_samples == rows
+    assert _trace_sha256(tr) == digest
+
+
 def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
     # Preset 7: the hold estimator's 936 events each threw away the rest of a
     # 256-row batch (239,085 rows for 61,873 kept); the model-based run's
