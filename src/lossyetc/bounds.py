@@ -177,49 +177,57 @@ def delta_bar(
 
 
 def compute_Delta(
-    model: NominalModel,
-    gain: Gain,
+    s_mat: np.ndarray,
     cfg: TriggerConfig,
     M: int,
-    per_interval: list[tuple[float, float, float]],
+    windows: list[list[tuple[float, float, float]]],
     gamma: float,
     kappa: float,
 ) -> DeltaBreakdown:
     """Amplification factor for the controller-side error under M-1 drops.
 
-    per_interval holds (t_j, eta_j, zeta_j) for each dropped interval.
+    s_mat is the model closed loop S; each window holds (t_j, eta_j, zeta_j)
+    for its M - 1 dropped intervals. Per window,
     Delta = 1 + sum over k of e^{alpha tilde_k} * sup ||exp(S s)|| with the
     sup taken over s in [0, tilde_k]; tilde_k is the tail sum of the interval
-    bounds, so the stale-data age after k drops never exceeds it.
+    bounds, so the stale-data age after k drops never exceeds it. Returns the
+    first window with the largest Delta.
     """
     if M <= 1:
         raise BoundsError(f"need M > 1, got {M!r}")
-    if len(per_interval) != M - 1:
+    sizes = {len(rows) for rows in windows}
+    if sizes != {M - 1}:
         raise BoundsError(
-            f"need {M - 1} per-interval constants for M={M}, got {len(per_interval)}"
+            f"need {M - 1} per-interval constants per window for M={M}, got {sorted(sizes)}"
         )
-    bars = tuple(
-        delta_bar(eta_j, zeta_j, gamma, kappa, cfg, t_j)
-        for t_j, eta_j, zeta_j in per_interval
-    )
-    tilde = tuple(float(sum(bars[k:])) for k in range(M - 1))
-    weights = [math.exp(cfg.alpha * tk) for tk in tilde]
-    s_mat = closed_loop(model, gain)
-    # The sups are sampled on dense grids; when the grid evaluation fails,
-    # the decay-envelope ceiling stands in.
-    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tk in tilde if not tk <= 0.0]
+    bars = [
+        tuple(delta_bar(eta_j, zeta_j, gamma, kappa, cfg, t_j) for t_j, eta_j, zeta_j in rows)
+        for rows in windows
+    ]
+    tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
+    # Every window's sups are sampled on dense grids from one eigen-basis of
+    # S; when the grid evaluation fails, the decay-envelope ceiling stands in.
+    grids = [
+        np.linspace(0.0, tk, _SUP_GRID_POINTS)
+        for tilde in tildes for tk in tilde if not tk <= 0.0
+    ]
     try:
         sups = iter(grid_norm_maxes(s_mat, grids))
     except NumericsError:
         sups = itertools.repeat(decay_envelope(s_mat).c)
-    total = 1.0
-    for tk, weight in zip(tilde, weights):
-        total += weight * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
-    return DeltaBreakdown(Delta=total, delta_bar=bars, delta_tilde=tilde)
+    frags = []
+    for bar, tilde in zip(bars, tildes):
+        total = 1.0
+        for tk in tilde:
+            total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
+        frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
+    return max(frags, key=lambda frag: frag.Delta)
 
 
 def verify_ec_bound(tr: Trace, Delta: float, cfg: TriggerConfig) -> BoundCheck:
     """Check every sample against Delta * beta * exp(-alpha t) + 1e-9."""
+    if tr.num_samples == 0:
+        raise ValueError("empty trace")
     bound = Delta * cfg.beta * np.exp(-cfg.alpha * tr.t)
     ok = bool(np.all(tr.e_c_norm <= bound + 1e-9))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -464,7 +472,8 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
     matrices.  Only the drop budget M is read from the scenario's channel.
     """
     m = scn.channel.M
-    env_model = decay_envelope(closed_loop(scn.model, scn.gain))
+    s_mat = closed_loop(scn.model, scn.gain)
+    env_model = decay_envelope(s_mat)
     env_true = decay_envelope(scn.plant.A + scn.plant.B @ scn.gain.K)
     if not scn.trigger.alpha < env_true.rate:
         raise BoundsError(
@@ -472,30 +481,17 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
             f"closed-loop rate {env_true.rate!r}"
         )
     gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
-    frags = [
-        compute_Delta(
-            scn.model, scn.gain, scn.trigger, m,
-            [(t_j, eta, env_model.c * x_norm) for t_j, eta, x_norm in rows],
-            gamma, env_model.rate,
-        )
+    windows = [
+        [(t_j, eta, env_model.c * x_norm) for t_j, eta, x_norm in rows]
         for rows in _dropped_intervals(tr, m, gamma)
     ]
-    best = max(frags, key=lambda frag: frag.Delta)
-
+    best = compute_Delta(s_mat, scn.trigger, m, windows, gamma, env_model.rate)
     x0_norm = float(np.linalg.norm(scn.x0))
     miet = min_inter_event_time(
         scn.plant, scn.model, scn.gain, scn.trigger, m, best.Delta, x0_norm, env_true
     )
     return BoundsReport(
-        Delta=best.Delta,
-        delta_bar=best.delta_bar,
-        delta_tilde=best.delta_tilde,
-        miet=miet.miet,
-        F_bar=miet.F_bar,
-        F_cap=miet.F_cap,
-        F_bold=miet.F_bold,
-        a_hat=miet.a_hat,
-        a_tilde=miet.a_tilde,
+        **best._asdict(), **miet._asdict(),
         envelopes={"true_loop": env_true, "model_loop": env_model},
         x0_norm=x0_norm,
     )

@@ -247,11 +247,14 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         else:
             script_raw = chan_sec.get("script")
             script = None
-            if script_raw is not None:
-                if not isinstance(script_raw, list):
-                    problems.append("channel.script: must be a list of 0/1 flags")
-                else:
-                    script = tuple(bool(v) for v in script_raw)
+            script_ok = script_raw is None or (
+                isinstance(script_raw, list)
+                and all(type(v) is int and v in (0, 1) for v in script_raw)
+            )
+            if not script_ok:
+                problems.append("channel.script: must be a list of 0/1 flags")
+            elif script_raw is not None:
+                script = tuple(bool(v) for v in script_raw)
             seed_raw = chan_sec.get("seed")
             if seed_raw is not None and (
                 not isinstance(seed_raw, int) or isinstance(seed_raw, bool)
@@ -259,13 +262,16 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 problems.append(f"channel.seed: must be an integer, got {seed_raw!r}")
                 seed_raw = None
             p_raw = chan_sec.get("p")
-            if p_raw is None or _number(p_raw, "channel.p", problems) is not None:
+            p_ok = p_raw is None or _number(p_raw, "channel.p", problems) is not None
+            if p_ok and script_ok:
                 channel = _build(
                     ChannelPolicy, problems,
                     M=m_raw, mode=mode, p=p_raw, seed=seed_raw, script=script,
                 )
 
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
+    if x0 is not None and x0.ndim != 1:
+        problems.append(f"sim.x0: must be a 1-d numeric array, got shape {x0.shape}")
     t_max = _number(sim_sec.get("t_max"), "sim.t_max", problems)
     sample_dt = _number(sim_sec.get("sample_dt"), "sim.sample_dt", problems)
     event_tol = _number(sim_sec.get("event_tol"), "sim.event_tol", problems)

@@ -5,6 +5,8 @@ reporter so the lines survive output capture in a plain pytest run.
 """
 
 import dataclasses
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -80,6 +82,16 @@ def family(qualifying_seeds):
         )
     elapsed = time.perf_counter() - t0
     return {"rows": out, "elapsed": elapsed}
+
+
+def test_family_reports_pinned(family):
+    """Every field of the 50 model-based reports, in seed order, to the last bit."""
+    digest = hashlib.sha256()
+    for row in family["rows"]:
+        digest.update(json.dumps(dataclasses.asdict(row["report"])).encode())
+    assert digest.hexdigest() == (
+        "b042eb712e4fa3460aa245f742acbc1663d5526c63d161176eebe01471b63d49"
+    )
 
 
 def test_criterion_1_worst_case_error_bound(verdict):

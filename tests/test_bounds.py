@@ -32,6 +32,7 @@ from lossyetc.bounds import (
 )
 from lossyetc import numerics
 from lossyetc.numerics import NumericsError, decay_envelope
+from lossyetc.scenarios import load_trace, save_trace
 from lossyetc.simulator import Trace, simulate, summarize
 from lossyetc.system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix
 from lossyetc.trigger_channel import TriggerConfig
@@ -206,9 +207,8 @@ class TestDeltaBar:
 class TestComputeDelta:
     def test_single_drop_stable_model(self):
         # stable model copy: the transition sup floors at 1
-        model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
-        gain = Gain(K=[[0.0]])
-        out = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        out = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, 1.0)
         bar = 0.32437208648653149
         assert out.delta_bar == pytest.approx((bar,), rel=1e-15)
         assert out.delta_tilde == pytest.approx((bar,), rel=1e-15)
@@ -216,41 +216,41 @@ class TestComputeDelta:
 
     def test_single_drop_growing_model(self):
         # growing model copy: the sup contributes e^{0.5 tilde}
-        model = NominalModel(A_hat=[[0.5]], B_hat=[[0.0]])
-        gain = Gain(K=[[0.0]])
-        out = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+        s_mat = closed_loop(NominalModel(A_hat=[[0.5]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        out = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, 1.0)
         bar = 0.32437208648653149
         assert out.Delta == pytest.approx(1.0 + math.exp(0.75 * bar), rel=1e-10)
 
     def test_tail_sums_and_growth_in_budget(self):
-        model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
-        gain = Gain(K=[[0.0]])
-        two = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
-        three = compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0)] * 2, 1.0, 1.0)
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        two = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, 1.0)
+        three = compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0)] * 2], 1.0, 1.0)
         assert three.Delta > two.Delta >= 1.0
         assert three.delta_tilde[0] == pytest.approx(sum(three.delta_bar), rel=1e-12)
         assert np.all(np.diff(three.delta_tilde) < 0.0)
 
     def test_validation(self):
-        model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
-        gain = Gain(K=[[0.0]])
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
         with pytest.raises(BoundsError, match="M > 1"):
-            compute_Delta(model, gain, CFG, 1, [], 1.0, 1.0)
+            compute_Delta(s_mat, CFG, 1, [[]], 1.0, 1.0)
         with pytest.raises(BoundsError, match="per-interval"):
-            compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+            compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0)]], 1.0, 1.0)
+        # every window is checked, not only the first, and there must be one
+        for windows in ([[(0.0, 1.0, 1.0)], []], []):
+            with pytest.raises(BoundsError, match="per-interval"):
+                compute_Delta(s_mat, CFG, 2, windows, 1.0, 1.0)
 
     def test_interval_start_shrinks_threshold(self):
-        model = NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]])
-        gain = Gain(K=[[0.0]])
-        late = compute_Delta(model, gain, CFG, 2, [(4.0, 1.0, 1.0)], 1.0, 1.0)
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        late = compute_Delta(s_mat, CFG, 2, [[(4.0, 1.0, 1.0)]], 1.0, 1.0)
         bar = delta_bar_reference(1.0, 1.0, 1.0, 1.0, CFG.beta, CFG.alpha, 4.0)
         assert late.delta_bar == pytest.approx((bar,), rel=1e-9)
-        early = compute_Delta(model, gain, CFG, 2, [(0.0, 1.0, 1.0)], 1.0, 1.0)
+        early = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, 1.0)
         assert late.Delta < early.Delta
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
         model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, 0.5]], B_hat=[[0.0], [1.0]])
-        gain = Gain(K=[[0.0, -2.0]])
+        s_mat = closed_loop(model, Gain(K=[[0.0, -2.0]]))
         calls = []
         real = numerics.eigendecompose
 
@@ -259,43 +259,81 @@ class TestComputeDelta:
             return real(matrix)
 
         monkeypatch.setattr(numerics, "eigendecompose", counting)
-        compute_Delta(model, gain, CFG, 5, [(0.0, 1.0, 2.0)] * 4, 1.0, 1.0)
+        windows = [[(0.0, 1.0, 2.0)] * 4, [(1.0, 1.0, 3.0)] * 4, [(2.0, 0.5, 2.0)] * 4]
+        compute_Delta(s_mat, CFG, 5, windows, 1.0, 1.0)
         assert len(calls) == 1
+
+    def test_windows_give_the_max_of_single_window_calls(self):
+        model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, 0.5]], B_hat=[[0.0], [1.0]])
+        s_mat = closed_loop(model, Gain(K=[[0.0, -2.0]]))
+        rng = np.random.default_rng(5)
+        windows = [
+            [(float(t), float(eta), float(eta * (1.0 + f))) for t, eta, f in rng.uniform(0.1, 3.0, (3, 3))]
+            for _ in range(6)
+        ]
+        singles = [compute_Delta(s_mat, CFG, 4, [rows], 1.0, 1.0) for rows in windows]
+        assert len({single.Delta for single in singles}) == len(windows)
+        both = compute_Delta(s_mat, CFG, 4, windows, 1.0, 1.0)
+        assert both == max(singles, key=lambda single: single.Delta)
+
+    def test_first_window_wins_a_tie(self):
+        # the threshold has underflowed at t = 1e4, so each bar is log(zeta)
+        # over 1.25: distinct, yet too small to move exp(alpha * tilde) off 1;
+        # on a stable model both windows total exactly 2
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        first = [(1e4, 1.0, 1.0 + 2.0**-52)]
+        second = [(1e4, 1.0, 1.0 + 2.0**-51)]
+        a = compute_Delta(s_mat, CFG, 2, [first, second], 1.0, 1.0)
+        b = compute_Delta(s_mat, CFG, 2, [second, first], 1.0, 1.0)
+        assert a.Delta == b.Delta == 2.0
+        assert 0.0 < a.delta_bar[0] < b.delta_bar[0]
+        assert a == compute_Delta(s_mat, CFG, 2, [first], 1.0, 1.0)
+        assert b == compute_Delta(s_mat, CFG, 2, [second], 1.0, 1.0)
 
     def test_sup_falls_back_to_envelope_ceiling(self, monkeypatch):
         # the second interval starts where the threshold has underflowed, so
         # its tail sum is 0 and its sup is 1 without a grid
         model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, -1.0]], B_hat=[[0.0], [0.0]])
-        gain = Gain(K=[[0.0, 0.0]])
+        s_mat = closed_loop(model, Gain(K=[[0.0, 0.0]]))
 
         def fail(*_args):
             raise NumericsError("synthetic grid failure")
 
         monkeypatch.setattr("lossyetc.bounds.grid_norm_maxes", fail)
-        out = compute_Delta(model, gain, CFG, 3, [(0.0, 1.0, 1.0), (1e4, 1.0, 1.0)], 1.0, 1.0)
+        out = compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0), (1e4, 1.0, 1.0)]], 1.0, 1.0)
         assert out.delta_tilde[1] == 0.0
         ceiling = max(1.0, decay_envelope(model.A_hat).c)
         assert out.Delta == 1.0 + math.exp(CFG.alpha * out.delta_tilde[0]) * ceiling + 1.0
 
 
+def _quiet_trace(k):
+    """k samples of a one-state run without error or events."""
+    return Trace(
+        t=np.linspace(0.0, 3.0, k),
+        x=np.ones((k, 1)),
+        x_s=np.ones((k, 1)),
+        x_c=np.ones((k, 1)),
+        e_s_norm=np.zeros(k),
+        e_c_norm=np.zeros(k),
+        threshold=np.full(k, 0.5),
+        triggered=np.zeros(k, dtype=bool),
+        delivered=np.zeros(k, dtype=bool),
+        triggers=np.array([]),
+        deliveries=np.array([]),
+    )
+
+
 class TestVerifyEcBound:
     def test_zero_error_trace(self):
-        k = 4
-        tr = Trace(
-            t=np.linspace(0.0, 3.0, k),
-            x=np.ones((k, 1)),
-            x_s=np.ones((k, 1)),
-            x_c=np.ones((k, 1)),
-            e_s_norm=np.zeros(k),
-            e_c_norm=np.zeros(k),
-            threshold=np.full(k, 0.5),
-            triggered=np.zeros(k, dtype=bool),
-            delivered=np.zeros(k, dtype=bool),
-            triggers=np.array([]),
-            deliveries=np.array([]),
-        )
-        check = verify_ec_bound(tr, 1.0, CFG)
+        check = verify_ec_bound(_quiet_trace(4), 1.0, CFG)
         assert check == BoundCheck(ok=True, max_ratio=0.0)
+
+    def test_empty_trace_rejected(self, tmp_path):
+        # a header-only trace CSV loads as a trace without samples
+        path = tmp_path / "empty.trace.csv"
+        save_trace(_quiet_trace(0), str(path))
+        with pytest.raises(ValueError, match="^empty trace$"):
+            verify_ec_bound(load_trace(str(path)), 1.0, CFG)
 
     def test_certified_trace_passes(self, trace7, report7, vehicle7):
         check = verify_ec_bound(trace7, report7.Delta, vehicle7.trigger)
@@ -513,6 +551,29 @@ class TestReports:
         monkeypatch.setattr(np.linalg, "svd", counting)
         analyze_scenario(vehicle7, trace7)
         assert sum(taken) <= 2000
+
+    def test_analysis_builds_spectral_data_once(self, vehicle7, trace7, monkeypatch):
+        # One eigendecomposition each for the two decay envelopes, the growth
+        # rate and the sups of all 16 windows; S is built here and once more
+        # for the inter-event time.
+        gamma = _growth_rate(gamma_matrix(vehicle7.plant, vehicle7.model, vehicle7.gain))
+        assert len(_dropped_intervals(trace7, vehicle7.channel.M, gamma)) == 16
+        eig, builds = [], []
+        real_eig, real_build = numerics.eigendecompose, closed_loop
+
+        def counting_eig(matrix):
+            eig.append(matrix)
+            return real_eig(matrix)
+
+        def counting_build(*args):
+            builds.append(args)
+            return real_build(*args)
+
+        monkeypatch.setattr(numerics, "eigendecompose", counting_eig)
+        monkeypatch.setattr("lossyetc.bounds.eigendecompose", counting_eig)
+        monkeypatch.setattr("lossyetc.bounds.closed_loop", counting_build)
+        analyze_scenario(vehicle7, trace7)
+        assert (len(eig), len(builds)) == (4, 2)
 
     def test_report_invariants(self, report7, vehicle7):
         assert report7.Delta >= 1.0

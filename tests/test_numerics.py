@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lossyetc import numerics
 from lossyetc.numerics import (
     DecayEnvelope,
+    EigendecompositionError,
     NumericsError,
     _eigen_basis,
     bisect_root,
@@ -14,7 +16,6 @@ from lossyetc.numerics import (
     exp_norms_on_grid,
     grid_norm_maxes,
     mat_exp,
-    spectral_abscissa,
 )
 from oracles import charpoly_eigenvalues, taylor_expm
 
@@ -94,12 +95,6 @@ def test_eigendecompose_counts_growing_modes():
     eig = eigendecompose(a)
     # strictly growing: 1.0 and 1e-3; 1e-9 sits inside the marginal band
     assert eig.num_growing == 2
-
-
-def test_spectral_abscissa():
-    assert spectral_abscissa(np.diag([-2.0, -0.3])) == pytest.approx(-0.3)
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert spectral_abscissa(a) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exp_norms_on_grid_matches_direct_exponentials():
@@ -209,7 +204,7 @@ def test_decay_envelope_holds_on_fresh_grid():
     rng = np.random.default_rng(9)
     for _ in range(10):
         a = rng.normal(size=(3, 3))
-        a = a - (spectral_abscissa(a) + 0.5) * np.eye(3)
+        a = a - (eigendecompose(a).eigenvalues.real.max() + 0.5) * np.eye(3)
         env = decay_envelope(a)
         assert env.c >= 1.0 and env.rate > 0.0
         ts = np.sort(np.random.default_rng(2).uniform(0.0, 30.0, 200))
@@ -218,8 +213,48 @@ def test_decay_envelope_holds_on_fresh_grid():
 
 
 def test_decay_envelope_rejects_non_hurwitz():
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="not Hurwitz"):
         decay_envelope(np.diag([0.1, -1.0]))
+    # a marginal spectrum (abscissa exactly 0) is rejected as well
+    with pytest.raises(NumericsError, match="not Hurwitz"):
+        decay_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_decay_envelope_rate_backs_off_the_spectral_abscissa():
+    env = decay_envelope(np.diag([-2.0, -0.3]))
+    assert env.rate == 0.99 * 0.3
+    assert env.c == pytest.approx(1.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, calls, rate", [
+    (np.array([[-2.0, 3.0], [0.0, -0.5]]), 1, 0.99 * 0.5),
+    # a Jordan block has no usable eigen-basis: the abscissa comes from a
+    # second eigendecomposition and the norms from expm
+    (np.array([[-1.0, 1.0], [0.0, -1.0]]), 2, 0.99),
+], ids=["diagonalizable", "jordan_block"])
+def test_decay_envelope_eigendecomposes_once(a, calls, rate, monkeypatch):
+    seen = []
+    real = numerics.eigendecompose
+
+    def counting(matrix):
+        seen.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(numerics, "eigendecompose", counting)
+    env = decay_envelope(a)
+    assert len(seen) == calls
+    assert env.rate == pytest.approx(rate, rel=1e-6)
+    for t in np.linspace(0.0, 40.0, 101):
+        assert np.linalg.norm(taylor_expm(a, t), 2) <= env.c * np.exp(-env.rate * t) + 1e-9
+
+
+def test_decay_envelope_raises_eigensolver_failure(monkeypatch):
+    def fail(matrix):
+        raise EigendecompositionError("synthetic failure")
+
+    monkeypatch.setattr(numerics, "eigendecompose", fail)
+    with pytest.raises(EigendecompositionError, match="synthetic"):
+        decay_envelope(np.diag([-2.0, -0.3]))
 
 
 def test_decay_envelope_is_value_type():

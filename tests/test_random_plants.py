@@ -20,7 +20,7 @@ from lossyetc.bounds import (
     verify_ec_bound,
     worst_case_trace,
 )
-from lossyetc.numerics import NumericsError, spectral_abscissa
+from lossyetc.numerics import NumericsError, eigendecompose
 from lossyetc.simulator import Scenario, simulate, summarize
 from lossyetc.system_model import EstimatorKind, Gain, NominalModel, Plant
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
@@ -45,8 +45,8 @@ def _scenario(n, m, M, estimator, seed):
     k = -b_hat.T @ p
     a = a_hat + PERTURBATION * rng.normal(size=(n, n)) / np.sqrt(n)
     b = b_hat + PERTURBATION * rng.normal(size=(n, m)) / np.sqrt(n)
-    loop_rate = -spectral_abscissa(a + b @ k)
-    if not (spectral_abscissa(a) > 0.0 and loop_rate > 0.0):
+    loop_rate = -eigendecompose(a + b @ k).eigenvalues.real.max()
+    if not (eigendecompose(a).eigenvalues.real.max() > 0.0 and loop_rate > 0.0):
         return None
     return Scenario(
         plant=Plant(A=a, B=b),

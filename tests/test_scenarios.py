@@ -211,6 +211,38 @@ class TestScenarioErrors:
             "channel.p: must be a number, got 'often'",
         ]
 
+    @pytest.mark.parametrize("script", [
+        ["0", "0", 2, None, 0.5],
+        [1, 0, True],
+        [1, 0, 1.0],
+        [1, 0, -1],
+    ])
+    def test_script_entries_must_be_flags(self, vehicle0, tmp_path, script):
+        doc = self._doc(vehicle0)
+        doc["channel"] = {"M": 5, "mode": "scripted", "script": script}
+        path = tmp_path / "bad.json"
+        text = json.dumps(doc, indent=2) + "\n"
+        path.write_text(text)
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(str(path))
+        line = 1 + text[: text.find('"script"', text.find('"channel"'))].count("\n")
+        assert err.value.problems == [
+            f"line {line}: channel.script: must be a list of 0/1 flags"
+        ]
+
+    def test_x0_must_be_a_vector(self, vehicle0, tmp_path):
+        doc = self._doc(vehicle0)
+        doc["sim"]["x0"] = [[0.0, 0.0], [0.2, 1.0]]
+        path = tmp_path / "bad.json"
+        text = json.dumps(doc, indent=2) + "\n"
+        path.write_text(text)
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(str(path))
+        line = 1 + text[: text.find('"x0"', text.find('"sim"'))].count("\n")
+        assert err.value.problems == [
+            f"line {line}: sim.x0: must be a 1-d numeric array, got shape (2, 2)"
+        ]
+
     def test_missing_section(self, vehicle0):
         doc = self._doc(vehicle0)
         del doc["trigger"]
