@@ -176,32 +176,40 @@ def delta_bar(
     return math.log(numer / eta_j) / denom
 
 
+def _check_windows(M: int, windows: list[list[tuple[float, float, float]]]) -> None:
+    """At least one window, each with the M - 1 rows of a drop budget M > 1."""
+    if M <= 1:
+        raise BoundsError(f"need M > 1, got {M!r}")
+    sizes = {len(rows) for rows in windows}
+    if sizes != {M - 1}:
+        raise BoundsError(
+            f"need {M - 1} per-interval rows per window for M={M}, got {sorted(sizes)}"
+        )
+
+
 def compute_Delta(
     s_mat: np.ndarray,
     cfg: TriggerConfig,
     M: int,
     windows: list[list[tuple[float, float, float]]],
     gamma: float,
-    kappa: float,
+    env_model: DecayEnvelope,
 ) -> DeltaBreakdown:
     """Amplification factor for the controller-side error under M-1 drops.
 
-    s_mat is the model closed loop S; each window holds (t_j, eta_j, zeta_j)
-    for its M - 1 dropped intervals. Per window,
+    s_mat is the model closed loop S and env_model its decay envelope; each
+    window holds (t_j, eta_j, X_j) for its M - 1 dropped intervals, as
+    _dropped_intervals returns them. Interval j's bound takes
+    zeta_j = c X_j and kappa = rate from env_model. Per window,
     Delta = 1 + sum over k of e^{alpha tilde_k} * sup ||exp(S s)|| with the
     sup taken over s in [0, tilde_k]; tilde_k is the tail sum of the interval
     bounds, so the stale-data age after k drops never exceeds it. Returns the
     first window with the largest Delta.
     """
-    if M <= 1:
-        raise BoundsError(f"need M > 1, got {M!r}")
-    sizes = {len(rows) for rows in windows}
-    if sizes != {M - 1}:
-        raise BoundsError(
-            f"need {M - 1} per-interval constants per window for M={M}, got {sorted(sizes)}"
-        )
+    _check_windows(M, windows)
+    c, kappa = env_model.c, env_model.rate
     bars = [
-        tuple(delta_bar(eta_j, zeta_j, gamma, kappa, cfg, t_j) for t_j, eta_j, zeta_j in rows)
+        tuple(delta_bar(eta_j, c * x_norm, gamma, kappa, cfg, t_j) for t_j, eta_j, x_norm in rows)
         for rows in windows
     ]
     tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
@@ -214,7 +222,7 @@ def compute_Delta(
     try:
         sups = iter(grid_norm_maxes(s_mat, grids))
     except NumericsError:
-        sups = itertools.repeat(decay_envelope(s_mat).c)
+        sups = itertools.repeat(c)
     frags = []
     for bar, tilde in zip(bars, tildes):
         total = 1.0
@@ -236,29 +244,26 @@ def verify_ec_bound(tr: Trace, Delta: float, cfg: TriggerConfig) -> BoundCheck:
 
 
 def min_inter_event_time(
+    s_mat: np.ndarray,
     plant: Plant,
     model: NominalModel,
     gain: Gain,
     cfg: TriggerConfig,
-    M: int,
     Delta: float,
     x0_norm: float,
     env_true: DecayEnvelope,
 ) -> MietBreakdown:
     """Strictly positive lower bound on the spacing of trigger events.
 
-    env_true is the decay envelope of the true loop A + BK.  Evaluated at
-    the initial instant, where the driving terms are largest, so the bound
-    is uniform in time; a negative F_bar is clamped to zero, which only
-    shrinks the result.
+    s_mat is the model closed loop S and env_true the decay envelope of the
+    true loop A + BK.  Evaluated at the initial instant, where the driving
+    terms are largest, so the bound is uniform in time; a negative F_bar is
+    clamped to zero, which only shrinks the result.
     """
-    if M <= 1:
-        raise BoundsError(f"need M > 1, got {M!r}")
     if not (Delta >= 1.0 and math.isfinite(Delta)):
         raise BoundsError(f"Delta must be >= 1 and finite, got {Delta!r}")
     if not (x0_norm >= 0.0 and math.isfinite(x0_norm)):
         raise BoundsError(f"x0_norm must be nonnegative, got {x0_norm!r}")
-    s_mat = closed_loop(model, gain)
     c, abar = env_true.c, env_true.rate
     if not cfg.alpha < abar:
         raise BoundsError(
@@ -286,50 +291,47 @@ def min_inter_event_time(
 def compute_delta_zoh(
     cfg: TriggerConfig,
     M: int,
-    state_norms: list[tuple[float, float]],
-    growth: GrowthEnvelope,
+    windows: list[list[tuple[float, float, float]]],
+    gamma: float,
 ) -> ZohBoundsReport:
     """Amplification factor for the hold-type estimator.
 
-    state_norms holds (t_j, X_j) for each dropped interval.  Each interval
-    bound solves eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with the
-    threshold beta_j = beta e^{-alpha t_j} at the interval's start, by
-    bisection; the left side starts below the right and grows without
-    bound, so [0, ln((X_j + beta_j)/eta)/gamma + 1] always brackets the
-    crossing.
+    Each window holds (t_j, eta_j, X_j) for its M - 1 dropped intervals, as
+    _dropped_intervals returns them; the window's growth envelope takes
+    eta = min over its rows of min(eta_j, X_j).  Each interval bound solves
+    eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with the threshold
+    beta_j = beta e^{-alpha t_j} at the interval's start, by bisection; the
+    left side starts below the right and grows without bound, so
+    [0, ln((X_j + beta_j)/eta)/gamma + 1] always brackets the crossing.
+    Returns the first window with the largest Delta_zoh.
     """
-    if M < 1:
-        raise BoundsError(f"need M >= 1, got {M!r}")
-    rows = tuple((float(t_j), float(x_norm)) for t_j, x_norm in state_norms)
-    if len(rows) != M - 1:
-        raise BoundsError(f"need {M - 1} state norms for M={M}, got {len(rows)}")
-    eta, gamma, alpha = growth.eta, growth.gamma, cfg.alpha
-    for j, (_, x_norm) in enumerate(rows):
-        if eta > x_norm:
-            raise BoundsError(
-                f"envelope gain {eta!r} exceeds state norm {x_norm!r} at interval {j}"
-            )
-    bars = []
-    for t_j, x_norm in rows:
-        beta_j = cfg.beta * math.exp(-alpha * t_j)
-        t_cap = math.log((x_norm + beta_j) / eta) / gamma + 1.0
+    _check_windows(M, windows)
+    alpha = cfg.alpha
+    reports = []
+    for rows in windows:
+        growth = GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in rows), gamma=gamma)
+        eta = growth.eta
+        bars = []
+        for t_j, _, x_norm in rows:
+            beta_j = cfg.beta * math.exp(-alpha * t_j)
+            t_cap = math.log((x_norm + beta_j) / eta) / gamma + 1.0
 
-        def crossing(d: float, x_norm=x_norm, beta_j=beta_j) -> float:
-            return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
+            def crossing(d: float, eta=eta, x_norm=x_norm, beta_j=beta_j) -> float:
+                return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
 
-        if not crossing(t_cap) > 0.0:
-            raise BoundsError(f"crossing bracket failed at cap {t_cap!r}")
-        bars.append(bisect_root(crossing, 0.0, t_cap, tol=1e-12))
-    bars = tuple(bars)
-    # Tail sums for k = 1..M; the last is empty, so its term contributes 1.
-    tilde = [float(sum(bars[k:])) for k in range(M - 1)] + [0.0]
-    delta_zoh = float(sum(math.exp(alpha * tk) for tk in tilde))
-    return ZohBoundsReport(
-        Delta_zoh=delta_zoh,
-        delta_bar_zoh=bars,
-        growth=growth,
-        state_norms=rows,
-    )
+            if not crossing(t_cap) > 0.0:
+                raise BoundsError(f"crossing bracket failed at cap {t_cap!r}")
+            bars.append(bisect_root(crossing, 0.0, t_cap, tol=1e-12))
+        bars = tuple(bars)
+        # Tail sums for k = 1..M; the last is empty, so its term contributes 1.
+        tilde = [float(sum(bars[k:])) for k in range(M - 1)] + [0.0]
+        reports.append(ZohBoundsReport(
+            Delta_zoh=float(sum(math.exp(alpha * tk) for tk in tilde)),
+            delta_bar_zoh=bars,
+            growth=growth,
+            state_norms=tuple((t_j, x_norm) for t_j, _, x_norm in rows),
+        ))
+    return max(reports, key=lambda rep: rep.Delta_zoh)
 
 
 def stable_subspace_residual(
@@ -454,6 +456,13 @@ def _dropped_intervals(
     ]
 
 
+def _drop_budget(scn: Scenario, tr: Trace) -> int:
+    """The scenario's drop budget M, once the trace is known to be of its state."""
+    if tr.x.shape[1] != scn.n:
+        raise BoundsError(f"trace has {tr.x.shape[1]} states, the scenario {scn.n}")
+    return scn.channel.M
+
+
 def _growth_rate(gamma_mat: np.ndarray) -> float:
     """0.99 times the slowest growing mode of an (x, x_c) generator."""
     eig = eigendecompose(gamma_mat)
@@ -471,7 +480,7 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
     and assembles the inter-event and stability constants from the scenario
     matrices.  Only the drop budget M is read from the scenario's channel.
     """
-    m = scn.channel.M
+    m = _drop_budget(scn, tr)
     s_mat = closed_loop(scn.model, scn.gain)
     env_model = decay_envelope(s_mat)
     env_true = decay_envelope(scn.plant.A + scn.plant.B @ scn.gain.K)
@@ -481,14 +490,11 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
             f"closed-loop rate {env_true.rate!r}"
         )
     gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
-    windows = [
-        [(t_j, eta, env_model.c * x_norm) for t_j, eta, x_norm in rows]
-        for rows in _dropped_intervals(tr, m, gamma)
-    ]
-    best = compute_Delta(s_mat, scn.trigger, m, windows, gamma, env_model.rate)
+    windows = _dropped_intervals(tr, m, gamma)
+    best = compute_Delta(s_mat, scn.trigger, m, windows, gamma, env_model)
     x0_norm = float(np.linalg.norm(scn.x0))
     miet = min_inter_event_time(
-        scn.plant, scn.model, scn.gain, scn.trigger, m, best.Delta, x0_norm, env_true
+        s_mat, scn.plant, scn.model, scn.gain, scn.trigger, best.Delta, x0_norm, env_true
     )
     return BoundsReport(
         **best._asdict(), **miet._asdict(),
@@ -499,13 +505,6 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
 
 def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
     """Hold-type certificate for one scenario, grounded like analyze_scenario."""
-    m = scn.channel.M
+    m = _drop_budget(scn, tr)
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
-    reports = [
-        compute_delta_zoh(
-            scn.trigger, m, [(t_j, x_norm) for t_j, _, x_norm in rows],
-            GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in rows), gamma=gamma),
-        )
-        for rows in _dropped_intervals(tr, m, gamma)
-    ]
-    return max(reports, key=lambda rep: rep.Delta_zoh)
+    return compute_delta_zoh(scn.trigger, m, _dropped_intervals(tr, m, gamma), gamma)

@@ -171,6 +171,7 @@ _FIELD_KEYS = {
     "M": "channel.M",
     "p": "channel.p",
     "script": "channel.script",
+    "seed": "channel.seed",
     "model": "model",
     "gain": "gain.K",
     "estimator": "estimator",
@@ -255,18 +256,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 problems.append("channel.script: must be a list of 0/1 flags")
             elif script_raw is not None:
                 script = tuple(bool(v) for v in script_raw)
-            seed_raw = chan_sec.get("seed")
-            if seed_raw is not None and (
-                not isinstance(seed_raw, int) or isinstance(seed_raw, bool)
-            ):
-                problems.append(f"channel.seed: must be an integer, got {seed_raw!r}")
-                seed_raw = None
             p_raw = chan_sec.get("p")
             p_ok = p_raw is None or _number(p_raw, "channel.p", problems) is not None
             if p_ok and script_ok:
                 channel = _build(
                     ChannelPolicy, problems,
-                    M=m_raw, mode=mode, p=p_raw, seed=seed_raw, script=script,
+                    M=m_raw, mode=mode, p=p_raw, seed=chan_sec.get("seed"), script=script,
                 )
 
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)

@@ -56,6 +56,11 @@ class TriggerConfig:
             )
 
 
+def _check_seed(seed: Any) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ChannelError("seed", f"seed must be a non-negative integer, got {seed!r}")
+
+
 def threshold_value(t: float, cfg: TriggerConfig) -> float:
     """beta * exp(-alpha * t).  Accepts scalar or ndarray t (vectorized)."""
     return cfg.beta * np.exp(-cfg.alpha * t)
@@ -98,6 +103,8 @@ class ChannelPolicy:
                 raise ChannelError("p", f"bernoulli mode needs p in [0, 1], got {self.p!r}")
         elif self.p is not None:
             raise ChannelError("p", f"p is only valid for bernoulli mode, got {self.p!r}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         if self.mode is ChannelMode.SCRIPTED:
             if self.script is None:
                 raise ChannelError("script", "scripted mode needs a script")
@@ -146,6 +153,7 @@ def random_drop_script(
         raise ChannelError("drop_prob", f"drop_prob must lie in [0, 1], got {drop_prob!r}")
     if length < 1:
         raise ChannelError("length", f"length must be positive, got {length!r}")
+    _check_seed(seed)
     # One block draw yields the same Philox doubles as `length` scalar draws.
     uniforms = np.random.Generator(np.random.Philox(seed)).random(length).tolist()
     p = float(drop_prob)

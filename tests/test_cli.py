@@ -136,6 +136,16 @@ class TestSimulate:
         ]) == 0
         assert a.read_bytes() == again.read_bytes()
 
+    def test_negative_seed_is_a_channel_error(self, config_bern, tmp_path, capsys):
+        code = main([
+            "simulate", "--config", config_bern, "--out", str(tmp_path / "s.trace.csv"),
+            "--seed", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "lossyetc simulate: seed must be a non-negative integer, got -1\n"
+        )
+
 
     @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
     def test_killed_formatting_worker_exits_three(
@@ -461,6 +471,17 @@ class TestSweep:
             assert main([argv[0], "--config", config_p7, "--out", str(out), *argv[1:]]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
             assert capsys.readouterr().out == line.format(out=out)
+
+    def test_negative_seed_is_a_channel_error(self, config_seed1, tmp_path, capsys):
+        # the first drop script's seed is 7919 times --seed
+        code = main([
+            "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
+            "--values", "0.5", "--seed", "-1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "lossyetc sweep: seed must be a non-negative integer, got -7919\n"
+        )
 
     def test_paired_runs(self, config_seed1, tmp_path, capsys):
         out = tmp_path / "table.sweep.csv"

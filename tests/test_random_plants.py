@@ -9,6 +9,7 @@ Draws whose certificate preconditions fail are rejected, not counted.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
@@ -109,3 +110,25 @@ def test_certificates_hold_on_random_plants(n, m, M, estimator, seed, p):
         gap = summarize(tr, scn.trigger).min_inter_event
         if miet is not None and gap is not None:
             assert gap >= miet
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: Delta_zoh takes eta from the worst-case trace; a "
+    "dropped interval of the Bernoulli trace grows from a smaller eta and "
+    "outlasts its bar",
+)
+@pytest.mark.parametrize("n, m, M, seed, p", [
+    (3, 1, 2, 559551, 0.3),  # max ratio 1.0049
+    (2, 1, 2, 1592285228, 0.3),  # max ratio 1.0032
+])
+def test_known_zoh_certificate_gaps(n, m, M, seed, p):
+    scn = _scenario(n, m, M, EstimatorKind.ZERO_ORDER_HOLD, seed)
+    bound = analyze_scenario_zoh(scn, worst_case_trace(scn)).Delta_zoh
+    bernoulli = simulate(
+        dataclasses.replace(
+            scn, channel=ChannelPolicy(M=M, mode=ChannelMode.BERNOULLI, p=p, seed=seed)
+        )
+    )
+    assert verify_ec_bound(bernoulli, bound, scn.trigger).ok

@@ -264,6 +264,16 @@ class TestScenarioErrors:
         with pytest.raises(ScenarioFormatError, match="channel.M"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("seed", [-3, "7", True])
+    def test_bad_seed_named(self, vehicle0, seed):
+        doc = self._doc(vehicle0)
+        doc["channel"] = {"M": 5, "mode": "bernoulli", "p": 0.5, "seed": seed}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [
+            f"channel.seed: seed must be a non-negative integer, got {seed!r}"
+        ]
+
     def test_bernoulli_without_p(self, vehicle0):
         doc = self._doc(vehicle0)
         doc["channel"] = {"M": 5, "mode": "bernoulli"}

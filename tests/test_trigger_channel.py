@@ -70,6 +70,17 @@ def test_policy_validation():
     ChannelPolicy(M=3, mode=ChannelMode.SCRIPTED, script=(True, True, False))
 
 
+@pytest.mark.parametrize("seed", [-1, "7", 2.0, True])
+def test_seed_must_be_a_non_negative_int(seed):
+    for make in (
+        lambda: ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.5, seed=seed),
+        lambda: random_drop_script(5, 0.5, 10, seed=seed),
+    ):
+        with pytest.raises(ChannelError, match="seed must be a non-negative integer") as err:
+            make()
+        assert err.value.field == "seed"
+
+
 def test_worst_case_period():
     policy = ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE)
     outcomes, _ = _drain(policy, 15)
