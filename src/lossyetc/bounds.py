@@ -143,13 +143,6 @@ class SubspaceReport:
     basis_dim: int
 
 
-def _span_distance(basis: np.ndarray, v: np.ndarray) -> float:
-    if basis.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    sol, *_ = np.linalg.lstsq(basis, v.astype(complex), rcond=None)
-    return float(np.linalg.norm(v - basis @ sol))
-
-
 def delta_bar(
     eta_j: float,
     zeta_j: float,
@@ -339,42 +332,28 @@ def stable_subspace_residual(
 ) -> SubspaceReport:
     """Distance of the doubled initial condition from the non-growing span.
 
-    The span is assembled from the plant's non-growing eigenvectors padded
-    with zeros and, for each closed-loop model eigenvalue, the resolvent
-    image of the coupling applied to its eigenvector stacked over the
-    eigenvector itself.  A residual above tolerance certifies that the
-    matched flow excites a growing mode.
+    The non-growing invariant subspace of the (x, x_c) flow is the orthogonal
+    complement of the growing left eigenvectors U of gamma_matrix, so the
+    distance of [x0; x0] from it is the norm of its projection onto span(U).
+    A residual above tolerance certifies that the matched flow excites a
+    growing mode.  A defective growing mode has no left eigenbasis; it is
+    rejected when lstsq finds U rank-deficient.
     """
     n = plant.n
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != n:
         raise BoundsError(f"x0 has size {x0.size}, expected {n}")
-    eig_a = eigendecompose(plant.A)
-    n_u = eig_a.num_growing
+    eig = eigendecompose(gamma_matrix(plant, model, gain).T)
+    u = eig.eigenvectors[:, eig.eigenvalues.real > MARGINAL_RE_TOL].conj()
+    n_u = u.shape[1]
     if n_u < 1:
-        raise BoundsError("plant has no growing mode; the membership test is vacuous")
-    keep = eig_a.eigenvalues.real <= MARGINAL_RE_TOL
-    plant_cols = np.vstack(
-        [eig_a.eigenvectors[:, keep], np.zeros((n, int(np.sum(keep))))]
-    )
-    s_mat = closed_loop(model, gain)
-    eig_s = eigendecompose(s_mat)
-    bk = plant.B @ gain.K
-    scale = max(1.0, float(np.linalg.norm(plant.A, 2)))
-    cols = []
-    for lam, chi in zip(eig_s.eigenvalues, eig_s.eigenvectors.T):
-        gap = float(np.min(np.abs(eig_a.eigenvalues - lam)))
-        if gap <= 1e-9 * scale:
-            raise BoundsError(
-                f"model eigenvalue {lam!r} collides with the plant spectrum; "
-                "resolvent is singular"
-            )
-        mu = np.linalg.solve(lam * np.eye(n) - plant.A.astype(complex), bk @ chi)
-        cols.append(np.concatenate([mu, chi]))
-    basis = np.hstack([plant_cols.astype(complex), np.column_stack(cols)])
-    v = np.concatenate([x0, x0])
-    residual = _span_distance(basis, v)
-    return SubspaceReport(residual=residual, basis_dim=2 * n - n_u)
+        raise BoundsError("augmented flow has no growing mode; the membership test is vacuous")
+    coef, _, rank, _ = np.linalg.lstsq(u, np.concatenate([x0, x0]), rcond=None)
+    if rank < n_u:
+        raise BoundsError(
+            f"growing left eigenvectors have rank {rank} < {n_u}; a mode is defective"
+        )
+    return SubspaceReport(residual=float(np.linalg.norm(u @ coef)), basis_dim=2 * n - n_u)
 
 
 def stability_envelope_bound(scn: Scenario, report: BoundsReport) -> float:

@@ -52,11 +52,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def num_growing(self) -> int:
-        """Count of eigenvalues with real part above the marginal band."""
-        return int(np.sum(self.eigenvalues.real > MARGINAL_RE_TOL))
-
 
 @dataclass(frozen=True)
 class DecayEnvelope:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -46,6 +47,8 @@ class TriggerConfig:
     alpha: float
 
     def __post_init__(self):
+        _check_real("beta", self.beta)
+        _check_real("alpha", self.alpha)
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ChannelError(
                 "beta", f"beta must be positive and finite, got {self.beta!r}"
@@ -54,6 +57,11 @@ class TriggerConfig:
             raise ChannelError(
                 "alpha", f"alpha must be positive and finite, got {self.alpha!r}"
             )
+
+
+def _check_real(field: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ChannelError(field, f"{field} must be a real number, got {value!r}")
 
 
 def _check_seed(seed: Any) -> None:
@@ -98,7 +106,11 @@ class ChannelPolicy:
     def __post_init__(self):
         if not isinstance(self.M, int) or self.M < 2:
             raise ChannelError("M", f"M must be an integer > 1, got {self.M!r}")
+        if not isinstance(self.mode, ChannelMode):
+            raise ChannelError("mode", f"mode must be a ChannelMode, got {self.mode!r}")
         if self.mode is ChannelMode.BERNOULLI:
+            if self.p is not None:
+                _check_real("p", self.p)
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ChannelError("p", f"bernoulli mode needs p in [0, 1], got {self.p!r}")
         elif self.p is not None:
@@ -108,6 +120,10 @@ class ChannelPolicy:
         if self.mode is ChannelMode.SCRIPTED:
             if self.script is None:
                 raise ChannelError("script", "scripted mode needs a script")
+            if not all(isinstance(v, int) and v in (0, 1) for v in self.script):
+                raise ChannelError(
+                    "script", f"script entries must be bools or 0/1, got {self.script!r}"
+                )
             script = tuple(bool(v) for v in self.script)
             object.__setattr__(self, "script", script)
             run = 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import schur
 
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import (
@@ -148,6 +149,22 @@ def modal_growth_coefficient(gamma_mat: np.ndarray, x0: np.ndarray) -> float:
     n = x0.size
     mode = coeff[k] * vecs[:n, k]
     return float(np.linalg.norm(mode))
+
+
+def nongrowing_subspace_distance(
+    gamma_mat: np.ndarray, x0: np.ndarray, marginal: float = 1e-6
+) -> tuple[float, int]:
+    """Distance of [x0; x0] from the non-growing invariant subspace, and its dim.
+
+    An ordered real Schur form puts the eigenvalues with real part at most
+    `marginal` first; its leading Schur vectors are an orthonormal basis of
+    that subspace, defective eigenvalues included.
+    """
+    _, z, dim = schur(np.asarray(gamma_mat, dtype=float), output="real",
+                      sort=lambda re, im: re <= marginal)
+    v = np.concatenate([x0, x0]).astype(float)
+    lead = z[:, :dim]
+    return float(np.linalg.norm(v - lead @ (lead.T @ v))), int(dim)
 
 
 @dataclass

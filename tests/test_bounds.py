@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_are
 
 import lossyetc as le
 from lossyetc.bounds import (
@@ -513,9 +514,10 @@ class TestSubspaceResidual:
         assert rep.basis_dim == 7  # 2n minus the one growing plant mode
 
     def test_perturbed_draw_frozen(self):
+        # From tests/oracles.py: nongrowing_subspace_distance of gamma_matrix.
         scn = le.vehicle_preset(1)
         rep = stable_subspace_residual(scn.plant, scn.model, scn.gain, scn.x0)
-        assert rep.residual == pytest.approx(0.046321854968593312, rel=1e-9)
+        assert rep.residual == pytest.approx(0.04494524156513683, rel=1e-9)
         assert rep.residual > 1e-6
         assert rep.basis_dim == 7
 
@@ -538,17 +540,34 @@ class TestSubspaceResidual:
     def test_constructed_exact_models_are_members(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            # every plant mode growing, so the span is purely model-generated
+            # every plant mode growing; the matched flow runs under the
+            # stabilizing S, so all n growing modes of the flow come from A
             v = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
             a = v @ np.diag([0.5, 1.5, 2.5]) @ np.linalg.inv(v)
             b = rng.normal(size=(3, 2))
-            k = 0.3 * rng.normal(size=(2, 3))
+            k = -b.T @ solve_continuous_are(a, b, np.eye(3), np.eye(2))
             plant = Plant(A=a, B=b)
             model = NominalModel(A_hat=a.copy(), B_hat=b.copy())
             x0 = rng.normal(size=3)
             rep = stable_subspace_residual(plant, model, Gain(K=k), x0)
             assert rep.residual <= 1e-9
-            assert rep.basis_dim == 3  # 2n - n with all n modes growing
+            assert rep.basis_dim == 3
+
+    def test_unstable_model_loop_leaves_no_span(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            # a small gain keeps every mode of S growing, so the whole flow grows
+            v = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+            a = v @ np.diag([0.5, 1.5, 2.5]) @ np.linalg.inv(v)
+            b = rng.normal(size=(3, 2))
+            k = 0.3 * rng.normal(size=(2, 3))
+            assert np.all(np.linalg.eigvals(a + b @ k).real > 1e-6)
+            x0 = rng.normal(size=3)
+            rep = stable_subspace_residual(
+                Plant(A=a, B=b), NominalModel(A_hat=a, B_hat=b), Gain(K=k), x0
+            )
+            assert rep.residual == pytest.approx(math.sqrt(2.0) * np.linalg.norm(x0), rel=1e-12)
+            assert rep.basis_dim == 0
 
     def test_no_growing_mode_is_vacuous(self):
         plant = Plant(A=-np.eye(2), B=np.ones((2, 1)))
@@ -556,12 +575,29 @@ class TestSubspaceResidual:
         with pytest.raises(BoundsError, match="no growing mode"):
             stable_subspace_residual(plant, model, Gain(K=np.zeros((1, 2))), [1.0, 1.0])
 
-    def test_spectrum_collision_detected(self):
+    def test_wrong_x0_size(self, vehicle0):
+        with pytest.raises(BoundsError, match="x0 has size 3"):
+            stable_subspace_residual(
+                vehicle0.plant, vehicle0.model, vehicle0.gain, np.ones(3)
+            )
+
+    def test_shared_plant_model_spectrum(self):
+        # Plant and model share both eigenvalues, so the flow has each twice;
+        # the growing left eigenvectors are e_1 and e_3.
         a = np.diag([1.0, -1.0])
         plant = Plant(A=a, B=np.ones((2, 1)))
         model = NominalModel(A_hat=a, B_hat=np.ones((2, 1)))
-        with pytest.raises(BoundsError, match="collides"):
-            stable_subspace_residual(plant, model, Gain(K=np.zeros((1, 2))), [1.0, 0.0])
+        rep = stable_subspace_residual(plant, model, Gain(K=np.zeros((1, 2))), [1.0, 0.0])
+        assert rep.residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert rep.basis_dim == 2
+
+    def test_defective_growing_mode_rejected(self):
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        b = np.array([[0.0], [1.0]])
+        plant = Plant(A=jordan, B=b)
+        model = NominalModel(A_hat=jordan, B_hat=b)
+        with pytest.raises(BoundsError, match="defective"):
+            stable_subspace_residual(plant, model, Gain(K=np.array([[-3.0, -4.0]])), [1.0, 0.0])
 
 
 class TestReports:

@@ -339,7 +339,7 @@ class TestVerify:
         ])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert set(doc["checks"]) == {"ec_bound", "gaps_positive"}
+        assert set(doc["checks"]) == {"ec_bound"}
 
     def test_verify_deterministic(self, config_seed1):
         first = main(["verify", "--config", config_seed1, "--tmax", "20"])
@@ -382,8 +382,8 @@ def _key_tree(doc):
 def test_json_key_order(config_seed1, tmp_path):
     """Every JSON document the CLI writes keeps its keys in a fixed order."""
     for estimator, report, checks in (
-        ("mb", _BOUNDS_KEYS, ["ec_bound", "miet_positive", "min_gap_at_least_miet"]),
-        ("zoh", _ZOH_KEYS, ["ec_bound", "gaps_positive"]),
+        ("mb", _BOUNDS_KEYS, ["ec_bound", "min_gap_at_least_miet"]),
+        ("zoh", _ZOH_KEYS, ["ec_bound"]),
     ):
         out = tmp_path / f"rep_{estimator}.bounds.json"
         assert main([
@@ -463,8 +463,8 @@ class TestSweep:
             ),
             (
                 ["verify", "--estimator", "zoh"], "v.json",
-                "b11b727bcbc512da2597f838a2ee401d2718bd65e2200535f19bbfa740f29ff7",
-                "verify[zoh]: ec_bound=ok, gaps_positive=ok, max ratio 0.2092 -> PASS\n",
+                "c63f8d09c1a7a91911a4f1cd04da4d2ad14510c23130473af29d87a67d0e5954",
+                "verify[zoh]: ec_bound=ok, max ratio 0.2092 -> PASS\n",
             ),
         ]:
             out = tmp_path / name

@@ -90,13 +90,6 @@ def test_eigendecompose_ordering_descending_real_part():
     assert np.all(np.diff(vals.real) <= 1e-12)
 
 
-def test_eigendecompose_counts_growing_modes():
-    a = np.diag([1.0, -1.0, 1e-9, 1e-3])
-    eig = eigendecompose(a)
-    # strictly growing: 1.0 and 1e-3; 1e-9 sits inside the marginal band
-    assert eig.num_growing == 2
-
-
 def test_exp_norms_on_grid_matches_direct_exponentials():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(3, 3)) - 2.0 * np.eye(3)

@@ -3,7 +3,8 @@
 Each draw builds a model with one growing mode, an LQR gain on the model,
 and a true plant that perturbs the model slightly, then checks the traces
 of both estimators against the protocol and against the certificates.
-Draws whose certificate preconditions fail are rejected, not counted.
+Draws whose certificate preconditions fail are rejected, not counted.  The
+membership residual is checked on such draws and on the vehicle family.
 """
 
 import dataclasses
@@ -18,13 +19,17 @@ from lossyetc.bounds import (
     BoundsError,
     analyze_scenario,
     analyze_scenario_zoh,
+    stable_subspace_residual,
     verify_ec_bound,
     worst_case_trace,
 )
 from lossyetc.numerics import NumericsError, eigendecompose
+from lossyetc.scenarios import vehicle_preset
 from lossyetc.simulator import Scenario, simulate, summarize
-from lossyetc.system_model import EstimatorKind, Gain, NominalModel, Plant
+from lossyetc.system_model import EstimatorKind, Gain, NominalModel, Plant, gamma_matrix
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
+
+from oracles import nongrowing_subspace_distance
 
 T_MAX = 4.0
 PERTURBATION = 0.05
@@ -132,3 +137,25 @@ def test_known_zoh_certificate_gaps(n, m, M, seed, p):
         )
     )
     assert verify_ec_bound(bernoulli, bound, scn.trigger).ok
+
+
+def test_membership_residual_matches_schur_oracle(qualifying_seeds):
+    """The residual and its span's dimension against an ordered Schur form."""
+    scenarios = [vehicle_preset(seed) for seed in qualifying_seeds]
+    seed = 0
+    while len(scenarios) < len(qualifying_seeds) + 100:
+        n, m = np.random.default_rng(seed).integers([2, 1], [6, 3])
+        scn = _scenario(int(n), int(m), 2, EstimatorKind.MODEL_BASED, seed)
+        if scn is not None:
+            scenarios.append(scn)
+        seed += 1
+    for scn in scenarios:
+        rep = stable_subspace_residual(scn.plant, scn.model, scn.gain, scn.x0)
+        ref, dim = nongrowing_subspace_distance(
+            gamma_matrix(scn.plant, scn.model, scn.gain), scn.x0
+        )
+        assert rep.basis_dim == dim
+        if ref < 1e-12:
+            assert abs(rep.residual - ref) <= 1e-12
+        else:
+            assert rep.residual == pytest.approx(ref, rel=1e-8, abs=0.0)

@@ -70,6 +70,36 @@ def test_policy_validation():
     ChannelPolicy(M=3, mode=ChannelMode.SCRIPTED, script=(True, True, False))
 
 
+@pytest.mark.parametrize("make, field", [
+    # a string mode used to fall through to the scripted branch of channel_offer
+    (lambda: ChannelPolicy(M=5, mode="worst_case"), "mode"),
+    (lambda: ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p="0.5"), "p"),
+    (lambda: ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=True), "p"),
+    (lambda: TriggerConfig(beta="1", alpha=0.2), "beta"),
+    (lambda: TriggerConfig(beta=True, alpha=0.2), "beta"),
+    (lambda: TriggerConfig(beta=1.0, alpha="0.2"), "alpha"),
+    (lambda: TriggerConfig(beta=1.0, alpha=False), "alpha"),
+], ids=["mode-str", "p-str", "p-bool", "beta-str", "beta-bool", "alpha-str", "alpha-bool"])
+def test_constructor_type_errors_name_their_field(make, field):
+    with pytest.raises(ChannelError) as err:
+        make()
+    assert err.value.field == field
+
+
+def test_numpy_reals_are_accepted():
+    assert TriggerConfig(beta=np.float64(0.5), alpha=np.int64(1)).alpha == 1
+    assert ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=np.float64(0.5)).p == 0.5
+
+
+def test_script_entries_checked():
+    for script in [("0", "0", 0.5, None), (True, 2), (1.0,)]:
+        with pytest.raises(ChannelError, match="script entries") as err:
+            ChannelPolicy(M=5, mode=ChannelMode.SCRIPTED, script=script)
+        assert err.value.field == "script"
+    policy = ChannelPolicy(M=5, mode=ChannelMode.SCRIPTED, script=(0, 1, True, False))
+    assert policy.script == (False, True, True, False)
+
+
 @pytest.mark.parametrize("seed", [-1, "7", 2.0, True])
 def test_seed_must_be_a_non_negative_int(seed):
     for make in (
