@@ -22,7 +22,7 @@ from .scenarios import (
 )
 from .simulator import Scenario, SimulationError, simulate, summarize
 from .system_model import EstimatorKind, ModelError
-from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, random_drop_script
+from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "analyze_scenario_zoh",
     "load_scenario",
     "load_trace",
-    "random_drop_script",
     "save_scenario",
     "save_trace",
     "simulate",

@@ -31,10 +31,10 @@ from .system_model import (
 )
 from .trigger_channel import (
     ChannelPolicy,
+    ChannelState,
     Outcome,
     TriggerConfig,
     channel_offer,
-    initial_channel_state,
     threshold_value,
 )
 
@@ -309,7 +309,7 @@ def simulate(scn: Scenario) -> Trace:
     flow = _Flow(scn)
 
     z = np.concatenate([scn.x0, np.zeros(n), scn.x0])
-    ch_state = initial_channel_state(scn.channel)
+    ch_state = ChannelState()
     # Rows [t, x, x_s, x_c, es, ec, threshold]; the first `size` are filled.
     table = np.empty((grid.shape[0] + 256, 3 * n + 4))
     size = 0

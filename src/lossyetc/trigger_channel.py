@@ -11,17 +11,16 @@ on), without any acknowledgement flowing back.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-# Seeds the throwaway generator channel_offer loads each Bernoulli state into;
-# its own state is overwritten at once, and a fixed seed sequence spares the
-# OS entropy draw that Philox() makes.
-_RESTORE_SEED = np.random.SeedSequence(0)
+# Doubles per cached block of a Bernoulli channel's Philox stream.
+_BLOCK = 256
 
 
 class ChannelError(ValueError):
@@ -64,11 +63,6 @@ def _check_real(field: str, value: Any) -> None:
         raise ChannelError(field, f"{field} must be a real number, got {value!r}")
 
 
-def _check_seed(seed: Any) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ChannelError("seed", f"seed must be a non-negative integer, got {seed!r}")
-
-
 def threshold_value(t: float, cfg: TriggerConfig) -> float:
     """beta * exp(-alpha * t).  Accepts scalar or ndarray t (vectorized)."""
     return cfg.beta * np.exp(-cfg.alpha * t)
@@ -90,9 +84,10 @@ class Outcome(enum.Enum):
 class ChannelPolicy:
     """Dropout policy plus the hard cap M on consecutive losses.
 
-    WorstCase drops every offer the cap allows. Bernoulli draws Dropped with
-    probability p from a seeded Philox stream (one draw per offer, including
-    offers the cap forces through, so streams stay aligned across policies).
+    WorstCase drops every offer the cap allows. Bernoulli drops offer k when
+    double k of the Philox(seed) stream is below p (seed 0 when unset; offers
+    the cap forces through use up their double too, so streams stay aligned
+    across policies); only Bernoulli takes a seed.
     Scripted replays an explicit outcome list and is rejected up front if it
     ever schedules M drops in a row.
     """
@@ -116,7 +111,14 @@ class ChannelPolicy:
         elif self.p is not None:
             raise ChannelError("p", f"p is only valid for bernoulli mode, got {self.p!r}")
         if self.seed is not None:
-            _check_seed(self.seed)
+            if self.mode is not ChannelMode.BERNOULLI:
+                raise ChannelError(
+                    "seed", f"seed is only valid for bernoulli mode, got {self.seed!r}"
+                )
+            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+                raise ChannelError(
+                    "seed", f"seed must be a non-negative integer, got {self.seed!r}"
+                )
         if self.mode is ChannelMode.SCRIPTED:
             if self.script is None:
                 raise ChannelError("script", "scripted mode needs a script")
@@ -140,45 +142,41 @@ class ChannelPolicy:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Value-semantics channel progress: drop run length, offer count, RNG."""
+    """Channel progress as a plain value: the current drop run and the offers made.
+
+    Offer k of a Bernoulli policy reads double k of its seed's Philox stream,
+    so these two counts fix every later outcome and equal states compare equal.
+    """
 
     consecutive_drops: int = 0
     offers_made: int = 0
-    rng_state: Any = None
 
 
-def initial_channel_state(policy: ChannelPolicy) -> ChannelState:
-    rng_state = None
-    if policy.mode is ChannelMode.BERNOULLI:
-        seed = 0 if policy.seed is None else policy.seed
-        rng_state = np.random.Generator(np.random.Philox(seed)).bit_generator.state
-    return ChannelState(consecutive_drops=0, offers_made=0, rng_state=rng_state)
+@functools.lru_cache(maxsize=32)
+def _uniform_block(seed: int, block: int) -> tuple[float, ...]:
+    """Doubles [256 * block, 256 * (block + 1)) of the Philox(seed) stream."""
+    bits = np.random.Philox(seed)
+    # One Philox counter step yields four doubles.
+    bits.advance(_BLOCK // 4 * block)
+    return tuple(np.random.Generator(bits).random(_BLOCK).tolist())
 
 
 def random_drop_script(
     m: int, drop_prob: float, length: int, seed: int
 ) -> tuple[bool, ...]:
-    """Seeded Bernoulli drop sequence with runs capped at m - 1.
+    """The first `length` drops of a Bernoulli(drop_prob) channel with cap m.
 
-    Suitable for Scripted policies and for paired experiments that must see
-    identical channel behavior under different estimators.
+    A Scripted policy built from it replays that channel's drops, cut short
+    or edited as a test needs.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ChannelError("m", f"M must be an integer > 1, got {m!r}")
-    if not (0.0 <= drop_prob <= 1.0):
-        raise ChannelError("drop_prob", f"drop_prob must lie in [0, 1], got {drop_prob!r}")
     if length < 1:
         raise ChannelError("length", f"length must be positive, got {length!r}")
-    _check_seed(seed)
-    # One block draw yields the same Philox doubles as `length` scalar draws.
-    uniforms = np.random.Generator(np.random.Philox(seed)).random(length).tolist()
-    p = float(drop_prob)
+    policy = ChannelPolicy(M=m, mode=ChannelMode.BERNOULLI, p=drop_prob, seed=seed)
+    state = ChannelState()
     out = []
-    run = 0
-    for u in uniforms:
-        dropped = u < p and run < m - 1
-        run = run + 1 if dropped else 0
-        out.append(dropped)
+    for _ in range(length):
+        outcome, state = channel_offer(policy, state)
+        out.append(outcome is Outcome.DROPPED)
     return tuple(out)
 
 
@@ -188,36 +186,20 @@ def channel_offer(policy: ChannelPolicy, state: ChannelState) -> tuple[Outcome, 
     The cap override runs last: whatever the policy wanted, the offer is
     delivered when consecutive_drops has reached M - 1.
     """
-    rng_state = state.rng_state
+    k = state.offers_made
     if policy.mode is ChannelMode.ALWAYS_DELIVER:
         wants_drop = False
     elif policy.mode is ChannelMode.WORST_CASE:
         wants_drop = True
     elif policy.mode is ChannelMode.BERNOULLI:
-        gen = np.random.Generator(np.random.Philox(_RESTORE_SEED))
-        gen.bit_generator.state = rng_state
-        wants_drop = float(gen.random()) < policy.p
-        rng_state = gen.bit_generator.state
+        seed = 0 if policy.seed is None else policy.seed
+        wants_drop = _uniform_block(seed, k // _BLOCK)[k % _BLOCK] < policy.p
     else:
-        if state.offers_made >= len(policy.script):
+        if k >= len(policy.script):
             raise ChannelError(
                 "script", f"script exhausted after {len(policy.script)} offers"
             )
-        wants_drop = policy.script[state.offers_made]
-    forced = state.consecutive_drops >= policy.M - 1
-    if wants_drop and not forced:
-        outcome = Outcome.DROPPED
-        next_state = replace(
-            state,
-            consecutive_drops=state.consecutive_drops + 1,
-            offers_made=state.offers_made + 1,
-            rng_state=rng_state,
-        )
-    else:
-        outcome = Outcome.DELIVERED
-        next_state = ChannelState(
-            consecutive_drops=0,
-            offers_made=state.offers_made + 1,
-            rng_state=rng_state,
-        )
-    return outcome, next_state
+        wants_drop = policy.script[k]
+    if wants_drop and state.consecutive_drops < policy.M - 1:
+        return Outcome.DROPPED, ChannelState(state.consecutive_drops + 1, k + 1)
+    return Outcome.DELIVERED, ChannelState(0, k + 1)

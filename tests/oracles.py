@@ -17,11 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
 from lossyetc.system_model import EstimatorKind
-from lossyetc.trigger_channel import (
-    Outcome,
-    channel_offer,
-    initial_channel_state,
-)
+from lossyetc.trigger_channel import ChannelState, Outcome, channel_offer
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0, terms: int = 40) -> np.ndarray:
@@ -206,7 +202,7 @@ def hybrid_reference(scn, t_end: float | None = None) -> HybridReference:
     crossing.direction = 1
 
     ref = HybridReference()
-    state = initial_channel_state(scn.channel)
+    state = ChannelState()
     y = np.concatenate([scn.x0, scn.x0, scn.x0])
     t = 0.0
     while t < horizon:

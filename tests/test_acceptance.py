@@ -27,10 +27,10 @@ from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import (
     ChannelMode,
     ChannelPolicy,
+    ChannelState,
     Outcome,
     TriggerConfig,
     channel_offer,
-    initial_channel_state,
     random_drop_script,
 )
 
@@ -223,7 +223,7 @@ def _offer_storm(total_target: int) -> tuple[int, bool]:
                 m, float(rng.random()), length, seed=int(rng.integers(0, 2**31))
             )
             policy = ChannelPolicy(M=m, mode=ChannelMode.SCRIPTED, script=script)
-        state = initial_channel_state(policy)
+        state = ChannelState()
         run = 0
         for _ in range(length):
             outcome, state = channel_offer(policy, state)

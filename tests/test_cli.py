@@ -17,7 +17,7 @@ from lossyetc.cli import main
 from lossyetc.numerics import NumericsError
 from lossyetc.scenarios import load_trace, save_scenario, scenario_to_dict
 from lossyetc.simulator import SimulationError, simulate
-from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
+from lossyetc.trigger_channel import ChannelError, ChannelMode, ChannelPolicy
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -144,6 +144,16 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == (
             "lossyetc simulate: seed must be a non-negative integer, got -1\n"
+        )
+
+    def test_seed_outside_bernoulli_is_a_channel_error(self, config_bern, tmp_path, capsys):
+        code = main([
+            "simulate", "--config", config_bern, "--out", str(tmp_path / "s.trace.csv"),
+            "--policy", "worst_case", "--seed", "3",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "lossyetc simulate: seed is only valid for bernoulli mode, got 3\n"
         )
 
 
@@ -472,16 +482,41 @@ class TestSweep:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
             assert capsys.readouterr().out == line.format(out=out)
 
-    def test_negative_seed_is_a_channel_error(self, config_seed1, tmp_path, capsys):
-        # the first drop script's seed is 7919 times --seed
+    def test_negative_seed_names_the_option(self, config_seed1, tmp_path, capsys):
+        # not the first channel's derived seed, 7919 times --seed
         code = main([
             "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
             "--values", "0.5", "--seed", "-1",
         ])
         assert code == 1
         assert capsys.readouterr().err == (
-            "lossyetc sweep: seed must be a non-negative integer, got -7919\n"
+            "lossyetc sweep: --seed must be non-negative, got -1\n"
         )
+
+    def test_rows_are_seeded_bernoulli_runs(self, config_seed1, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main([
+            "sweep", "--config", config_seed1, "--out", str(out),
+            "--values", "0.3,0.9", "--repeats", "2", "--seed", "3", "--tmax", "10",
+        ]) == 0
+        scn = dataclasses.replace(le.load_scenario(config_seed1), t_max=10.0)
+        expected = []
+        for vi, value in enumerate((0.3, 0.9)):
+            for repeat in range(2):
+                policy = ChannelPolicy(
+                    M=scn.channel.M, mode=ChannelMode.BERNOULLI, p=value,
+                    seed=1000 * vi + repeat + 7919 * 3,
+                )
+                for kind in ("mb", "zoh"):
+                    run = dataclasses.replace(
+                        scn, estimator=le.EstimatorKind(kind), channel=policy
+                    )
+                    stats = dataclasses.asdict(le.summarize(le.simulate(run), run.trigger))
+                    expected.append([
+                        "channel.p", f"{value:.17g}", str(repeat), kind,
+                        *("" if v is None else f"{v:.17g}" for v in stats.values()),
+                    ])
+        assert [line.split(",") for line in out.read_text().splitlines()[1:]] == expected
 
     def test_paired_runs(self, config_seed1, tmp_path, capsys):
         out = tmp_path / "table.sweep.csv"
@@ -534,17 +569,21 @@ class TestSweep:
             f"sweep: 8 runs over channel.p=[0.0, 0.3, 0.7, 0.9], wrote {out}\n"
         )
 
-    def test_script_exhaustion_in_worker_exits_one(
+    def test_channel_error_in_worker_exits_one(
         self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
     ):
         started = usable_cpus(2)
-        monkeypatch.setattr(cli, "_SWEEP_SCRIPT_LENGTH", 3)
+
+        def refuse(policy, state):
+            raise ChannelError("script", "script exhausted after 3 offers")
+
+        monkeypatch.setattr(simulator, "channel_offer", refuse)
         assert main([
             "sweep", "--config", config_seed1, "--out", str(tmp_path / "s.csv"),
             "--values", "0.5", "--tmax", "10",
         ]) == 1
         assert started == ([2] if _FORK else [])
-        assert "script exhausted" in capsys.readouterr().err
+        assert capsys.readouterr().err == "lossyetc sweep: script exhausted after 3 offers\n"
 
     def test_event_accumulation_in_worker_exits_three(
         self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
@@ -627,6 +666,12 @@ class TestSweep:
             "sweep", "--config", config_seed1, "--values", "a,b",
         ]) == 1
         assert "bad --values" in capsys.readouterr().err
+        assert main([
+            "sweep", "--config", config_seed1, "--values", "0.5,1.5",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "lossyetc sweep: --values must lie in [0, 1], got 1.5\n"
+        )
         assert main([
             "sweep", "--config", config_seed1, "--repeats", "0",
         ]) == 1

@@ -211,6 +211,15 @@ class TestScenarioErrors:
             "channel.p: must be a number, got 'often'",
         ]
 
+    def test_seed_outside_bernoulli_named(self, vehicle0):
+        doc = self._doc(vehicle0)
+        doc["channel"] = {"M": 5, "mode": "worst_case", "seed": 3}
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [
+            "channel.seed: seed is only valid for bernoulli mode, got 3"
+        ]
+
     @pytest.mark.parametrize("script", [
         ["0", "0", 2, None, 0.5],
         [1, 0, True],
