@@ -347,13 +347,13 @@ def save_trace(tr: Trace, path: str) -> None:
     )
     row = ",".join(["%.17g"] * (3 * n + 4)) + ",%d,%d\r\n"
     blocks = [table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_trace_header(n)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(_trace_header(n)) + "\r\n").encode())
         fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
 
 
-def _format_block(row: str, block: np.ndarray) -> str:
-    return (row * len(block)) % tuple(block.ravel().tolist())
+def _format_block(row: str, block: np.ndarray) -> bytes:
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
 def load_trace(path: str) -> Trace:

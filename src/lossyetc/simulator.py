@@ -6,9 +6,9 @@ than the sensor copy itself makes synchronization structurally exact: after a
 delivery w is the zero vector and stays bit-for-bit zero until the next
 trigger, so the two estimator copies compare equal on every synchronized
 stretch.  Between events the stack evolves linearly; sample-to-sample
-propagation is a cached matrix-vector product and threshold crossings are
-localized by dyadic bisection on the same exact flow, so no integration error
-enters the bound checks.
+propagation is a cached matrix-vector product, and threshold crossings are
+located by a first-crossing scan on a fixed time lattice of the same exact
+flow, so no integration error enters the bound checks.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .trigger_channel import (
 ZENO_GAP = 1e-12
 
 _BATCH = 256
-_MAX_BISECT_LEVELS = 64
+# Sub-points per round of the event scan: each round narrows a bracket _SCAN-fold.
+_SCAN = 32
 
 
 class SimulationError(RuntimeError):
@@ -192,34 +193,37 @@ class SummaryStats:
 class _Flow:
     """Exact propagators of one run's stacked flow, all from one generator.
 
-    Built once per run: the generator, the cumulative powers of the grid
-    step that the batches apply, and the grid step's bisection halvings.
-    The held blocks of the hold estimator are exact identities and the
-    discrepancy block never couples to the rest, so a drift-free stretch
-    stays drift-free to the last bit.
+    Built once per run: the generator, the grid step's cumulative powers for
+    the batches, and the scan stacks: scan[r][j] advances (j + 1) * spacing[r]
+    lattice units of sample_dt / _SCAN**R each, R rounds making a unit at most
+    event_tol.  The hold estimator's held blocks are exact identities and the
+    discrepancy block never couples to the rest, so a drift-free stretch stays
+    drift-free to the last bit.
     """
 
     def __init__(self, scn: Scenario):
         self.n = n = scn.n
-        self.tol = scn.event_tol
         self.model_based = scn.estimator is EstimatorKind.MODEL_BASED
         # One stacked (x, x_c) generator per run; every propagator derives from it.
-        if self.model_based:
-            self.gen = gamma_matrix(scn.plant, scn.model, scn.gain)
-        else:
-            self.gen = gamma_zoh(scn.plant, scn.gain)
-        # Every propagator starts as a copy of this: zeros, plus the hold
-        # estimator's identity blocks for w and x_c.
+        self.gen = (gamma_matrix(scn.plant, scn.model, scn.gain) if self.model_based
+                    else gamma_zoh(scn.plant, scn.gain))
+        # Propagators start as copies: zeros, plus the hold estimator's w, x_c identities.
         self.blank = np.zeros((3 * n, 3 * n))
         if not self.model_based:
             self.blank[n:, n:] = np.eye(2 * n)
-        p_step = self.step(scn.sample_dt)
-        self.grid_halvings = self.halvings(scn.sample_dt)
-        # Cumulative powers: powers[k] advances the stack k+1 grid steps.
-        self.powers = np.empty((_BATCH, 3 * n, 3 * n))
-        self.powers[0] = p_step
-        for k in range(1, _BATCH):
-            self.powers[k] = p_step @ self.powers[k - 1]
+        self.powers = self.powers_of(scn.sample_dt, _BATCH)
+        rounds = 1
+        while scn.sample_dt / _SCAN**rounds > scn.event_tol:
+            rounds += 1
+        self.lattice = _SCAN**rounds  # lattice points per grid step
+        self.unit = scn.sample_dt / self.lattice
+        self.spacing = [_SCAN ** (rounds - 1 - r) for r in range(rounds)]
+        self.scan = [self.powers_of(s * self.unit, _SCAN) for s in self.spacing]
+        # Rows E @ scan[r][j], where E z = w + x_c - x is the sensor error.
+        self.scan_es = [
+            (p[:, n : 2 * n] + p[:, 2 * n :] - p[:, :n]).reshape(-1, 3 * n)
+            for p in self.scan
+        ]
 
     def step(self, dt: float) -> np.ndarray:
         """exp(dt * stacked generator), assembled block-wise."""
@@ -234,12 +238,54 @@ class _Flow:
             p[n : 2 * n, n : 2 * n] = q[n:, n:]
         return p
 
-    def halvings(self, width: float) -> list[np.ndarray]:
-        """Propagators over width/2, width/4, ... until a level reaches event_tol."""
-        if width <= self.tol:
-            return []
-        levels = min(_MAX_BISECT_LEVELS, int(math.ceil(math.log2(width / self.tol))) + 1)
-        return [self.step(width * 0.5 ** (i + 1)) for i in range(levels)]
+    def powers_of(self, dt: float, count: int) -> np.ndarray:
+        """Cumulative powers of one step: out[k] advances the stack (k + 1) * dt."""
+        out = np.empty((count, 3 * self.n, 3 * self.n))
+        out[0] = self.step(dt)
+        for k in range(1, count):
+            out[k] = out[0] @ out[k - 1]
+        return out
+
+    def grid_rows(self, lo: int, hi: int, z: np.ndarray) -> np.ndarray:
+        """States lo + 1 .. hi grid steps on from z, from one matrix product."""
+        return (self.powers[lo:hi].reshape(-1, 3 * self.n) @ z).reshape(hi - lo, -1)
+
+    def advance(self, z: np.ndarray, units: int) -> np.ndarray:
+        """z carried 0 < units < lattice on, one product per base-_SCAN digit."""
+        for stack in reversed(self.scan):
+            units, digit = divmod(units, _SCAN)
+            if digit:
+                z = stack[digit - 1] @ z
+        return z
+
+    def locate(self, t_g, k_lo, z_lo, k_hi, z_hi, es_hi, cfg: TriggerConfig):
+        """(offset, state, ||e_s||) of the first lattice point in (k_lo, k_hi] over
+        the threshold, offsets counting units from the grid time t_g.
+
+        k_hi (state z_hi, sensor error es_hi) always counts as crossing.  Round
+        r takes the sub-points k_lo + (j + 1) * spacing[r] below k_hi in one
+        product and narrows the bracket to the cell of the first that crosses.
+        """
+        def thr(k):  # threshold_value's formula: perfbench/tracer.py counts rows only
+            return cfg.beta * np.exp(-cfg.alpha * (t_g + k * self.unit))
+
+        for s, stack, e_stack in zip(self.spacing, self.scan, self.scan_es):
+            m = -(-(k_hi - k_lo) // s) - 1  # sub-points below k_hi, at most _SCAN - 1
+            e_s = (e_stack[: m * self.n] @ z_lo).reshape(m, self.n)
+            sq = np.add.reduce(e_s * e_s, 1)
+            # thr falls with t: only a sub-point whose squared error beats thr(k_hi),
+            # less a margin far above rounding, can cross; those get the exact test.
+            floor = (thr(k_hi) * (1.0 - 1e-9)) ** 2
+            j = m
+            for c in (sq > floor).nonzero()[0]:
+                if (es := math.sqrt(sq[c])) > thr(k_lo + (int(c) + 1) * s):
+                    j = int(c)
+                    break
+            if j < m:
+                k_hi, z_hi, es_hi = k_lo + (j + 1) * s, stack[j] @ z_lo, es
+            if j:
+                k_lo, z_lo = k_lo + j * s, stack[j - 1] @ z_lo
+        return k_hi, z_hi, es_hi
 
 
 def _errors(n: int, z: np.ndarray) -> tuple[float, float]:
@@ -249,59 +295,22 @@ def _errors(n: int, z: np.ndarray) -> tuple[float, float]:
     return math.sqrt(e_s.dot(e_s)), math.sqrt(e_c.dot(e_c))
 
 
-def _bisect_step(
-    scn: Scenario,
-    t_lo: float,
-    z_lo: np.ndarray,
-    width: float,
-    z_hi: np.ndarray,
-    halvings: list[np.ndarray],
-    tol: float,
-) -> tuple[float, np.ndarray]:
-    """Localize the crossing inside one flow step.
-
-    Invariant: margin <= 0 at the moving lower end, > 0 at the upper end.
-    Each level halves the bracket with a single matrix-vector product and
-    forms only the sensor error, with the same operations as _errors and
-    threshold_value, so every comparison matches theirs bit for bit.
-    Returns the upper end, where the threshold is strictly exceeded.
-    """
-    n = scn.n
-    beta, alpha = scn.trigger.beta, scn.trigger.alpha
-    lo_off = 0.0
-    hi_off = width
-    t_hi = t_lo + width
-    for h in halvings:
-        if hi_off - lo_off <= tol:
-            break
-        mid_off = lo_off + (hi_off - lo_off) * 0.5
-        z_mid = h.dot(z_lo)
-        t_mid = t_lo + mid_off
-        e_s = z_mid[n : 2 * n] + (z_mid[2 * n :] - z_mid[:n])
-        if math.sqrt(e_s.dot(e_s)) > beta * np.exp(-alpha * t_mid):
-            hi_off = mid_off
-            t_hi = t_mid
-            z_hi = z_mid
-        else:
-            lo_off = mid_off
-            z_lo = z_mid
-    return t_hi, z_hi
-
-
 def simulate(scn: Scenario) -> Trace:
     """Run one closed-loop experiment and return its dense trace.
 
     Between events the stacked state advances by exact propagators in blocks
-    of up to _BATCH grid steps; the first sample violating the threshold
-    yields a one-step bracket that dyadic bisection narrows to event_tol.
-    At each localized trigger the sensor copy resets, one packet is offered
-    to the channel, and a delivery additionally resets the controller copy at
-    the same instant.  Sample rows are recorded on the sample_dt grid plus
-    one row on each side of every event.  Deterministic for a fixed scenario,
-    seed included.
+    of up to _BATCH grid steps.  The first sample over the threshold brackets
+    the event in one grid step, which _Flow.locate scans for the first crossing
+    on a lattice of spacing at most event_tol.  "First" holds to a resolution of
+    sample_dt / _SCAN: an excursion over the threshold narrower than that, earlier
+    in the same step, can be missed.  At each trigger the sensor copy resets and
+    one packet is offered to the channel; a delivery also resets the controller
+    copy.  Rows lie on the sample_dt grid plus one on each side of every event.
+    Deterministic for a fixed scenario, seed included.
     """
     n = scn.n
     dt = scn.sample_dt
+    # grid[i + 1] - grid[i] == dt exactly for i < n_full.
     n_full = int(math.floor(scn.t_max / dt + 1e-9))
     grid = np.arange(n_full + 1, dtype=float) * dt
     if grid[-1] < scn.t_max - 1e-9 * max(1.0, scn.t_max):
@@ -313,10 +322,9 @@ def simulate(scn: Scenario) -> Trace:
     # Rows [t, x, x_s, x_c, es, ec, threshold]; the first `size` are filled.
     table = np.empty((grid.shape[0] + 256, 3 * n + 4))
     size = 0
-    trigger_rows: list[int] = []
-    delivery_rows: list[int] = []
+    trigger_rows, delivery_rows = [], []
     last_trigger = -math.inf
-    head = _BATCH  # rows in the first einsum of the next batch
+    head = _BATCH  # rows in the first product of the next batch
 
     def append(t, x, x_s, x_c, es, ec, thr):
         """Write one row (scalar t) or a block of rows, growing the table."""
@@ -339,44 +347,40 @@ def simulate(scn: Scenario) -> Trace:
         cols[3 + 3 * n] = thr
         size += k
 
-    # Row 0 at t = 0.
-    es0, ec0 = _errors(n, z)
-    append(
-        0.0, z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], es0, ec0,
-        float(threshold_value(0.0, scn.trigger)),
-    )
+    def state_row(t, z, es, ec, thr):
+        """Write the row of the stacked state z at time t."""
+        append(t, z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], es, ec, thr)
 
+    state_row(0.0, z, *_errors(n, z), float(threshold_value(0.0, scn.trigger)))
     next_idx = 1  # index into grid of the next row to produce
-    t_cursor = 0.0
-    last = grid.shape[0] - 1
-    uniform_until = n_full  # grid[i+1]-grid[i] == dt exactly for i < n_full
+    k_cursor = 0  # lattice offset of the state z from grid[next_idx - 1]
 
     # Each pass writes rows up to a grid point, or brackets the next event
-    # in one step (t_cursor, z) .. (t_cursor + width, z_hi) and handles it.
-    while next_idx <= last:
-        if t_cursor == grid[next_idx - 1] and next_idx <= uniform_until:
+    # between lattice offsets (k_cursor, z) and (k_hi, z_hi) from
+    # grid[next_idx - 1] and handles it.
+    while next_idx < grid.shape[0]:
+        if k_cursor == 0 and next_idx <= n_full:
             # Rows lo..hi-1 of the batch from its start state z_base: all of
             # them at once, or after an event first only `head` rows, then
             # the rest if the event did not recur there.
-            batch = min(_BATCH, uniform_until - next_idx + 1)
+            batch = min(_BATCH, n_full - next_idx + 1)
             lo, hi = 0, min(head, batch)
             head = _BATCH
             z_base = z
             while lo < hi:
-                zb = np.einsum("kij,j->ki", flow.powers[lo:hi], z_base)
+                zb = flow.grid_rows(lo, hi, z_base)
                 tb = grid[next_idx : next_idx + hi - lo]
-                xb = zb[:, :n]
-                xcb = zb[:, 2 * n :]
+                xb, xcb = zb[:, :n], zb[:, 2 * n :]
                 xsb = zb[:, n : 2 * n] + xcb
-                esb = np.linalg.norm(xsb - xb, axis=1)
-                ecb = np.linalg.norm(xcb - xb, axis=1)
+                ds, dc = xsb - xb, xcb - xb  # row norms as np.linalg.norm(axis=1) forms them
+                esb = np.sqrt(np.add.reduce(ds * ds, 1))
+                ecb = np.sqrt(np.add.reduce(dc * dc, 1))
                 thrb = threshold_value(tb, scn.trigger)
-                bad = np.flatnonzero(esb > thrb)
+                bad = (esb > thrb).nonzero()[0]
                 if bad.size:
                     break
                 append(tb, xb, xsb, xcb, esb, ecb, thrb)
                 z = zb[-1]
-                t_cursor = tb[-1]
                 next_idx += hi - lo
                 lo, hi = hi, batch
             else:  # no row of the batch crossed the threshold
@@ -384,31 +388,31 @@ def simulate(scn: Scenario) -> Trace:
             j = int(bad[0])
             append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
             if j:
-                t_cursor, z = tb[j - 1], zb[j - 1]
+                z = zb[j - 1]
             next_idx += j
-            width, z_hi, halvings = dt, zb[j], flow.grid_halvings
+            k_hi, z_hi, es_hi = flow.lattice, zb[j], esb[j]
         else:
             # Off the uniform grid: partial step to the next grid time.
             target = grid[next_idx]
-            width = target - t_cursor
-            z_hi = flow.step(width).dot(z)
-            es_t, ec_t = _errors(n, z_hi)
-            thr_t = float(threshold_value(target, scn.trigger))
-            if not es_t > thr_t:
-                append(
-                    target, z_hi[:n], z_hi[n : 2 * n] + z_hi[2 * n :], z_hi[2 * n :],
-                    es_t, ec_t, thr_t,
-                )
-                z = z_hi
-                t_cursor = target
-                next_idx += 1
+            if next_idx <= n_full:
+                k_hi, z_hi = flow.lattice, flow.advance(z, flow.lattice - k_cursor)
+            else:  # the last step, to a t_max off the grid
+                k_hi = math.ceil((target - grid[next_idx - 1]) / flow.unit)
+                z_hi = flow.step(target - grid[next_idx - 1] - k_cursor * flow.unit) @ z
+            es_hi, ec_hi = _errors(n, z_hi)
+            thr = float(threshold_value(target, scn.trigger))
+            if not es_hi > thr:
+                state_row(target, z_hi, es_hi, ec_hi, thr)
+                z, k_cursor, next_idx = z_hi, 0, next_idx + 1
                 continue
-            halvings = flow.halvings(width)
-        t_star, z_pre = _bisect_step(scn, t_cursor, z, width, z_hi, halvings, scn.event_tol)
-        if t_star >= grid[next_idx]:
-            # The event rows cover that sample: the bisection ended on the
-            # grid point, or one ulp past it.
+        t_g = grid[next_idx - 1]
+        k_cursor, z_pre, es_pre = flow.locate(t_g, k_cursor, z, k_hi, z_hi, es_hi, scn.trigger)
+        if k_cursor == k_hi:
+            # The event is the grid point itself; its rows replace that sample.
+            t_star, k_cursor = grid[next_idx], 0
             next_idx += 1
+        else:
+            t_star = t_g + k_cursor * flow.unit
         gap = t_star - last_trigger
         if gap < ZENO_GAP:
             raise SimulationError(
@@ -418,16 +422,15 @@ def simulate(scn: Scenario) -> Trace:
         # The next event tends to come about as many rows on as this one did:
         # the next batch looks twice that far before it evaluates the rest.
         head = max(1, int(min(2.0 * gap / dt, _BATCH)))
-        last_trigger = t_cursor = t_star
-        es_pre, ec_pre = _errors(n, z_pre)
-        xc_pre = z_pre[2 * n :]
-        thr = float(threshold_value(t_star, scn.trigger))
+        last_trigger = t_star
+        _, ec_pre = _errors(n, z_pre)
         outcome, ch_state = channel_offer(scn.channel, ch_state)
         got = outcome is Outcome.DELIVERED
         trigger_rows.append(size)
         if got:
             delivery_rows.append(size)
-        append(t_star, z_pre[:n], z_pre[n : 2 * n] + xc_pre, xc_pre, es_pre, ec_pre, thr)
+        # The pre-jump row keeps the sensor error that the locator compared.
+        state_row(t_star, z_pre, es_pre, ec_pre, float(threshold_value(t_star, scn.trigger)))
         # Jumps: the sensor copy resets at every trigger; the controller copy
         # resets only on delivery.  In discrepancy coordinates:
         #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
@@ -440,14 +443,11 @@ def simulate(scn: Scenario) -> Trace:
         t_plus = math.nextafter(t_star, math.inf)
         # Post-jump sensor copy equals the plant state by definition of the
         # reset; record that value, not a reconstruction.
-        append(
-            t_plus, z[:n], z[:n], z[2 * n :], 0.0, 0.0 if got else ec_pre,
-            float(threshold_value(t_plus, scn.trigger)),
-        )
+        append(t_plus, z[:n], z[:n], z[2 * n :], 0.0, 0.0 if got else ec_pre,
+               float(threshold_value(t_plus, scn.trigger)))
 
-    triggered = np.zeros(size, dtype=bool)
+    triggered, delivered = np.zeros((2, size), dtype=bool)
     triggered[trigger_rows] = True
-    delivered = np.zeros(size, dtype=bool)
     delivered[delivery_rows] = True
     return Trace.from_table(table[:size], triggered, delivered)
 

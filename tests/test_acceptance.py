@@ -90,7 +90,7 @@ def test_family_reports_pinned(family):
     for row in family["rows"]:
         digest.update(json.dumps(dataclasses.asdict(row["report"])).encode())
     assert digest.hexdigest() == (
-        "b042eb712e4fa3460aa245f742acbc1663d5526c63d161176eebe01471b63d49"
+        "8b2190afd0f22739855129c8444201e1eab1ba913c404d1cf3ee562e7b5226c6"
     )
 
 

@@ -609,10 +609,10 @@ class TestReports:
         assert report7.miet == pytest.approx(5.637679149948192e-07, rel=1e-6)
 
     @pytest.mark.parametrize("draw, digest", [
-        (1, "0c0ef283049b580e81b858e7f79608ae081a91d143ab259e1eea2fc169242833"),
-        (7, "bcbacaabaa6abb585e23574fe64f7e7c03d093ae05b283f08c22364f59913bd1"),
-        (8, "6aca09dd5cf7ac97c077763fec52c38f5e74fd9b00225fd81275366caeba078b"),
-    ])
+        (1, "3b110638033c7a1e832f7bce3bb9c747dd5b7dec1550b13b1c473a19f3efb62b"),
+        (7, "f5606185a9440101c13d3ea2e7910d71021a9428f50e72ee6db79dad0678b1c9"),
+        (8, "fba5de517d932e7cdf67558709d43172ce60d2bc26d2f08e058c806006f40faf"),
+    ], ids=["1", "7", "8"])
     def test_report_bytes_pinned(self, draw, digest):
         # Every field to the last bit, beyond the Delta and MIET pins.
         scn = le.vehicle_preset(draw)
@@ -620,10 +620,10 @@ class TestReports:
         assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("draw, digest", [
-        (1, "eead2ece0d80f2166d4b3ab7884ce3cd56bafe8d831a84fe1288c77b22cf115c"),
-        (8, "7aa570869d7e9fc3dc8f3af992483ca1d2ba08224057f1b222439dfa75856738"),
-        (63, "322e2cc21be7bb4338284272c68048ebf2028936d533458fe7cd74b0ae06ab29"),
-    ])
+        (1, "b0c1ce181667f5700baf7fd80d181ea629d4320045cea0d80a074a710ebdf0e9"),
+        (8, "921daef2abec3f90a0fdc2ea7a202e29c1416fe3eb6526ebf4f1e5990a57f0f4"),
+        (63, "20b301ff917512d336b20ac767e9f51fe51abe1cb146b39ddfe0df64648865ff"),
+    ], ids=["1", "8", "63"])
     def test_zoh_report_bytes_pinned(self, draw, digest):
         # The near-marginal draws, whose crossing times run to tens of seconds.
         scn = dataclasses.replace(

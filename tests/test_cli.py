@@ -267,7 +267,7 @@ class TestBounds:
         }
         assert doc["Delta"] >= 1.0 and doc["miet"] > 0.0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c96dc1b1a77b7b5d96ab6d1d8f2cd6b3d4bec8511cfdbb5d7a35209b05e0713f"
+            "f9d8b244ecbebbd10631615ac8c65cd44390224b016d8fefa1b1182f94554ca4"
         )
         assert capsys.readouterr().out == (
             f"bounds: Delta={doc['Delta']:.6g}, miet={doc['miet']:.6g}, wrote {out}\n"
@@ -288,7 +288,7 @@ class TestBounds:
         zdoc = json.loads(out.read_text())
         assert zdoc["Delta_zoh"] >= 1.0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "9c65c7b2bba060f6e6c7300ad9730ee86754e6af5d16dfcd7fa8d766203c4cb9"
+            "2900294457860053772ac0005567f4377223a11a7e3a458a5e09e44769d4dd62"
         )
         assert capsys.readouterr().out == (
             f"bounds: Delta_zoh={zdoc['Delta_zoh']:.6g}, wrote {out}\n"
@@ -468,12 +468,12 @@ class TestSweep:
         for argv, name, digest, line in [
             (
                 ["sweep", "--values", "0,0.5,0.9", "--seed", "1"], "s.csv",
-                "98685884eceecfcded2370ca4d164c4754e25a7a7da641bcaaa252bcca681650",
+                "4f1722995b4ac0bd19f5c5a759b3d55840e5afcffecdce955b55ad84acb2e871",
                 "sweep: 6 runs over channel.p=[0.0, 0.5, 0.9], wrote {out}\n",
             ),
             (
                 ["verify", "--estimator", "zoh"], "v.json",
-                "c63f8d09c1a7a91911a4f1cd04da4d2ad14510c23130473af29d87a67d0e5954",
+                "de5018c7f1f8124eed4cc3cebf01fb2b3a985e20be4ca2a1c9a30df4cef94486",
                 "verify[zoh]: ec_bound=ok, max ratio 0.2092 -> PASS\n",
             ),
         ]:
@@ -563,7 +563,7 @@ class TestSweep:
         data = out.read_bytes()
         assert len(data) == 1428
         assert hashlib.sha256(data).hexdigest() == (
-            "518832a1bc0aa8805bd5cd731182e36748e71bdee2172cee7e0c73d377300346"
+            "70cda33a80bcbeba4c743f04a273c523fc3121373f12ca56bcdc7f9def97da77"
         )
         assert capsys.readouterr().out == (
             f"sweep: 8 runs over channel.p=[0.0, 0.3, 0.7, 0.9], wrote {out}\n"

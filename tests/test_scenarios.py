@@ -451,10 +451,10 @@ class TestTraceCsv:
         assert started == pools[:1]
         data = path.read_bytes()
         assert golden_trace.num_samples == 60079
-        assert len(data) == 21_662_417
+        assert len(data) == 21_663_026
         assert data.count(b"\r\n") == 60080
         assert hashlib.sha256(data).hexdigest() == (
-            "4f620afec3bb4bb85bb4a562998574cfd3b020efefadb3bf452feff41926567a"
+            "18e3e93df569bfad266f158d63c6f59ad99e908b701b4528141b2ed6ac635d88"
         )
 
     @_POOL_CASES

@@ -34,6 +34,7 @@ from lossyetc.trigger_channel import (
     ChannelPolicy,
     TriggerConfig,
     random_drop_script,
+    threshold_value,
 )
 
 from oracles import hybrid_reference
@@ -159,16 +160,26 @@ def test_golden_run_regression(golden_trace, golden_scn):
     assert final <= 0.01 * float(np.linalg.norm(golden_scn.x0))
 
 
-def test_against_adaptive_hybrid_oracle(vehicle7, trace7):
-    ref = hybrid_reference(vehicle7, t_end=15.0)
-    engine = trace7.triggers[trace7.triggers <= 15.0 + 1e-6]
+def _assert_matches_oracle(scn, tr, t_end):
+    ref = hybrid_reference(scn, t_end=t_end)
+    engine = tr.triggers[tr.triggers <= t_end + 1e-6]
     k = min(engine.size, len(ref.triggers))
     assert k >= 10
     assert abs(engine.size - len(ref.triggers)) <= 1
     assert np.max(np.abs(engine[:k] - np.asarray(ref.triggers[:k]))) <= 1e-6
-    deliv = trace7.deliveries[trace7.deliveries <= 15.0 + 1e-6]
+    deliv = tr.deliveries[tr.deliveries <= t_end + 1e-6]
     kd = min(deliv.size, len(ref.deliveries))
     assert np.max(np.abs(deliv[:kd] - np.asarray(ref.deliveries[:kd]))) <= 1e-6
+
+
+def test_against_adaptive_hybrid_oracle(vehicle7, trace7):
+    _assert_matches_oracle(vehicle7, trace7, 15.0)
+
+
+def test_zoh_against_adaptive_hybrid_oracle(zoh7, trace_zoh7):
+    # The hold estimator's events come every few dozen samples, so 5 s
+    # already holds about 80 of them.
+    _assert_matches_oracle(zoh7, trace_zoh7, 5.0)
 
 
 def test_perturbed_worst_case_regression(trace7):
@@ -211,10 +222,11 @@ def _trace_sha256(tr):
 def test_zoh_trace_bytes_pinned(trace_zoh7):
     # Every Trace field of the event-heavy run, bit for bit: event location
     # must not move a single double.  Its rows outnumber the row table's
-    # initial capacity, so the pin also covers the table's growth.
+    # initial capacity, so the pin also covers the table's growth.  Pinned
+    # after its event times were checked against tests/oracles.py.
     assert trace_zoh7.num_samples == 61873
     assert _trace_sha256(trace_zoh7) == (
-        "42da19f4d46c52b165b0e537a5b152411920b04cbf2b80d5f8850d139dc4aa61"
+        "a6d4db63d71b3ebd733efe292ab1847207f72e90093b6aa8e153f547f1d912a4"
     )
 
 
@@ -222,65 +234,67 @@ def test_mb_trace_bytes_pinned(trace7):
     # The model-based run fits the initial capacity of the row table.
     assert trace7.num_samples == 60167
     assert _trace_sha256(trace7) == (
-        "55cf5c7473f7a6c03a0f9aca7f5b544fe0607ce3ff1363dc20dfc5fdf23211d6"
+        "19b10ee253a43c568c0e180485ea7a663c6fea785a2a68344c246e2d01e7a493"
     )
 
 
 def _record_batches(monkeypatch):
-    """Log the batch einsums and the grid events found in them.
+    """Log the batch products and the grid events found in them.
 
     Returns two lists that fill as `simulate` runs: (first power, rows) of
-    every batch einsum, and (first power of its einsum, row) of every event
-    bracketed in a batch's rows.
+    every batch product, and (first power of its product, row) of every
+    event bracketed in a batch's rows.
     """
     chunks, events, last = [], [], {}
-    einsum, bisect = np.einsum, simulator._bisect_step
+    grid_rows, locate = simulator._Flow.grid_rows, simulator._Flow.locate
 
-    def logging_einsum(spec, *operands, **kwargs):
-        out = einsum(spec, *operands, **kwargs)
-        if spec == "kij,j->ki":
-            powers = operands[0]  # a slice of the run's cumulative powers
-            lo = (powers.ctypes.data - powers.base.ctypes.data) // powers.strides[0]
-            chunks.append((lo, len(powers)))
-            last.update(out=out, lo=lo)
+    def logging_rows(flow, lo, hi, z):
+        out = grid_rows(flow, lo, hi, z)
+        chunks.append((lo, hi - lo))
+        last.update(out=out, lo=lo)
         return out
 
-    def logging_bisect(scn, t_lo, z_lo, width, z_hi, *rest):
+    def logging_locate(flow, t_g, k_lo, z_lo, k_hi, z_hi, *rest):
         rows = last.get("out")
-        if rows is not None and z_hi.base is rows:
+        if rows is not None and np.shares_memory(z_hi, rows):
             row = (z_hi.ctypes.data - rows.ctypes.data) // rows.strides[0]
             events.append((last["lo"], row))
-        return bisect(scn, t_lo, z_lo, width, z_hi, *rest)
+        return locate(flow, t_g, k_lo, z_lo, k_hi, z_hi, *rest)
 
-    monkeypatch.setattr(np, "einsum", logging_einsum)
-    monkeypatch.setattr(simulator, "_bisect_step", logging_bisect)
+    monkeypatch.setattr(simulator._Flow, "grid_rows", logging_rows)
+    monkeypatch.setattr(simulator._Flow, "locate", logging_locate)
     return chunks, events
 
 
 @pytest.mark.parametrize("estimator, channel, rows, digest, split_events, row0_events", [
     (EstimatorKind.ZERO_ORDER_HOLD,
      ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.9, seed=3), 61879,
-     "f02cd7fc5190a4bea533dae288f3ffb4a0f386364966cf8f8d1ae95b6c98fda4", 8, 4),
+     "7a137dfd49cb468ab1eef16764a10108e4545d317925a14ad3caad2d3c88a687", 8, 4),
     (EstimatorKind.ZERO_ORDER_HOLD,
      ChannelPolicy(
          M=5, mode=ChannelMode.SCRIPTED, script=random_drop_script(5, 0.5, 20000, seed=5)
      ),
-     61105, "c76712d8130f50bd9d47eab7596a56e4e5f598bbaf96c09b69ca6aa565ef6c44", 6, 0),
+     61105, "a731d1ace479977b931d062fe2312d557f849726f3e3638f78e8b1cdf511aa6a", 6, 0),
     (EstimatorKind.MODEL_BASED, ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE), 60201,
-     "690f0df7c64bb006c3b0a2617e003ed49b5a114acc812841bad49878eac27a39", 0, 0),
+     "03cf00d0678763d77953c6b251a2d5f7f71796965d98fa54ed4938c2d615a017", 0, 0),
 ], ids=["zoh_bernoulli", "zoh_scripted", "mb_worst_case"])
 def test_split_batch_traces_pinned(
     monkeypatch, estimator, channel, rows, digest, split_events, row0_events
 ):
-    # A batch after an event is evaluated in two einsums from the same start
-    # state; the rows must be the bits of one einsum over the whole batch.
-    # Both hold-estimator runs bracket events in a batch's second einsum; in
+    # A batch after an event is evaluated in two products from the same start
+    # state; the rows must be the bits of one product over the whole batch.
+    # Both hold-estimator runs bracket events in a batch's second product; in
     # the Bernoulli run four of them sit at its row 0, where the bracket's
-    # lower end is the last row of the first einsum.  Pins derived before the
-    # batches were split.
+    # lower end is the last row of the first product.  Pins derived after the
+    # event times were checked against tests/oracles.py.
     scn = dataclasses.replace(
         le.vehicle_preset(45), estimator=estimator, channel=channel
     )
+    flow = simulator._Flow(scn)
+    z0 = np.tile(scn.x0, 3)
+    whole = flow.grid_rows(0, 256, z0)
+    for lo, hi in [(0, 1), (1, 97), (97, 256), (200, 201)]:
+        assert flow.grid_rows(lo, hi, z0).tobytes() == whole[lo:hi].tobytes()
     chunks, events = _record_batches(monkeypatch)
     tr = simulate(scn)
     assert tr.num_samples == rows
@@ -300,26 +314,69 @@ def _zoh45_short():
     )
 
 
+# With event_tol = sample_dt / 100 the lattice has 32**2 points per step; this
+# sample_dt puts grid point 37 half a lattice unit past the first crossing, ln 1.5.
+_DT_AT_GRID_POINT = math.log(1.5) / (37 - 1 / 2048)
+
+
 @pytest.mark.parametrize("make, rows, digest", [
     (lambda: _scalar_scenario(), 45,
-     "8cc999f6b4415a5f6d85c5d4fa12b0d6e1595ad70a8e6a8eadd0340d4de02a3b"),
-    (lambda: _scalar_scenario(sample_dt=0.0109, event_tol=0.0109 / 100), 208,
-     "a1925438d2ee0c0194ff27cadf9de1a1a63d30eedc7225787efa1037b9fe417c"),
-    (lambda: _scalar_scenario(sample_dt=0.0134, event_tol=0.0134 / 100), 174,
-     "c6e2d738b52c99b859b3b8ec897353bea7ab01723026ebc906d506ab4bd4b3f6"),
+     "0b037435669808e3a39b103a8d3438096efe986aaef9c88b45a6a8eb3df6cc72"),
+    (lambda: _scalar_scenario(sample_dt=0.0109, event_tol=0.0109 / 100), 209,
+     "013e6bd03e0d22f1571b5b31907d1d052dfcdff64c312b6861f1beaa0b39e98e"),
+    (lambda: _scalar_scenario(sample_dt=0.0134, event_tol=0.0134 / 100), 175,
+     "f890d57bda039c1e24c5e2e15ec48dd82affd50dc2f646031e4339f975335611"),
     (_zoh45_short, 10324,
-     "c6d7955473095534410f3a03bdce297517157c1023369376e8cd95871ffaf0f8"),
+     "cdbebd2d6fc21a0099c49ac5a82c7d5235ae6221ee6837a73d7c1798b23ea17d"),
+    (lambda: _scalar_scenario(sample_dt=_DT_AT_GRID_POINT, event_tol=_DT_AT_GRID_POINT / 100),
+     207, "794471ec779f4272a4b019e6e30a129870db53f0603506d10f380801c5f723dd"),
 ], ids=["event_in_partial_step", "bisection_ends_on_grid_point",
-        "bisection_ends_one_ulp_past_grid_point", "event_in_final_partial_step"])
+        "bisection_ends_one_ulp_past_grid_point", "event_in_final_partial_step",
+        "event_at_grid_point"])
 def test_rare_loop_branches_pinned(make, rows, digest):
     # Each run reaches one branch of the event loop that the vehicle pins do
     # not: an event bracketed by a partial step (after an event, or the last
-    # step before a t_max off the grid), and a bisection whose upper end is
-    # the grid point itself or the double just past it, whose row the event
-    # rows replace.
+    # step before a t_max off the grid), and an event at the bracket's upper
+    # end, the grid point itself, whose row the event rows replace.  The two
+    # `bisection_*` runs are where the dyadic bisection that the lattice scan
+    # replaced ended on, or one ulp past, the grid point; on the scan's
+    # 32**2-point lattice their events fall inside the step.
     tr = simulate(make())
     assert tr.num_samples == rows
     assert _trace_sha256(tr) == digest
+
+
+def _exhaustive_locate(flow, t_g, k_lo, z_lo, k_hi, z_hi, es_hi, cfg):
+    """_Flow.locate without its screen: every sub-point gets the exact test."""
+    for s, stack, e_stack in zip(flow.spacing, flow.scan, flow.scan_es):
+        m = -(-(k_hi - k_lo) // s) - 1
+        e_s = (e_stack[: m * flow.n] @ z_lo).reshape(m, flow.n)
+        es = np.sqrt(np.add.reduce(e_s * e_s, 1))
+        j = m
+        for c in range(m):
+            if es[c] > threshold_value(t_g + (k_lo + (c + 1) * s) * flow.unit, cfg):
+                j = c
+                break
+        if j < m:
+            k_hi, z_hi, es_hi = k_lo + (j + 1) * s, stack[j] @ z_lo, float(es[j])
+        if j:
+            k_lo, z_lo = k_lo + j * s, stack[j - 1] @ z_lo
+    return k_hi, z_hi, es_hi
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind))
+def test_screened_scan_matches_exhaustive_scan(monkeypatch, estimator):
+    # The locator tests only the sub-points whose squared error beats the
+    # threshold at the bracket's upper end; testing all of them must give
+    # the same events, to the last bit.
+    scn = dataclasses.replace(
+        le.vehicle_preset(45), estimator=estimator, t_max=20.0,
+        channel=ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.9, seed=3),
+    )
+    screened = simulate(scn)
+    monkeypatch.setattr(simulator._Flow, "locate", _exhaustive_locate)
+    assert _trace_sha256(simulate(scn)) == _trace_sha256(screened)
+    assert screened.triggers.size >= 20
 
 
 def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
@@ -332,6 +389,33 @@ def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
     chunks.clear()
     simulate(vehicle7)
     assert len(chunks) <= 271
+
+
+def test_mat_exp_only_in_flow_build(monkeypatch, zoh7):
+    # Event location and the steps after events use the scan stacks, so an
+    # on-grid run takes every matrix exponential while _Flow is built: the
+    # grid step and one per scan round (1e-3 / 32**4 <= 1e-9: four rounds).
+    # A t_max off the grid adds one per step to it: here two, as an event
+    # falls inside that last partial step.
+    calls, building = [], []
+    exp, init = simulator.mat_exp, simulator._Flow.__init__
+
+    def counting_exp(*args):
+        calls.append(bool(building))
+        return exp(*args)
+
+    def tracked_init(flow, scn):
+        building.append(scn)
+        init(flow, scn)
+        building.pop()
+
+    monkeypatch.setattr(simulator, "mat_exp", counting_exp)
+    monkeypatch.setattr(simulator._Flow, "__init__", tracked_init)
+    assert simulate(zoh7).triggers.size == 936
+    assert calls == [True] * 5
+    calls.clear()
+    simulate(_zoh45_short())
+    assert calls == [True] * 5 + [False] * 2
 
 
 def test_event_accumulation_aborts(monkeypatch, vehicle7, trace7):
@@ -487,6 +571,35 @@ class TestLocateEvent:
         for tol in (1e-3, 1e-6, 1e-11):
             tr = simulate(_scalar_scenario(event_tol=tol))
             assert 0.0 <= tr.triggers[0] - math.log(1.5) <= tol + 1e-13
+
+    def test_event_at_grid_point_takes_the_grid_time(self):
+        dt = _DT_AT_GRID_POINT
+        tr = simulate(_scalar_scenario(sample_dt=dt, event_tol=dt / 100))
+        assert tr.triggers[0] == 37 * dt
+        # the event rows replace that sample's row
+        assert np.count_nonzero(tr.t == 37 * dt) == 1
+
+    def test_first_crossing_inside_one_step(self):
+        # x rotates at w while the copies hold x0, so ||e_s|| = 2 |sin(w t / 2)|
+        # peaks at 0.03, 0.09, ... s; the threshold lets through 24 ms around
+        # each peak (wider than sample_dt / 32).  The first grid step (0.1 s)
+        # ends inside the second excursion, after the first has come and gone.
+        w, half = 2 * math.pi / 0.06, 0.012
+        scn = Scenario(
+            plant=Plant(A=[[0.0, w], [-w, 0.0]], B=np.zeros((2, 1))),
+            model=NominalModel(A_hat=np.zeros((2, 2)), B_hat=np.zeros((2, 1))),
+            gain=Gain(K=np.zeros((1, 2))),
+            estimator=EstimatorKind.MODEL_BASED,
+            trigger=TriggerConfig(beta=2 * math.cos(w * half / 2), alpha=1e-12),
+            channel=ChannelPolicy(M=2, mode=ChannelMode.ALWAYS_DELIVER),
+            x0=[1.0, 0.0],
+            t_max=1.0,
+            sample_dt=0.1,
+            event_tol=1e-9,
+        )
+        first = hybrid_reference(scn, t_end=0.05).triggers[0]
+        assert first == pytest.approx(0.03 - half, abs=1e-9)
+        assert abs(simulate(scn).triggers[0] - first) <= scn.event_tol
 
     def test_margin_sign(self):
         tr = simulate(_scalar_scenario())
