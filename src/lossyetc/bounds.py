@@ -42,7 +42,7 @@ from .numerics import (
 )
 from .system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix, gamma_zoh
 from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
-from .simulator import Scenario, Trace, simulate
+from .simulator import Scenario, Trace, _column_sums, simulate
 
 _SUP_GRID_POINTS = 400
 _TRACE_MARGIN = 0.99
@@ -410,7 +410,9 @@ def _dropped_intervals(
     without a complete window gets one stand-in window of M - 1 equal rows:
     t_j = 0, the whole-trace envelope and the peak state norm.
     """
-    norms = np.linalg.norm(tr.x, axis=1)
+    # np.linalg.norm(tr.x, axis=1) in the bits of a row-major trace: tr.x is
+    # a transposed view, whose rows numpy would sum in another order.
+    norms = np.sqrt(_column_sums(tr.x.T ** 2))
     anchors = np.concatenate([[0.0], tr.deliveries])
     # The triggers strictly between consecutive anchors start at `first`.
     first = np.searchsorted(tr.triggers, anchors[:-1], side="right")

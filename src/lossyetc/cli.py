@@ -205,11 +205,12 @@ def cmd_sweep(args) -> int:
                 runs.append(dataclasses.replace(scn, estimator=kind, channel=policy))
                 ranks.append((kind is EstimatorKind.MODEL_BASED, -value))
     # Longest first: hold-estimator runs take 2.5-6x as long as model-based
-    # ones, and longer the more packets drop (preset 7, p = 0/0.5/0.9:
-    # 57/109/171 ms against 23/26/31 ms), so they go in descending p and the
-    # short runs fill in behind them. Estimated by list-scheduling measured
-    # run times on 2 workers (draws 7/45/56, best of 5): ascending p
-    # 228/227/225 ms, descending 220/218/213 ms.
+    # ones, and longer the more packets drop (preset 7, sweep seed 1,
+    # p = 0/0.5/0.9, min of 15 runs: 41/88/130 ms against 15/17/22 ms), so
+    # they go in descending p and the short runs fill in behind them.
+    # Estimated by list-scheduling measured run times on 2 workers (draws
+    # 7/45/56, best of 5): ascending p 228/227/225 ms, descending
+    # 220/218/213 ms.
     order = sorted(range(len(runs)), key=ranks.__getitem__)
     summaries = list(fork_map(_summary, runs, order))
     with open(out, "w", newline="") as fh:

@@ -359,8 +359,9 @@ def _format_block(row: str, block: np.ndarray) -> bytes:
 def load_trace(path: str) -> Trace:
     """Parse a trace CSV back into arrays; exact round-trip of save_trace.
 
-    Raises ValueError on a header that is not save_trace's, a non-numeric
-    field, or a row whose column count differs from the header's.
+    The trace has the column-major layout that simulate gives it.  Raises
+    ValueError on a header that is not save_trace's, a non-numeric field, or
+    a row whose column count differs from the header's.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -374,18 +375,19 @@ def load_trace(path: str) -> Trace:
             if first:
                 data = np.loadtxt(
                     itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
-                )
+                ).T
             else:
-                data = np.empty((0, len(header)))
-    if data.shape[1] != len(header):
+                data = np.empty((len(header), 0))
+    if data.shape[0] != len(header):
         raise ValueError(
-            f"trace rows have {data.shape[1]} columns, header has {len(header)}"
+            f"trace rows have {data.shape[0]} columns, header has {len(header)}"
         )
-    return Trace.from_table(data[:, :-2], data[:, -2] != 0.0, data[:, -1] != 0.0)
+    data = np.ascontiguousarray(data)
+    return Trace.from_table(data[:-2], data[-2] != 0.0, data[-1] != 0.0)
 
 
 def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
-    """The body parsed span by span on the usable CPUs, or None.
+    """The body parsed span by span on the usable CPUs, column-major, or None.
 
     None means no pool to parse on, a body of one span, a span that raised
     ValueError, or a span that does not hold one row of the header's width
@@ -398,14 +400,14 @@ def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
     if len(spans) < 2:
         return None
     width = len(header)
-    data = np.empty((sum(rows for _, _, rows in spans), width))
+    data = np.empty((width, sum(rows for _, _, rows in spans)))
     parts = fork_map(functools.partial(_parse_span, path), spans)
     done = 0
     try:
         for (_, _, rows), part in zip(spans, parts):
             if part.shape != (rows, width):
                 return None
-            data[done : done + rows] = part
+            data[:, done : done + rows] = part.T
             done += rows
     except ValueError:
         return None

@@ -128,6 +128,9 @@ class Trace:
     Event instants appear twice in the sample rows: once just before the jump
     (flagged in `triggered` / `delivered`) and once just after, at the next
     representable time, so both one-sided values of every signal are recorded.
+    The float columns are rows of one column-major table (see from_table):
+    t, e_s_norm, e_c_norm and threshold are contiguous 1-D rows, and x, x_s
+    and x_c are transposed (samples, n) views of row blocks.
     """
 
     t: np.ndarray
@@ -148,20 +151,22 @@ class Trace:
     ) -> Trace:
         """Read-only trace over the rows [t, x, x_s, x_c, es, ec, threshold].
 
-        The table is 3n + 4 columns wide, in the float-column order of the
-        trace CSV; the two boolean row flags come separately.  Event instants
-        are the times of the flagged rows.
+        The table is column-major: 3n + 4 rows of one entry per sample, in
+        the float-column order of the trace CSV, each row contiguous.  Each
+        1-D column is one table row, and x, x_s and x_c are transposed n-row
+        blocks; the two boolean flags come separately.  Event instants are the
+        times of the flagged samples.
         """
-        n = (table.shape[1] - 4) // 3
-        t = table[:, 0]
+        n = (table.shape[0] - 4) // 3
+        t = table[0]
         arrays = dict(
             t=t,
-            x=table[:, 1 : 1 + n],
-            x_s=table[:, 1 + n : 1 + 2 * n],
-            x_c=table[:, 1 + 2 * n : 1 + 3 * n],
-            e_s_norm=table[:, 1 + 3 * n],
-            e_c_norm=table[:, 2 + 3 * n],
-            threshold=table[:, 3 + 3 * n],
+            x=table[1 : 1 + n].T,
+            x_s=table[1 + n : 1 + 2 * n].T,
+            x_c=table[1 + 2 * n : 1 + 3 * n].T,
+            e_s_norm=table[1 + 3 * n],
+            e_c_norm=table[2 + 3 * n],
+            threshold=table[3 + 3 * n],
             triggered=triggered,
             delivered=delivered,
             triggers=t[triggered],
@@ -281,11 +286,26 @@ class _Flow:
                 if (es := math.sqrt(sq[c])) > thr(k_lo + (int(c) + 1) * s):
                     j = int(c)
                     break
-            if j < m:
-                k_hi, z_hi, es_hi = k_lo + (j + 1) * s, stack[j] @ z_lo, es
-            if j:
+            if 0 < j < m:  # both ends move: one product for the two
+                z_lo, z_hi = stack[j - 1 : j + 1] @ z_lo
+                k_lo, k_hi, es_hi = k_lo + j * s, k_lo + (j + 1) * s, es
+            elif j:  # no sub-point crossed: the lower end moves to the last
                 k_lo, z_lo = k_lo + j * s, stack[j - 1] @ z_lo
+            elif m:  # the first sub-point crossed
+                k_hi, z_hi, es_hi = k_lo + s, stack[0] @ z_lo, es
         return k_hi, z_hi, es_hi
+
+
+def _column_sums(sq: np.ndarray) -> np.ndarray:
+    """Sums down the columns of sq, each in the order numpy sums a contiguous row.
+
+    np.add.reduce(rows, 1) sums a row of fewer than 8 entries in order, as a
+    sum down axis 0 does; from 8 entries on it sums pairwise, so wider states
+    are summed as contiguous rows of a transposed copy.
+    """
+    if sq.shape[0] < 8:
+        return np.add.reduce(sq, 0)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(sq, 0, -1)), -1)
 
 
 def _errors(n: int, z: np.ndarray) -> tuple[float, float]:
@@ -319,39 +339,31 @@ def simulate(scn: Scenario) -> Trace:
 
     z = np.concatenate([scn.x0, np.zeros(n), scn.x0])
     ch_state = ChannelState()
-    # Rows [t, x, x_s, x_c, es, ec, threshold]; the first `size` are filled.
-    table = np.empty((grid.shape[0] + 256, 3 * n + 4))
-    size = 0
     trigger_rows, delivery_rows = [], []
     last_trigger = -math.inf
     head = _BATCH  # rows in the first product of the next batch
 
-    def append(t, x, x_s, x_c, es, ec, thr):
-        """Write one row (scalar t) or a block of rows, growing the table."""
-        nonlocal table, size
-        block = isinstance(t, np.ndarray)
-        k = len(t) if block else 1
-        if size + k > table.shape[0]:
-            # Copy only the filled rows: spare capacity stays untouched.
-            grown = np.empty((max(size + k, 2 * table.shape[0]), table.shape[1]))
-            grown[:size] = table[:size]
+    def state_column(t, z, es, ec, thr):
+        """The table column of the stacked state z at time t."""
+        return np.concatenate(([t], z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], [es, ec, thr]))
+
+    # Column-major rows [t, x, x_s, x_c, es, ec, threshold], one per float
+    # column of the trace CSV; the first `size` columns are filled.
+    table = np.empty((3 * n + 4, grid.shape[0] + _BATCH))
+    table[:, 0] = state_column(0.0, z, *_errors(n, z), float(threshold_value(0.0, scn.trigger)))
+    size = 1
+
+    def reserve(k):
+        """Columns size .. size + k - 1 of the table, growing it if needed."""
+        nonlocal table
+        if size + k > table.shape[1]:
+            # An eighth more, not double: numpy backs a large table with huge
+            # pages, which would make all of a doubled table's rows resident.
+            grown = np.empty((table.shape[0], max(size + k, table.shape[1] * 9 // 8)))
+            grown[:, :size] = table[:, :size]
             table = grown
-        # Columns first: a block's rows transposed, or the one row itself.
-        cols = table[size : size + k].T if block else table[size]
-        cols[0] = t
-        cols[1 : 1 + n] = x.T
-        cols[1 + n : 1 + 2 * n] = x_s.T
-        cols[1 + 2 * n : 1 + 3 * n] = x_c.T
-        cols[1 + 3 * n] = es
-        cols[2 + 3 * n] = ec
-        cols[3 + 3 * n] = thr
-        size += k
+        return table[:, size : size + k]
 
-    def state_row(t, z, es, ec, thr):
-        """Write the row of the stacked state z at time t."""
-        append(t, z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], es, ec, thr)
-
-    state_row(0.0, z, *_errors(n, z), float(threshold_value(0.0, scn.trigger)))
     next_idx = 1  # index into grid of the next row to produce
     k_cursor = 0  # lattice offset of the state z from grid[next_idx - 1]
 
@@ -370,27 +382,31 @@ def simulate(scn: Scenario) -> Trace:
             while lo < hi:
                 zb = flow.grid_rows(lo, hi, z_base)
                 tb = grid[next_idx : next_idx + hi - lo]
-                xb, xcb = zb[:, :n], zb[:, 2 * n :]
-                xsb = zb[:, n : 2 * n] + xcb
-                ds, dc = xsb - xb, xcb - xb  # row norms as np.linalg.norm(axis=1) forms them
-                esb = np.sqrt(np.add.reduce(ds * ds, 1))
-                ecb = np.sqrt(np.add.reduce(dc * dc, 1))
-                thrb = threshold_value(tb, scn.trigger)
-                bad = (esb > thrb).nonzero()[0]
+                cols = reserve(hi - lo)
+                cols[0] = tb
+                cols[1 : 1 + 3 * n] = zb.T
+                cols[1 + n : 1 + 2 * n] += cols[1 + 2 * n : 1 + 3 * n]  # x_s = w + x_c
+                # e_s and e_c at once: rows (x_s, x_c) less x, as (n, 2, rows).
+                d = cols[1 + n : 1 + 3 * n].reshape(2, n, -1) - cols[1 : 1 + n]
+                d *= d
+                es = np.sqrt(_column_sums(d.swapaxes(0, 1)), out=cols[1 + 3 * n : 3 + 3 * n])[0]
+                cols[3 + 3 * n] = threshold_value(tb, scn.trigger)
+                bad = (es > cols[3 + 3 * n]).nonzero()[0]
                 if bad.size:
                     break
-                append(tb, xb, xsb, xcb, esb, ecb, thrb)
+                size += hi - lo
                 z = zb[-1]
                 next_idx += hi - lo
                 lo, hi = hi, batch
             else:  # no row of the batch crossed the threshold
                 continue
+            # Keep the columns before the crossing; the rest get overwritten.
             j = int(bad[0])
-            append(tb[:j], xb[:j], xsb[:j], xcb[:j], esb[:j], ecb[:j], thrb[:j])
+            size += j
             if j:
                 z = zb[j - 1]
             next_idx += j
-            k_hi, z_hi, es_hi = flow.lattice, zb[j], esb[j]
+            k_hi, z_hi, es_hi = flow.lattice, zb[j], es[j]
         else:
             # Off the uniform grid: partial step to the next grid time.
             target = grid[next_idx]
@@ -402,7 +418,8 @@ def simulate(scn: Scenario) -> Trace:
             es_hi, ec_hi = _errors(n, z_hi)
             thr = float(threshold_value(target, scn.trigger))
             if not es_hi > thr:
-                state_row(target, z_hi, es_hi, ec_hi, thr)
+                reserve(1)[:, 0] = state_column(target, z_hi, es_hi, ec_hi, thr)
+                size += 1
                 z, k_cursor, next_idx = z_hi, 0, next_idx + 1
                 continue
         t_g = grid[next_idx - 1]
@@ -429,8 +446,6 @@ def simulate(scn: Scenario) -> Trace:
         trigger_rows.append(size)
         if got:
             delivery_rows.append(size)
-        # The pre-jump row keeps the sensor error that the locator compared.
-        state_row(t_star, z_pre, es_pre, ec_pre, float(threshold_value(t_star, scn.trigger)))
         # Jumps: the sensor copy resets at every trigger; the controller copy
         # resets only on delivery.  In discrepancy coordinates:
         #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
@@ -441,15 +456,23 @@ def simulate(scn: Scenario) -> Trace:
         else:
             z[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
         t_plus = math.nextafter(t_star, math.inf)
-        # Post-jump sensor copy equals the plant state by definition of the
-        # reset; record that value, not a reconstruction.
-        append(t_plus, z[:n], z[:n], z[2 * n :], 0.0, 0.0 if got else ec_pre,
-               float(threshold_value(t_plus, scn.trigger)))
+        # Both event rows in one write.  The pre-jump row keeps the sensor
+        # error that the locator compared.  The post-jump sensor copy equals
+        # the plant state by definition of the reset; record that value, not
+        # a reconstruction.
+        reserve(2).T[:] = (
+            state_column(t_star, z_pre, es_pre, ec_pre,
+                         float(threshold_value(t_star, scn.trigger))),
+            np.concatenate(([t_plus], z[:n], z[:n], z[2 * n :],
+                            [0.0, 0.0 if got else ec_pre,
+                             float(threshold_value(t_plus, scn.trigger))])),
+        )
+        size += 2
 
     triggered, delivered = np.zeros((2, size), dtype=bool)
     triggered[trigger_rows] = True
     delivered[delivery_rows] = True
-    return Trace.from_table(table[:size], triggered, delivered)
+    return Trace.from_table(table[:, :size], triggered, delivered)
 
 
 def summarize(tr: Trace, cfg: TriggerConfig) -> SummaryStats:

@@ -412,6 +412,22 @@ class TestTraceCsv:
             assert np.array_equal(getattr(loaded, name), getattr(golden_trace, name)), name
         assert not loaded.x.flags.writeable
 
+    @_POOL_CASES
+    def test_columns_are_contiguous(
+        self, golden_trace, trace_zoh7, tmp_path, usable_cpus, cpus, pools
+    ):
+        # simulate and load_trace give one column-major layout: each 1-D column
+        # is a contiguous table row.  trace_zoh7 outgrows the simulator's
+        # first table.
+        started = usable_cpus(cpus)
+        path = tmp_path / "trace.csv"
+        save_trace(golden_trace, str(path))
+        loaded = load_trace(str(path))
+        assert started == pools
+        for tr in (golden_trace, trace_zoh7, loaded):
+            for name in ("t", "e_s_norm", "e_c_norm", "threshold"):
+                assert getattr(tr, name).flags.c_contiguous, name
+
     def test_one_cpu_parses_in_one_piece(
         self, golden_trace, tmp_path, monkeypatch, usable_cpus
     ):

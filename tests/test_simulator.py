@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from lossyetc.trigger_channel import (
 )
 
 from oracles import hybrid_reference
+from test_random_plants import _scenario
 
 
 def _scalar_scenario(**overrides):
@@ -236,6 +238,57 @@ def test_mb_trace_bytes_pinned(trace7):
     assert _trace_sha256(trace7) == (
         "19b10ee253a43c568c0e180485ea7a663c6fea785a2a68344c246e2d01e7a493"
     )
+
+
+@pytest.mark.parametrize("n, seed, estimator, rows, digest, reports", [
+    (8, 0, EstimatorKind.MODEL_BASED, 10007,
+     "98d4124beefb4ef02b4f4d73830c6e9dcbd7303b19d0503c709e70815ff6de69",
+     "c2c26e6bcd9fa2d1c66117866ea0db423f94437553274bef78ad39c8fcd1aeca"),
+    (8, 0, EstimatorKind.ZERO_ORDER_HOLD, 10085,
+     "404e2f66829fa672b2ad8cdc0ff8e8a2a299e4a380a8fbe5376b0ba542d1f8af",
+     "d3f72f2ef964b9ed8619f8328d5fe83ed421da6a946a83185db18bf58d7985ae"),
+    (9, 0, EstimatorKind.MODEL_BASED, 10027,
+     "2de29dc9481f0a57f56e5313f3465fc72f48a765dec726869476d2f7a3917936",
+     "bb5e431e7be66267c67e5bd60c6ec87eada9e1da5e727136ac80a77cb135a02d"),
+    (9, 0, EstimatorKind.ZERO_ORDER_HOLD, 10099,
+     "bee994d469e4b062943b40f33add982a4c4ad6c4e6dfe298b58aaa66c58a15ae",
+     "ffb467e4922a9c9eb64c7675064db4bba6a3bd9dd043ddc3e6ee3998c91abb6d"),
+    (8, 1, EstimatorKind.MODEL_BASED, 10007,
+     "4057a4ec02ee84d864adcd8d65eac227ac6399b8785239f81b8959ba363a4c51",
+     "ea1b9e1ae72d20793a34024cbaceec50e78dc60a28f13260e1f977d0efd588fc"),
+    (8, 1, EstimatorKind.ZERO_ORDER_HOLD, 10079,
+     "28e67c148765ec76e961bc76c883bf7137fa32e6530c14796d53cf7d83d79602",
+     "06192dc5a92f1bba923a9a1628b57522af98970444867ca8bab73d1a7a665c9d"),
+])
+def test_wide_state_traces_pinned(n, seed, estimator, rows, digest, reports):
+    # From n = 8 on numpy sums a row of squares in 8 running partial sums, so
+    # every row norm of a trace, in the simulator and in the reports read off
+    # it, must follow that order.  The digests are those of numpy's own row
+    # sums over a row-major table; `reports` covers every field of both
+    # certificates of the trace.
+    scn = dataclasses.replace(_scenario(n, 2, 3, estimator, seed), t_max=10.0)
+    tr = simulate(scn)
+    assert tr.num_samples == rows
+    assert _trace_sha256(tr) == digest
+    h = hashlib.sha256()
+    for analyze in (le.analyze_scenario, le.analyze_scenario_zoh):
+        h.update(json.dumps(dataclasses.asdict(analyze(scn, tr))).encode())
+    assert h.hexdigest() == reports
+
+
+def test_column_sums_follow_row_order():
+    # Each column sum must have the bits of np.add.reduce over the same
+    # numbers laid out as a contiguous row, for every state dimension.
+    rng = np.random.default_rng(0)
+    for n in [*range(2, 41), 200]:
+        for k in (1, 7, 256):
+            sq = rng.normal(size=(n, k)) ** 2 * 10.0 ** rng.uniform(-8, 8, (n, 1))
+            want = np.add.reduce(np.ascontiguousarray(sq.T), 1)
+            assert simulator._column_sums(sq).tobytes() == want.tobytes(), (n, k)
+        # The batch's layout: e_s and e_c squares as (n, 2, rows).
+        d = rng.normal(size=(2, n, 5)) ** 2
+        want = np.add.reduce(np.ascontiguousarray(d.transpose(0, 2, 1)), 2)
+        assert simulator._column_sums(d.swapaxes(0, 1)).tobytes() == want.tobytes(), n
 
 
 def _record_batches(monkeypatch):
