@@ -203,7 +203,9 @@ class _Flow:
     lattice units of sample_dt / _SCAN**R each, R rounds making a unit at most
     event_tol.  The hold estimator's held blocks are exact identities and the
     discrepancy block never couples to the rest, so a drift-free stretch stays
-    drift-free to the last bit.
+    drift-free to the last bit.  Matrix-vector products use ndarray.dot: for a
+    C-contiguous matrix it makes the same BLAS gemv call as @, at less cost
+    per call.
     """
 
     def __init__(self, scn: Scenario):
@@ -252,15 +254,21 @@ class _Flow:
         return out
 
     def grid_rows(self, lo: int, hi: int, z: np.ndarray) -> np.ndarray:
-        """States lo + 1 .. hi grid steps on from z, from one matrix product."""
-        return (self.powers[lo:hi].reshape(-1, 3 * self.n) @ z).reshape(hi - lo, -1)
+        """States lo + 1 .. hi grid steps on from z, from one matrix product.
+
+        The rows depend on the split: when 3n is not a multiple of 4, rows
+        lo..hi can differ in the last bit from the same rows of a product
+        from 0 (seen from n = 3 on), so where `simulate` splits a batch is
+        part of a trace's bits.
+        """
+        return self.powers[lo:hi].reshape(-1, 3 * self.n).dot(z).reshape(hi - lo, -1)
 
     def advance(self, z: np.ndarray, units: int) -> np.ndarray:
         """z carried 0 < units < lattice on, one product per base-_SCAN digit."""
         for stack in reversed(self.scan):
             units, digit = divmod(units, _SCAN)
             if digit:
-                z = stack[digit - 1] @ z
+                z = stack[digit - 1].dot(z)
         return z
 
     def locate(self, t_g, k_lo, z_lo, k_hi, z_hi, es_hi, cfg: TriggerConfig):
@@ -269,30 +277,35 @@ class _Flow:
 
         k_hi (state z_hi, sensor error es_hi) always counts as crossing.  Round
         r takes the sub-points k_lo + (j + 1) * spacing[r] below k_hi in one
-        product and narrows the bracket to the cell of the first that crosses.
+        product and narrows the bracket to the cell of the first that crosses;
+        a round with no sub-point below k_hi is skipped.
         """
-        def thr(k):  # threshold_value's formula: perfbench/tracer.py counts rows only
-            return cfg.beta * np.exp(-cfg.alpha * (t_g + k * self.unit))
-
+        n, unit, beta, alpha = self.n, self.unit, cfg.beta, cfg.alpha
+        hi = None  # (propagator, state) whose product is z_hi, once the upper end moved
         for s, stack, e_stack in zip(self.spacing, self.scan, self.scan_es):
             m = -(-(k_hi - k_lo) // s) - 1  # sub-points below k_hi, at most _SCAN - 1
-            e_s = (e_stack[: m * self.n] @ z_lo).reshape(m, self.n)
-            sq = np.add.reduce(e_s * e_s, 1)
-            # thr falls with t: only a sub-point whose squared error beats thr(k_hi),
-            # less a margin far above rounding, can cross; those get the exact test.
-            floor = (thr(k_hi) * (1.0 - 1e-9)) ** 2
+            if not m:
+                continue
+            e_s = e_stack[: m * n].dot(z_lo)
+            e_s *= e_s
+            # The threshold falls with t: only a sub-point whose squared error
+            # beats the threshold at k_hi, less a margin far above rounding, can
+            # cross, so the screen may use math.exp; the exact test is
+            # threshold_value's formula, np.exp included.
+            floor = (beta * math.exp(-alpha * (t_g + k_hi * unit)) * (1.0 - 1e-9)) ** 2
             j = m
-            for c in (sq > floor).nonzero()[0]:
-                if (es := math.sqrt(sq[c])) > thr(k_lo + (int(c) + 1) * s):
-                    j = int(c)
+            for c, sq in enumerate(np.add.reduce(e_s.reshape(m, n), 1).tolist()):
+                if sq > floor and (es := math.sqrt(sq)) > beta * np.exp(
+                    -alpha * (t_g + (k_lo + (c + 1) * s) * unit)
+                ):
+                    j = c
                     break
-            if 0 < j < m:  # both ends move: one product for the two
-                z_lo, z_hi = stack[j - 1 : j + 1] @ z_lo
-                k_lo, k_hi, es_hi = k_lo + j * s, k_lo + (j + 1) * s, es
-            elif j:  # no sub-point crossed: the lower end moves to the last
-                k_lo, z_lo = k_lo + j * s, stack[j - 1] @ z_lo
-            elif m:  # the first sub-point crossed
-                k_hi, z_hi, es_hi = k_lo + s, stack[0] @ z_lo, es
+            if j < m:  # sub-point j crossed: the upper end moves to it
+                k_hi, es_hi, hi = k_lo + (j + 1) * s, es, (stack[j], z_lo)
+            if j and s > 1:  # the lower end moves to sub-point j - 1 for the next round
+                k_lo, z_lo = k_lo + j * s, stack[j - 1].dot(z_lo)
+        if hi is not None:
+            z_hi = hi[0].dot(hi[1])
         return k_hi, z_hi, es_hi
 
 
@@ -335,22 +348,31 @@ def simulate(scn: Scenario) -> Trace:
     grid = np.arange(n_full + 1, dtype=float) * dt
     if grid[-1] < scn.t_max - 1e-9 * max(1.0, scn.t_max):
         grid = np.append(grid, scn.t_max)
+    cfg = scn.trigger
+    # Every grid row's threshold from one call: np.exp works elementwise, so
+    # each entry has the bits of a call on its time alone.
+    grid_thr = threshold_value(grid, cfg)
     flow = _Flow(scn)
 
     z = np.concatenate([scn.x0, np.zeros(n), scn.x0])
     ch_state = ChannelState()
     trigger_rows, delivery_rows = [], []
     last_trigger = -math.inf
-    head = _BATCH  # rows in the first product of the next batch
+    # Rows in the first product of the next batch.  The split rule fixes bits:
+    # for 3n not a multiple of 4 a split batch's rows can differ in the last
+    # bit from one product's (see _Flow.grid_rows).
+    head = _BATCH
 
-    def state_column(t, z, es, ec, thr):
-        """The table column of the stacked state z at time t."""
-        return np.concatenate(([t], z[:n], z[n : 2 * n] + z[2 * n :], z[2 * n :], [es, ec, thr]))
+    def put(col, t, z, es, ec, thr):
+        """Write the stacked state z at time t into the table column col."""
+        col[1 : 1 + 3 * n] = z
+        col[1 + n : 1 + 2 * n] += z[2 * n :]  # x_s = w + x_c
+        col[0], col[1 + 3 * n], col[2 + 3 * n], col[3 + 3 * n] = t, es, ec, thr
 
     # Column-major rows [t, x, x_s, x_c, es, ec, threshold], one per float
     # column of the trace CSV; the first `size` columns are filled.
     table = np.empty((3 * n + 4, grid.shape[0] + _BATCH))
-    table[:, 0] = state_column(0.0, z, *_errors(n, z), float(threshold_value(0.0, scn.trigger)))
+    put(table[:, 0], 0.0, z, *_errors(n, z), grid_thr[0])
     size = 1
 
     def reserve(k):
@@ -381,17 +403,17 @@ def simulate(scn: Scenario) -> Trace:
             z_base = z
             while lo < hi:
                 zb = flow.grid_rows(lo, hi, z_base)
-                tb = grid[next_idx : next_idx + hi - lo]
                 cols = reserve(hi - lo)
-                cols[0] = tb
+                cols[0] = grid[next_idx : next_idx + hi - lo]
                 cols[1 : 1 + 3 * n] = zb.T
                 cols[1 + n : 1 + 2 * n] += cols[1 + 2 * n : 1 + 3 * n]  # x_s = w + x_c
                 # e_s and e_c at once: rows (x_s, x_c) less x, as (n, 2, rows).
                 d = cols[1 + n : 1 + 3 * n].reshape(2, n, -1) - cols[1 : 1 + n]
                 d *= d
                 es = np.sqrt(_column_sums(d.swapaxes(0, 1)), out=cols[1 + 3 * n : 3 + 3 * n])[0]
-                cols[3 + 3 * n] = threshold_value(tb, scn.trigger)
-                bad = (es > cols[3 + 3 * n]).nonzero()[0]
+                thr = grid_thr[next_idx : next_idx + hi - lo]
+                cols[3 + 3 * n] = thr
+                bad = (es > thr).nonzero()[0]
                 if bad.size:
                     break
                 size += hi - lo
@@ -406,27 +428,26 @@ def simulate(scn: Scenario) -> Trace:
             if j:
                 z = zb[j - 1]
             next_idx += j
-            k_hi, z_hi, es_hi = flow.lattice, zb[j], es[j]
+            k_hi, z_hi, es_hi = flow.lattice, zb[j], es.item(j)
         else:
             # Off the uniform grid: partial step to the next grid time.
-            target = grid[next_idx]
             if next_idx <= n_full:
                 k_hi, z_hi = flow.lattice, flow.advance(z, flow.lattice - k_cursor)
             else:  # the last step, to a t_max off the grid
-                k_hi = math.ceil((target - grid[next_idx - 1]) / flow.unit)
-                z_hi = flow.step(target - grid[next_idx - 1] - k_cursor * flow.unit) @ z
+                step = grid[next_idx] - grid[next_idx - 1]
+                k_hi = math.ceil(step / flow.unit)
+                z_hi = flow.step(step - k_cursor * flow.unit) @ z
             es_hi, ec_hi = _errors(n, z_hi)
-            thr = float(threshold_value(target, scn.trigger))
-            if not es_hi > thr:
-                reserve(1)[:, 0] = state_column(target, z_hi, es_hi, ec_hi, thr)
+            if not es_hi > grid_thr[next_idx]:
+                put(reserve(1)[:, 0], grid[next_idx], z_hi, es_hi, ec_hi, grid_thr[next_idx])
                 size += 1
                 z, k_cursor, next_idx = z_hi, 0, next_idx + 1
                 continue
-        t_g = grid[next_idx - 1]
-        k_cursor, z_pre, es_pre = flow.locate(t_g, k_cursor, z, k_hi, z_hi, es_hi, scn.trigger)
+        t_g = grid.item(next_idx - 1)
+        k_cursor, z_pre, es_pre = flow.locate(t_g, k_cursor, z, k_hi, z_hi, es_hi, cfg)
         if k_cursor == k_hi:
             # The event is the grid point itself; its rows replace that sample.
-            t_star, k_cursor = grid[next_idx], 0
+            t_star, k_cursor = grid.item(next_idx), 0
             next_idx += 1
         else:
             t_star = t_g + k_cursor * flow.unit
@@ -440,12 +461,16 @@ def simulate(scn: Scenario) -> Trace:
         # the next batch looks twice that far before it evaluates the rest.
         head = max(1, int(min(2.0 * gap / dt, _BATCH)))
         last_trigger = t_star
-        _, ec_pre = _errors(n, z_pre)
         outcome, ch_state = channel_offer(scn.channel, ch_state)
         got = outcome is Outcome.DELIVERED
         trigger_rows.append(size)
         if got:
             delivery_rows.append(size)
+        # The pre-jump row keeps the sensor error that the locator compared.
+        e_c = z_pre[2 * n :] - z_pre[:n]
+        ec_pre = math.sqrt(e_c.dot(e_c))
+        cols = reserve(2)
+        put(cols[:, 0], t_star, z_pre, es_pre, ec_pre, threshold_value(t_star, cfg))
         # Jumps: the sensor copy resets at every trigger; the controller copy
         # resets only on delivery.  In discrepancy coordinates:
         #   trigger:  w := x - x_c, delivery on top of it: x_c := x, w := 0.
@@ -454,19 +479,15 @@ def simulate(scn: Scenario) -> Trace:
             z[n : 2 * n] = 0.0
             z[2 * n :] = z_pre[:n]
         else:
-            z[n : 2 * n] = z_pre[:n] - z_pre[2 * n :]
+            np.subtract(z_pre[:n], z_pre[2 * n :], out=z[n : 2 * n])
+        # The post-jump sensor copy equals the plant state by definition of
+        # the reset; record that value, not a reconstruction.
         t_plus = math.nextafter(t_star, math.inf)
-        # Both event rows in one write.  The pre-jump row keeps the sensor
-        # error that the locator compared.  The post-jump sensor copy equals
-        # the plant state by definition of the reset; record that value, not
-        # a reconstruction.
-        reserve(2).T[:] = (
-            state_column(t_star, z_pre, es_pre, ec_pre,
-                         float(threshold_value(t_star, scn.trigger))),
-            np.concatenate(([t_plus], z[:n], z[:n], z[2 * n :],
-                            [0.0, 0.0 if got else ec_pre,
-                             float(threshold_value(t_plus, scn.trigger))])),
-        )
+        post = cols[:, 1]
+        post[1 : 1 + 3 * n] = z
+        post[1 + n : 1 + 2 * n] = z_pre[:n]
+        post[0], post[1 + 3 * n], post[2 + 3 * n], post[3 + 3 * n] = (
+            t_plus, 0.0, 0.0 if got else ec_pre, threshold_value(t_plus, cfg))
         size += 2
 
     triggered, delivered = np.zeros((2, size), dtype=bool)

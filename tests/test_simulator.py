@@ -335,7 +335,9 @@ def test_split_batch_traces_pinned(
     monkeypatch, estimator, channel, rows, digest, split_events, row0_events
 ):
     # A batch after an event is evaluated in two products from the same start
-    # state; the rows must be the bits of one product over the whole batch.
+    # state.  For the vehicle's 3n = 12 the rows are the bits of one product
+    # over the whole batch; for 3n not a multiple of 4 they need not be (see
+    # _Flow.grid_rows), and the n = 9 wide-state pins hold those widths.
     # Both hold-estimator runs bracket events in a batch's second product; in
     # the Bernoulli run four of them sit at its row 0, where the bracket's
     # lower end is the last row of the first product.  Pins derived after the
@@ -417,19 +419,44 @@ def _exhaustive_locate(flow, t_g, k_lo, z_lo, k_hi, z_hi, es_hi, cfg):
     return k_hi, z_hi, es_hi
 
 
-@pytest.mark.parametrize("estimator", list(EstimatorKind))
-def test_screened_scan_matches_exhaustive_scan(monkeypatch, estimator):
-    # The locator tests only the sub-points whose squared error beats the
-    # threshold at the bracket's upper end; testing all of them must give
-    # the same events, to the last bit.
-    scn = dataclasses.replace(
+def _short_final_step():
+    """The scalar run with its event in a last step shorter than sample_dt / 32:
+    the scan's first round has no sub-point in that bracket and is skipped."""
+    return _scalar_scenario(
+        sample_dt=0.0405, event_tol=0.0405 / 100, t_max=math.log(1.5) + 1e-4
+    )
+
+
+def _bernoulli45(estimator):
+    return dataclasses.replace(
         le.vehicle_preset(45), estimator=estimator, t_max=20.0,
         channel=ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.9, seed=3),
     )
+
+
+# Run id: (scenario maker, fewest triggers).  The partial-bracket runs are
+# those of test_rare_loop_branches_pinned plus _short_final_step.
+_SCAN_RUNS = {
+    "EstimatorKind.MODEL_BASED": (lambda: _bernoulli45(EstimatorKind.MODEL_BASED), 20),
+    "EstimatorKind.ZERO_ORDER_HOLD": (lambda: _bernoulli45(EstimatorKind.ZERO_ORDER_HOLD), 20),
+    "event_in_partial_step": (_scalar_scenario, 12),
+    "event_in_final_partial_step": (_zoh45_short, 161),
+    "event_in_short_final_step": (_short_final_step, 1),
+}
+
+
+@pytest.mark.parametrize("run", list(_SCAN_RUNS))
+def test_screened_scan_matches_exhaustive_scan(monkeypatch, run):
+    # The locator tests only the sub-points whose squared error beats the
+    # threshold at the bracket's upper end, and skips a round with no
+    # sub-point; testing every sub-point of every round must give the same
+    # events, to the last bit.
+    make, events = _SCAN_RUNS[run]
+    scn = make()
     screened = simulate(scn)
     monkeypatch.setattr(simulator._Flow, "locate", _exhaustive_locate)
     assert _trace_sha256(simulate(scn)) == _trace_sha256(screened)
-    assert screened.triggers.size >= 20
+    assert screened.triggers.size >= events
 
 
 def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
@@ -572,6 +599,17 @@ def test_synchronized_windows_are_exact(trace7):
         assert np.array_equal(trace7.x_c[mask], trace7.x_s[mask])
         checked += int(np.count_nonzero(mask))
     assert checked > 100
+
+
+def test_threshold_column_is_threshold_value_of_t(
+    trace7, trace_zoh7, golden_trace, vehicle7, golden_scn
+):
+    # Grid rows take their threshold from one call over the grid, event rows
+    # from calls at their own times; every row must hold the bits of
+    # threshold_value at its time, so the column is derivable from t.
+    for tr, cfg in ((trace7, vehicle7.trigger), (trace_zoh7, vehicle7.trigger),
+                    (golden_trace, golden_scn.trigger)):
+        assert tr.threshold.tobytes() == threshold_value(tr.t, cfg).tobytes()
 
 
 def test_threshold_soundness(trace7, trace_zoh7, golden_trace):
