@@ -39,6 +39,7 @@ from .numerics import (
     eigendecompose,
     exp_norms_on_grid,  # unused here: perfbench/tracer.py patches this binding
     grid_norm_maxes,
+    norm_ceiling,
 )
 from .system_model import Gain, NominalModel, Plant, closed_loop, gamma_matrix, gamma_zoh
 from .trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
@@ -198,6 +199,14 @@ def compute_Delta(
     sup taken over s in [0, tilde_k]; tilde_k is the tail sum of the interval
     bounds, so the stale-data age after k drops never exceeds it. Returns the
     first window with the largest Delta.
+
+    The sups are sampled on dense grids from one eigen-basis of S.  When S
+    has a norm ceiling U (norm_ceiling), a window whose Delta with every sup
+    replaced by U, raised by 1e-12, is below the Delta of the window with the
+    largest such bound cannot be the worst, so its grids are not evaluated
+    (U's 1e-6 sample margin also covers the round-off of a sampled sup).
+    Without a ceiling, or when a grid could fail, every window is evaluated,
+    and on a failure the decay-envelope gain c stands in for every sup.
     """
     _check_windows(M, windows)
     c, kappa = env_model.c, env_model.rate
@@ -206,23 +215,41 @@ def compute_Delta(
         for rows in windows
     ]
     tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
-    # Every window's sups are sampled on dense grids from one eigen-basis of
-    # S; when the grid evaluation fails, the decay-envelope ceiling stands in.
-    grids = [
-        np.linspace(0.0, tk, _SUP_GRID_POINTS)
-        for tilde in tildes for tk in tilde if not tk <= 0.0
-    ]
-    try:
-        sups = iter(grid_norm_maxes(s_mat, grids))
-    except NumericsError:
-        sups = itertools.repeat(c)
-    frags = []
-    for bar, tilde in zip(bars, tildes):
+
+    def grids(ws):
+        return [np.linspace(0.0, tk, _SUP_GRID_POINTS) for w in ws for tk in tildes[w] if not tk <= 0.0]
+
+    def window(w, sups):
         total = 1.0
-        for tk in tilde:
+        for tk in tildes[w]:
             total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
-        frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
-    return max(frags, key=lambda frag: frag.Delta)
+        return DeltaBreakdown(Delta=total, delta_bar=bars[w], delta_tilde=tildes[w])
+
+    def worst(frags):
+        return max(frags, key=lambda frag: frag.Delta)
+
+    everything = range(len(windows))
+    ceiling = norm_ceiling(s_mat)
+    # grid_norm_maxes raises only where S * t overflows, and t ends at
+    # tilde_k; such a failure puts c in every window's sups, so every window
+    # is evaluated then.
+    lengths = [tk for tilde in tildes for tk in tilde if not tk <= 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.multiply.outer(lengths, s_mat)).all():
+            ceiling = None
+    try:
+        if ceiling is None:
+            sups = iter(grid_norm_maxes(s_mat, grids(everything)))
+            return worst(window(w, sups) for w in everything)
+        caps = [window(w, itertools.repeat(ceiling)).Delta * (1.0 + 1e-12) for w in everything]
+        top = max(everything, key=caps.__getitem__)
+        frags = {top: window(top, iter(grid_norm_maxes(s_mat, grids([top]))))}
+        rest = [w for w in everything if w != top and caps[w] >= frags[top].Delta]
+        sups = iter(grid_norm_maxes(s_mat, grids(rest)))
+        frags.update((w, window(w, sups)) for w in rest)
+        return worst(frags[w] for w in sorted(frags))
+    except NumericsError:
+        return worst(window(w, itertools.repeat(c)) for w in everything)
 
 
 def verify_ec_bound(tr: Trace, Delta: float, cfg: TriggerConfig) -> BoundCheck:

@@ -4,11 +4,14 @@ Everything here operates on small (n <= a few dozen) float64 matrices. The
 matrix exponential and the eigensolver are delegated to scipy/numpy; this
 module adds the fixed tolerances, deterministic ordering, and validity checks
 that the rest of the package relies on. Tolerances are module constants on
-purpose: bound verification must not depend on per-run knobs.
+purpose: bound verification must not depend on per-run knobs. What is derived
+from one matrix (its eigendecomposition, decay envelope and norm ceiling) is
+kept for the last few matrices seen, keyed on their exact bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +34,15 @@ ENVELOPE_RATE_MARGIN = 0.99
 ENVELOPE_GAIN_MARGIN = 1.05
 ENVELOPE_FIT_POINTS = 400
 ENVELOPE_CHECK_POINTS = 300
+# norm_ceiling: each sampled ||exp(M s)|| is raised by this relative margin,
+# which covers the round-off of the sampled exponential and its SVD; cells are
+# split until each is within CEILING_SLACK of the largest sample; more than
+# CEILING_MAX_SAMPLES samples give no ceiling.
+CEILING_SAMPLE_MARGIN = 1e-6
+CEILING_SLACK = 5e-3
+CEILING_MAX_SAMPLES = 4096
+# Records of the last few matrices, keyed on their exact bytes.
+_RECORDS = 8
 
 
 class NumericsError(Exception):
@@ -114,17 +126,54 @@ def eigendecompose(matrix: Matrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def _eigen_basis(m: Matrix) -> tuple[Matrix, np.ndarray, Matrix] | None:
-    """(V, eigenvalues, V^-1) of m, or None when m is too far from diagonalizable."""
-    try:
-        dec = eigendecompose(m)
-        v = dec.eigenvectors
-        vinv = np.linalg.inv(v)
-        if np.linalg.cond(v) < 1e7:
-            return v, dec.eigenvalues, vinv
-    except (EigendecompositionError, np.linalg.LinAlgError):
-        pass
-    return None
+class _Record:
+    """What this module derives from one square matrix m, computed once.
+
+    The eigendecomposition is taken when the record is made; the eigen-basis
+    that rebuilds exp(m t), the decay envelope and the norm ceiling all come
+    from it.  Arrays are shared by every caller and are never written.
+    """
+
+    def __init__(self, m: Matrix):
+        self.m = m
+        self.eig: EigenDecomposition | None = None
+        self.error: EigendecompositionError | None = None
+        self.basis = None  # (V, eigenvalues, V^-1), or None when m is far from diagonalizable
+        try:
+            self.eig = eigendecompose(m)
+        except EigendecompositionError as exc:
+            self.error = exc
+            return
+        v = self.eig.eigenvectors
+        try:
+            vinv = np.linalg.inv(v)
+            if np.linalg.cond(v) < 1e7:
+                self.basis = v, self.eig.eigenvalues, vinv
+        except np.linalg.LinAlgError:
+            pass
+
+    def norms(self, ts: np.ndarray) -> np.ndarray:
+        """2-norm of exp(m t) for each t in ts."""
+        return _all_norms(self.m, _exp_batch(self.m, self.basis, ts), ts)
+
+    @functools.cached_property
+    def envelope(self) -> DecayEnvelope:
+        return _fit_envelope(self)
+
+    @functools.cached_property
+    def ceiling(self) -> float | None:
+        return _ceiling(self)
+
+
+def _record(matrix: Matrix) -> _Record:
+    """The record of matrix, shared by every call with the same shape and bytes."""
+    m = _as_square(matrix)
+    return _cached_record(m.shape[0], m.tobytes())
+
+
+@functools.lru_cache(maxsize=_RECORDS)
+def _cached_record(n: int, data: bytes) -> _Record:
+    return _Record(np.frombuffer(data).reshape(n, n))
 
 
 def _exp_batch(m: Matrix, basis, ts: np.ndarray) -> np.ndarray | None:
@@ -165,11 +214,11 @@ def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
     abandoned for a direct expm loop when the input is too far from
     diagonalizable.
     """
-    m = _as_square(matrix)
+    rec = _record(matrix)
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0)
-    return _all_norms(m, _exp_batch(m, _eigen_basis(m), ts), ts)
+    return rec.norms(ts)
 
 
 # SVDs per screening step of grid_norm_maxes.
@@ -179,9 +228,9 @@ _SCREEN_CHUNK = 8
 def grid_norm_maxes(matrix: Matrix, grids: list[np.ndarray]) -> list[float]:
     """float(np.max(exp_norms_on_grid(matrix, ts))) for each non-empty ts, bit for bit.
 
-    One eigendecomposition serves every grid. On the batched path the
-    Frobenius norm bounds each point's 2-norm from above (||A||_2 <= ||A||_F,
-    equal for rank-1 A). Inflated by 64 n eps, the computed Frobenius norm
+    The matrix's one eigendecomposition serves every grid. On the batched
+    path the Frobenius norm bounds each point's 2-norm from above
+    (||A||_2 <= ||A||_F, equal for rank-1 A). Inflated by 64 n eps, the computed Frobenius norm
     also covers the round-off of both computed norms at the sizes this module
     handles, so a point whose bound is below a computed 2-norm cannot hold
     the max. SVDs run in chunks in descending bound order and stop at the
@@ -189,15 +238,15 @@ def grid_norm_maxes(matrix: Matrix, grids: list[np.ndarray]) -> list[float]:
     bound sends the grid through exp_norms_on_grid's full path, so inf and
     NaN come out as they do there.
     """
-    m = _as_square(matrix)
-    basis = _eigen_basis(m)
+    rec = _record(matrix)
+    m = rec.m
     slack = 1.0 + 64.0 * m.shape[0] * np.finfo(float).eps
     maxes = []
     for ts in grids:
         ts = np.asarray(ts, dtype=float)
         if ts.size == 0:
             raise ValueError("grid_norm_maxes needs non-empty grids")
-        batch = _exp_batch(m, basis, ts)
+        batch = _exp_batch(m, rec.basis, ts)
         maxes.append(_screened_max(m, batch, ts, slack))
     return maxes
 
@@ -229,27 +278,89 @@ def decay_envelope(matrix: Matrix) -> DecayEnvelope:
     The rate is 99% of the negated spectral abscissa; c is 105% of the sup of
     ||exp(M t)|| exp(rate t) over a 400-point geometric grid on [0, 20/rate].
     The pair is then re-checked on a fixed-seed random grid over [0, 40/rate];
-    failure raises instead of returning an uncertified envelope. One
-    eigendecomposition yields the abscissa and serves both grids.
+    failure raises instead of returning an uncertified envelope. The
+    matrix's one eigendecomposition yields the abscissa and serves both
+    grids, and a matrix seen recently is not fitted again.
     """
-    m = _as_square(matrix)
-    basis = _eigen_basis(m)
-    values = eigendecompose(m).eigenvalues if basis is None else basis[1]
-    sa = float(np.max(values.real))
+    return _record(matrix).envelope
+
+
+def _fit_envelope(rec: _Record) -> DecayEnvelope:
+    if rec.eig is None:
+        raise rec.error
+    m = rec.m
+    sa = float(np.max(rec.eig.eigenvalues.real))
     if sa >= 0.0:
         raise NumericsError(f"matrix is not Hurwitz (spectral abscissa {sa:.3e})")
     rate = ENVELOPE_RATE_MARGIN * (-sa)
     horizon = 20.0 / rate
     grid = np.concatenate([[0.0], np.geomspace(horizon * 1e-4, horizon, ENVELOPE_FIT_POINTS - 1)])
-    sup = float(np.max(_all_norms(m, _exp_batch(m, basis, grid), grid) * np.exp(rate * grid)))
+    sup = float(np.max(rec.norms(grid) * np.exp(rate * grid)))
     c = ENVELOPE_GAIN_MARGIN * sup
     check = np.random.default_rng(0).uniform(0.0, 2.0 * horizon, ENVELOPE_CHECK_POINTS)
-    excess = _all_norms(m, _exp_batch(m, basis, check), check) - c * np.exp(-rate * check)
+    excess = rec.norms(check) - c * np.exp(-rate * check)
     if np.max(excess) > 1e-9:
         raise NumericsError(
             f"decay envelope failed validation by {np.max(excess):.3e}"
         )
     return DecayEnvelope(c=c, rate=rate)
+
+
+def norm_ceiling(matrix: Matrix) -> float | None:
+    """U >= ||exp(M s)||_2 for every s >= 0, or None when none is certified.
+
+    ||exp(M s)|| is sampled on [0, T], where T is the first sample whose
+    norm, raised by CEILING_SAMPLE_MARGIN, is below 1; by submultiplicativity
+    no s > T exceeds the max over [0, T].  A cell [s, s + h] between samples
+    is covered by the log-norm inflation ||exp(M (s + r))|| <=
+    ||exp(M s)|| e^{mu r} for 0 <= r <= h, mu the largest eigenvalue of
+    (M + M^T) / 2 (Soderlind, BIT 2006), and cells are halved until every
+    cell's bound is within CEILING_SLACK of the largest sample.  U is the
+    largest cell bound.  A non-square, non-finite or non-Hurwitz matrix, or
+    one that needs more than CEILING_MAX_SAMPLES samples, gets None.
+    """
+    try:
+        return _record(matrix).ceiling
+    except NumericsError:
+        return None
+
+
+def _ceiling(rec: _Record) -> float | None:
+    if rec.eig is None:
+        return None
+    sa = float(np.max(rec.eig.eigenvalues.real))
+    if not sa < 0.0:
+        return None
+    m = rec.m
+    n = m.shape[0]
+    # eigvalsh is backward stable; 64 n eps ||M||_F covers its round-off.  A
+    # cell's bound is at least its left sample's, also when mu < 0.
+    mu = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    mu = max(0.0, mu + 64.0 * n * np.finfo(float).eps * float(np.linalg.norm(m)))
+    raise_by = 1.0 + CEILING_SAMPLE_MARGIN
+    # Extend [0, T] by doublings, 32 samples each, from one e-folding time of
+    # the slowest mode until a sample falls below 1.
+    ts = np.linspace(0.0, 1.0 / -sa, 33)
+    norms = rec.norms(ts)
+    while not np.any(norms[1:] * raise_by < 1.0):
+        if ts.size >= CEILING_MAX_SAMPLES:
+            return None
+        more = ts[-1] * (1.0 + np.arange(1, 33) / 32.0)
+        ts = np.concatenate([ts, more])
+        norms = np.concatenate([norms, rec.norms(more)])
+    end = 2 + int(np.flatnonzero(norms[1:] * raise_by < 1.0)[0])
+    ts, norms = ts[:end], norms[:end]
+    while True:
+        cells = norms[:-1] * raise_by * np.exp(mu * np.diff(ts))
+        split = np.flatnonzero(cells > (1.0 + CEILING_SLACK) * np.max(norms))
+        if split.size == 0:
+            ceiling = float(np.max(cells))
+            return ceiling if math.isfinite(ceiling) else None
+        if ts.size + split.size > CEILING_MAX_SAMPLES:
+            return None
+        mids = 0.5 * (ts[split] + ts[split + 1])
+        ts = np.insert(ts, split + 1, mids)
+        norms = np.insert(norms, split + 1, rec.norms(mids))
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

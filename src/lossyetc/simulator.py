@@ -43,6 +43,13 @@ from .trigger_channel import (
 ZENO_GAP = 1e-12
 
 _BATCH = 256
+# Table columns beyond the grid's for the event rows of a hold-estimator run,
+# two per event, so that a typical run never grows the table: those runs take
+# 1,734 to 2,138 such rows on the 50 family draws.  Model-based runs trigger
+# about a tenth as often (at most 230 event rows there, worst case and
+# Bernoulli alike), which the _BATCH spare columns hold; room they do not need
+# would stay resident, as huge pages back the unused tail of every row.
+_EVENT_ROOM = 16 * _BATCH
 # Sub-points per round of the event scan: each round narrows a bracket _SCAN-fold.
 _SCAN = 32
 
@@ -371,7 +378,8 @@ def simulate(scn: Scenario) -> Trace:
 
     # Column-major rows [t, x, x_s, x_c, es, ec, threshold], one per float
     # column of the trace CSV; the first `size` columns are filled.
-    table = np.empty((3 * n + 4, grid.shape[0] + _BATCH))
+    room = 0 if flow.model_based else _EVENT_ROOM
+    table = np.empty((3 * n + 4, grid.shape[0] + _BATCH + room))
     put(table[:, 0], 0.0, z, *_errors(n, z), grid_thr[0])
     size = 1
 

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 import lossyetc as le
-from lossyetc import pool
+from lossyetc import numerics, pool
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
+
+
+@pytest.fixture(autouse=True)
+def fresh_numerics_records():
+    """Each test starts without the per-matrix records an earlier test left."""
+    numerics._cached_record.cache_clear()
 
 
 @pytest.fixture(scope="session")

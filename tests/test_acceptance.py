@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 
 import lossyetc as le
+from lossyetc import bounds
 from lossyetc.bounds import (
+    _dropped_intervals,
+    _growth_rate,
     analyze_scenario,
     analyze_scenario_zoh,
+    compute_Delta,
     stability_envelope_bound,
     stable_subspace_residual,
     verify_ec_bound,
@@ -23,7 +27,7 @@ from lossyetc.bounds import (
 from lossyetc.numerics import decay_envelope, mat_exp
 from lossyetc.scenarios import save_trace
 from lossyetc.simulator import simulate, summarize
-from lossyetc.system_model import EstimatorKind
+from lossyetc.system_model import EstimatorKind, closed_loop, gamma_matrix
 from lossyetc.trigger_channel import (
     ChannelMode,
     ChannelPolicy,
@@ -35,6 +39,7 @@ from lossyetc.trigger_channel import (
 )
 
 from oracles import taylor_expm
+from test_bounds import every_window_delta
 
 BERNOULLI_PS = (0.0, 0.5, 0.9)
 
@@ -55,13 +60,24 @@ def verdict(request):
 
 @pytest.fixture(scope="module")
 def family(qualifying_seeds):
-    """Worst-case certificate plus three Bernoulli runs per perturbation draw."""
+    """Worst-case certificate plus three Bernoulli runs per perturbation draw.
+
+    Also counts the sup grids the 50 analyses evaluate.
+    """
     t0 = time.perf_counter()
     out = []
+    grids = []
+
+    def counting(m, sup_grids, real=bounds.grid_norm_maxes):
+        grids.append(len(sup_grids))
+        return real(m, sup_grids)
+
     for seed in qualifying_seeds:
         scn = le.vehicle_preset(seed)
         tr_wc = simulate(scn)
-        rep = analyze_scenario(scn, tr_wc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "grid_norm_maxes", counting)
+            rep = analyze_scenario(scn, tr_wc)
         traces = [tr_wc]
         for p in BERNOULLI_PS:
             chan = ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=p, seed=seed)
@@ -81,7 +97,7 @@ def family(qualifying_seeds):
             }
         )
     elapsed = time.perf_counter() - t0
-    return {"rows": out, "elapsed": elapsed}
+    return {"rows": out, "elapsed": elapsed, "sup_grids": sum(grids)}
 
 
 def test_family_reports_pinned(family):
@@ -91,6 +107,27 @@ def test_family_reports_pinned(family):
         digest.update(json.dumps(dataclasses.asdict(row["report"])).encode())
     assert digest.hexdigest() == (
         "8b2190afd0f22739855129c8444201e1eab1ba913c404d1cf3ee562e7b5226c6"
+    )
+
+
+def test_family_sup_grids_skip_windows(family):
+    # Evaluating every window took 2,848 grids of 400 points; the norm
+    # ceiling leaves those of the windows that can set Delta.
+    assert family["sup_grids"] <= 500
+
+
+@pytest.mark.parametrize("seed", [1, 7, 8, 45, 63])
+def test_window_skip_keeps_every_bit_on_draws(family, qualifying_seeds, seed):
+    row = family["rows"][qualifying_seeds.index(seed)]
+    scn, tr = row["scenario"], row["traces"][0]
+    s_mat = closed_loop(scn.model, scn.gain)
+    gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
+    windows = _dropped_intervals(tr, scn.channel.M, gamma)
+    args = (s_mat, scn.trigger, scn.channel.M, windows, gamma, decay_envelope(s_mat))
+    got = compute_Delta(*args)
+    assert got == every_window_delta(*args)
+    assert (got.Delta, got.delta_bar, got.delta_tilde) == (
+        row["report"].Delta, row["report"].delta_bar, row["report"].delta_tilde
     )
 
 

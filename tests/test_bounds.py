@@ -10,6 +10,7 @@ from scipy.linalg import solve_continuous_are
 
 import lossyetc as le
 from lossyetc.bounds import (
+    _SUP_GRID_POINTS,
     BoundCheck,
     BoundsError,
     BoundsReport,
@@ -32,7 +33,7 @@ from lossyetc.bounds import (
     worst_case_trace,
 )
 from lossyetc import numerics
-from lossyetc.numerics import DecayEnvelope, NumericsError, decay_envelope
+from lossyetc.numerics import DecayEnvelope, NumericsError, decay_envelope, grid_norm_maxes
 from lossyetc.scenarios import load_trace, save_trace
 from lossyetc.simulator import Trace, simulate, summarize
 from lossyetc.system_model import (
@@ -45,6 +46,7 @@ from lossyetc.system_model import (
 )
 from lossyetc.trigger_channel import TriggerConfig
 
+from test_numerics import HURWITZ
 from oracles import (
     delta_bar_reference,
     miet_reference,
@@ -214,6 +216,31 @@ class TestDeltaBar:
         assert lo > 0.0
 
 
+def every_window_delta(s_mat, cfg, M, windows, gamma, env_model):
+    """compute_Delta evaluating the sup grids of every window, in one call.
+
+    A grid failure puts the envelope gain c in every sup.
+    """
+    c = env_model.c
+    frags = []
+    bars = [
+        tuple(delta_bar(eta, c * x_norm, gamma, env_model.rate, cfg, t_j) for t_j, eta, x_norm in rows)
+        for rows in windows
+    ]
+    tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
+    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tilde in tildes for tk in tilde if not tk <= 0.0]
+    try:
+        sups = iter(grid_norm_maxes(s_mat, grids))
+    except NumericsError:
+        sups = iter([c] * len(grids))
+    for bar, tilde in zip(bars, tildes):
+        total = 1.0
+        for tk in tilde:
+            total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
+        frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
+    return max(frags, key=lambda frag: frag.Delta)
+
+
 class TestComputeDelta:
     def test_single_drop_stable_model(self):
         # stable model copy: the transition sup floors at 1
@@ -278,6 +305,60 @@ class TestComputeDelta:
         windows = [[(0.0, 1.0, 2.0)] * 4, [(1.0, 1.0, 3.0)] * 4, [(2.0, 0.5, 2.0)] * 4]
         compute_Delta(s_mat, CFG, 5, windows, 1.0, UNIT_ENV)
         assert len(calls) == 1
+
+    def test_window_skip_keeps_every_bit(self, monkeypatch):
+        # Random windows on random Hurwitz S of n = 2..9 with complex,
+        # repeated and strongly non-normal modes, and one defective S whose
+        # norms come from expm: the windows skipped under the norm ceiling
+        # never change a bit of the result.  (Each defective S costs about
+        # 0.25 s of expm calls, hence only one.)
+        rng = np.random.default_rng(11)
+        evaluated, every = [], 0
+        real = grid_norm_maxes
+
+        def counting(m, grids):
+            evaluated.append(len(grids))
+            return real(m, grids)
+
+        monkeypatch.setattr("lossyetc.bounds.grid_norm_maxes", counting)
+        env = DecayEnvelope(c=2.0, rate=0.5)
+        for name, s_mat in HURWITZ.items():
+            if name.startswith("jordan") and name != "jordan_3":
+                continue
+            windows = [
+                [(float(t), float(eta), float(eta * f)) for t, eta, f in
+                 zip(rng.uniform(0.0, 10.0, 2), rng.uniform(0.05, 1.0, 2), rng.uniform(1.0, 20.0, 2))]
+                for _ in range(6)
+            ]
+            want = every_window_delta(s_mat, CFG, 3, windows, 1.0, env)
+            assert compute_Delta(s_mat, CFG, 3, windows, 1.0, env) == want
+            every += 6 * 2
+        assert sum(evaluated) < every / 3
+
+    def test_window_skip_evaluates_a_window_under_the_top_bound(self, vehicle7):
+        # The first window has the larger bound (weights e^{alpha tilde_k}
+        # 3.12 against 2.93), but its short tail sum 0.01 has a small sup;
+        # the second, whose tail sums both pass the vehicle's norm peak of
+        # 9.9 at s = 0.93, still has a bound above the first's Delta and wins.
+        s_mat = closed_loop(vehicle7.model, vehicle7.gain)
+        rows = lambda bars: [(100.0, 1.0, math.exp(1.25 * b)) for b in bars]
+        windows = [rows((2.99, 0.01)), rows((1.0, 1.0))]
+        got = compute_Delta(s_mat, CFG, 3, windows, 1.0, UNIT_ENV)
+        assert got == every_window_delta(s_mat, CFG, 3, windows, 1.0, UNIT_ENV)
+        assert got == compute_Delta(s_mat, CFG, 3, windows[1:], 1.0, UNIT_ENV)
+
+    def test_overflowing_grid_evaluates_every_window(self):
+        # S has a ceiling, but S * tilde_k overflows on the first window's
+        # grid, so grid_norm_maxes fails and c stands in for every sup.
+        s_mat = -1e4 * np.eye(2)
+        cfg = TriggerConfig(beta=0.5, alpha=1e-305)
+        env = DecayEnvelope(c=3.0, rate=1e-305)
+        windows = [[(0.0, 1.0, 1.0)], [(0.0, 25000.0, 25000.0 / 3.0)]]
+        assert numerics.norm_ceiling(s_mat) is not None
+        with np.errstate(over="ignore"):
+            got = compute_Delta(s_mat, cfg, 2, windows, 1e-305, env)
+            assert got == every_window_delta(s_mat, cfg, 2, windows, 1e-305, env)
+        assert got.Delta == 1.0 + math.exp(cfg.alpha * got.delta_tilde[0]) * 3.0
 
     def test_windows_give_the_max_of_single_window_calls(self):
         model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, 0.5]], B_hat=[[0.0], [1.0]])
@@ -685,9 +766,9 @@ class TestReports:
         assert sum(taken) <= 2000
 
     def test_analysis_builds_spectral_data_once(self, vehicle7, trace7, monkeypatch):
-        # One eigendecomposition each for the two decay envelopes, the growth
-        # rate and the sups of all 16 windows; S is built once, for the
-        # envelope, the sups and the inter-event time alike.
+        # One eigendecomposition each for S (its envelope and the sups of all
+        # 16 windows), the true loop's envelope and the growth rate; S is
+        # built once, for the envelope, the sups and the inter-event time alike.
         gamma = _growth_rate(gamma_matrix(vehicle7.plant, vehicle7.model, vehicle7.gain))
         assert len(_dropped_intervals(trace7, vehicle7.channel.M, gamma)) == 16
         eig, builds = [], []
@@ -705,7 +786,36 @@ class TestReports:
         monkeypatch.setattr("lossyetc.bounds.eigendecompose", counting_eig)
         monkeypatch.setattr("lossyetc.bounds.closed_loop", counting_build)
         analyze_scenario(vehicle7, trace7)
-        assert (len(eig), len(builds)) == (4, 1)
+        assert (len(eig), len(builds)) == (3, 1)
+
+    def test_second_analysis_of_s_reuses_its_record(self, vehicle7, trace7, monkeypatch):
+        # Every draw shares the model loop S.  Once S has been analyzed, a
+        # second analysis neither decomposes nor fits its envelope again, and
+        # another draw decomposes and fits only its own true loop.
+        first = analyze_scenario(vehicle7, trace7)
+        draw = le.vehicle_preset(45)
+        trace45 = simulate(draw)
+        s_mat = closed_loop(vehicle7.model, vehicle7.gain)
+        eig, fits = [], []
+        real_eig, real_fit = numerics.eigendecompose, numerics._fit_envelope
+
+        def counting_eig(matrix):
+            eig.append(matrix)
+            return real_eig(matrix)
+
+        def counting_fit(record):
+            fits.append(record.m)
+            return real_fit(record)
+
+        monkeypatch.setattr(numerics, "eigendecompose", counting_eig)
+        monkeypatch.setattr(numerics, "_fit_envelope", counting_fit)
+        assert analyze_scenario(vehicle7, trace7) == first
+        assert (eig, fits) == ([], [])
+        analyze_scenario(draw, trace45)
+        true_loop = draw.plant.A + draw.plant.B @ draw.gain.K
+        assert len(eig) == len(fits) == 1
+        assert np.array_equal(eig[0], true_loop) and np.array_equal(fits[0], true_loop)
+        assert not np.array_equal(true_loop, s_mat)
 
     def test_report_invariants(self, report7, vehicle7):
         assert report7.Delta >= 1.0

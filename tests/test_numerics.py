@@ -6,17 +6,20 @@ from hypothesis.extra import numpy as hnp
 
 from lossyetc import numerics
 from lossyetc.numerics import (
+    CEILING_SLACK,
     DecayEnvelope,
     EigendecompositionError,
     NumericsError,
-    _eigen_basis,
+    _record,
     bisect_root,
     decay_envelope,
     eigendecompose,
     exp_norms_on_grid,
     grid_norm_maxes,
     mat_exp,
+    norm_ceiling,
 )
+from lossyetc.system_model import closed_loop
 from oracles import charpoly_eigenvalues, taylor_expm
 
 
@@ -184,7 +187,7 @@ def test_grid_norm_maxes_bitwise_matches_full_grid(case):
 
 
 def test_sup_cases_take_their_paths():
-    assert _eigen_basis(JORDAN) is None
+    assert _record(JORDAN).basis is None
     far = mat_exp(RANK_ONE, 6.0)
     assert np.linalg.norm(far) == pytest.approx(np.linalg.norm(far, 2), rel=1e-14)
     with np.errstate(all="ignore"):
@@ -221,9 +224,9 @@ def test_decay_envelope_rate_backs_off_the_spectral_abscissa():
 
 @pytest.mark.parametrize("a, calls, rate", [
     (np.array([[-2.0, 3.0], [0.0, -0.5]]), 1, 0.99 * 0.5),
-    # a Jordan block has no usable eigen-basis: the abscissa comes from a
-    # second eigendecomposition and the norms from expm
-    (np.array([[-1.0, 1.0], [0.0, -1.0]]), 2, 0.99),
+    # a Jordan block has no usable eigen-basis: the abscissa comes from the
+    # same eigendecomposition and the norms from expm
+    (np.array([[-1.0, 1.0], [0.0, -1.0]]), 1, 0.99),
 ], ids=["diagonalizable", "jordan_block"])
 def test_decay_envelope_eigendecomposes_once(a, calls, rate, monkeypatch):
     seen = []
@@ -253,6 +256,81 @@ def test_decay_envelope_raises_eigensolver_failure(monkeypatch):
 def test_decay_envelope_is_value_type():
     env = DecayEnvelope(c=2.0, rate=0.5)
     assert env.c == 2.0 and env.rate == 0.5
+
+
+def _hurwitz(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random Hurwitz matrix of one kind of spectrum."""
+    if kind == "complex":
+        a = rng.normal(size=(n, n))
+        return a - (np.max(np.linalg.eigvals(a).real) + rng.uniform(0.1, 1.0)) * np.eye(n)
+    if kind == "repeated":  # each eigenvalue twice, diagonalizable
+        v = rng.normal(size=(n, n))
+        return v @ np.diag(-np.repeat(rng.uniform(0.2, 2.0, (n + 1) // 2), 2)[:n]) @ np.linalg.inv(v)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if kind == "jordan":  # one defective eigenvalue
+        return q @ (-rng.uniform(0.2, 1.5) * np.eye(n) + 2.0 * np.eye(n, k=1)) @ q.T
+    upper = np.diag(-rng.uniform(0.2, 2.0, n)) + np.triu(rng.normal(scale=2.0, size=(n, n)), 1)
+    return q @ upper @ q.T  # strongly non-normal
+
+
+HURWITZ_KINDS = ("complex", "repeated", "jordan", "nonnormal")
+_RNG = np.random.default_rng(20)
+# Every kind for n = 2..9, by id.
+HURWITZ = {f"{kind}_{n}": _hurwitz(kind, n, _RNG) for n in range(2, 10) for kind in HURWITZ_KINDS}
+
+
+def _oracle_peak(a: np.ndarray) -> float:
+    """Max of ||taylor_expm(a s)||_2 on a dense grid, refined around its argmax.
+
+    The grid runs to 40 e-folding times of the slowest mode, and its last
+    tenth must already lie below 1.
+    """
+    norm = lambda s: np.linalg.norm(taylor_expm(a, s), 2)
+    ts = np.linspace(0.0, 40.0 / -np.max(charpoly_eigenvalues(a).real), 300)
+    norms = np.array([norm(s) for s in ts])
+    assert np.all(norms[-30:] < 1.0)
+    k = int(np.argmax(norms))
+    fine = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, ts.size - 1)], 41)
+    return max(float(norms.max()), max(norm(s) for s in fine))
+
+
+# One kind per size, each kind twice, keeps the oracle to about 2,700 series.
+@pytest.mark.parametrize("name", [f"{HURWITZ_KINDS[(n - 2) % 4]}_{n}" for n in range(2, 10)])
+def test_norm_ceiling_covers_the_dense_oracle(name):
+    a = HURWITZ[name]
+    ceiling = norm_ceiling(a)
+    peak = _oracle_peak(a)
+    assert ceiling is not None
+    assert peak <= ceiling <= (1.0 + CEILING_SLACK) * peak
+
+
+def test_norm_ceiling_of_the_vehicle(vehicle7):
+    # ||exp(S s)|| peaks near 9.896 at s = 0.93 and falls below 1 by s = 6.1.
+    s_mat = closed_loop(vehicle7.model, vehicle7.gain)
+    ceiling = norm_ceiling(s_mat)
+    peak = _oracle_peak(s_mat)
+    assert 9.89 < peak <= ceiling <= (1.0 + CEILING_SLACK) * peak
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.5]]),
+    np.diag([0.1, -1.0]),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.full((2, 2), np.inf),
+    np.full((2, 2), np.nan),
+    np.ones((2, 3)),
+], ids=["growing", "one_growing_mode", "marginal", "inf", "nan", "not_square"])
+def test_norm_ceiling_refuses(a):
+    assert norm_ceiling(a) is None
+
+
+def test_norm_ceiling_stops_at_its_sample_budget(monkeypatch):
+    a = HURWITZ["nonnormal_8"]
+    monkeypatch.setattr(numerics, "CEILING_MAX_SAMPLES", 100)
+    assert norm_ceiling(a) is None
+    numerics._cached_record.cache_clear()
+    monkeypatch.undo()
+    assert norm_ceiling(a) is not None
 
 
 def test_bisect_root_cosine():

@@ -221,15 +221,26 @@ def _trace_sha256(tr):
     return h.hexdigest()
 
 
+_ZOH7_SHA256 = "a6d4db63d71b3ebd733efe292ab1847207f72e90093b6aa8e153f547f1d912a4"
+
+
 def test_zoh_trace_bytes_pinned(trace_zoh7):
     # Every Trace field of the event-heavy run, bit for bit: event location
-    # must not move a single double.  Its rows outnumber the row table's
-    # initial capacity, so the pin also covers the table's growth.  Pinned
-    # after its event times were checked against tests/oracles.py.
+    # must not move a single double.  Pinned after its event times were
+    # checked against tests/oracles.py.
     assert trace_zoh7.num_samples == 61873
-    assert _trace_sha256(trace_zoh7) == (
-        "a6d4db63d71b3ebd733efe292ab1847207f72e90093b6aa8e153f547f1d912a4"
-    )
+    assert _trace_sha256(trace_zoh7) == _ZOH7_SHA256
+
+
+def test_zoh_trace_bytes_pinned_through_table_growth(zoh7, monkeypatch):
+    # Without room for event rows the same run outgrows the row table's
+    # initial capacity of grid + _BATCH columns, and growing it must not move
+    # a bit.
+    monkeypatch.setattr(simulator, "_EVENT_ROOM", 0)
+    tr = simulate(zoh7)
+    grid = math.floor(zoh7.t_max / zoh7.sample_dt + 1e-9) + 1
+    assert tr.num_samples == 61873 > grid + simulator._BATCH
+    assert _trace_sha256(tr) == _ZOH7_SHA256
 
 
 def test_mb_trace_bytes_pinned(trace7):
