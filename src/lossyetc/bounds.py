@@ -205,8 +205,9 @@ def compute_Delta(
     replaced by U, raised by 1e-12, is below the Delta of the window with the
     largest such bound cannot be the worst, so its grids are not evaluated
     (U's 1e-6 sample margin also covers the round-off of a sampled sup).
-    Without a ceiling, or when a grid could fail, every window is evaluated,
-    and on a failure the decay-envelope gain c stands in for every sup.
+    Without a ceiling (U = inf), or when a grid could fail, every window is
+    evaluated, and on a failure the decay-envelope gain c stands in for every
+    sup.
     """
     _check_windows(M, windows)
     c, kappa = env_model.c, env_model.rate
@@ -229,22 +230,20 @@ def compute_Delta(
         return max(frags, key=lambda frag: frag.Delta)
 
     everything = range(len(windows))
-    ceiling = norm_ceiling(s_mat)
     # grid_norm_maxes raises only where S * t overflows, and t ends at
-    # tilde_k; such a failure puts c in every window's sups, so every window
-    # is evaluated then.
+    # tilde_k; such a failure puts c in every window's sups.  An infinite
+    # ceiling then caps every window with a grid at inf, so every grid is
+    # evaluated.  One window has nothing to skip and needs no ceiling.
     lengths = [tk for tilde in tildes for tk in tilde if not tk <= 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(np.multiply.outer(lengths, s_mat)).all():
-            ceiling = None
+        finite = np.isfinite(np.multiply.outer(lengths, s_mat)).all()
+    ceiling = (norm_ceiling(s_mat) if finite and len(windows) > 1 else None) or math.inf
     try:
-        if ceiling is None:
-            sups = iter(grid_norm_maxes(s_mat, grids(everything)))
-            return worst(window(w, sups) for w in everything)
         caps = [window(w, itertools.repeat(ceiling)).Delta * (1.0 + 1e-12) for w in everything]
         top = max(everything, key=caps.__getitem__)
         frags = {top: window(top, iter(grid_norm_maxes(s_mat, grids([top]))))}
-        rest = [w for w in everything if w != top and caps[w] >= frags[top].Delta]
+        # "not <" also evaluates a window whose cap or the top Delta is NaN.
+        rest = [w for w in everything if w != top and not caps[w] < frags[top].Delta]
         sups = iter(grid_norm_maxes(s_mat, grids(rest)))
         frags.update((w, window(w, sups)) for w in rest)
         return worst(frags[w] for w in sorted(frags))

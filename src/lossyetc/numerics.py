@@ -137,12 +137,14 @@ class _Record:
     def __init__(self, m: Matrix):
         self.m = m
         self.eig: EigenDecomposition | None = None
-        self.error: EigendecompositionError | None = None
+        # Only the message of a failed eigendecomposition is kept, so a record
+        # holds no traceback and no caller's frames.
+        self.error: str | None = None
         self.basis = None  # (V, eigenvalues, V^-1), or None when m is far from diagonalizable
         try:
             self.eig = eigendecompose(m)
         except EigendecompositionError as exc:
-            self.error = exc
+            self.error = str(exc)
             return
         v = self.eig.eigenvectors
         try:
@@ -287,7 +289,7 @@ def decay_envelope(matrix: Matrix) -> DecayEnvelope:
 
 def _fit_envelope(rec: _Record) -> DecayEnvelope:
     if rec.eig is None:
-        raise rec.error
+        raise EigendecompositionError(rec.error)
     m = rec.m
     sa = float(np.max(rec.eig.eigenvalues.real))
     if sa >= 0.0:
@@ -326,6 +328,14 @@ def norm_ceiling(matrix: Matrix) -> float | None:
 
 
 def _ceiling(rec: _Record) -> float | None:
+    # A failed sample (an overflowing expm) gives None, which the record keeps.
+    try:
+        return _sampled_ceiling(rec)
+    except NumericsError:
+        return None
+
+
+def _sampled_ceiling(rec: _Record) -> float | None:
     if rec.eig is None:
         return None
     sa = float(np.max(rec.eig.eigenvalues.real))

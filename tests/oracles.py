@@ -4,7 +4,8 @@ Everything here is written against definitions, not against the package's
 code paths: truncated series for the matrix exponential, characteristic
 polynomial roots for eigenvalues, dense scans plus bisection for crossing
 equations, and a general-purpose adaptive ODE integration of the hybrid
-closed loop.  Slow and simple on purpose.
+closed loop.  Slow and simple on purpose.  Also the random Hurwitz test
+matrices, and every_window_delta, the all-windows form of compute_Delta.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
+from lossyetc.bounds import _SUP_GRID_POINTS, DeltaBreakdown, delta_bar
+from lossyetc.numerics import NumericsError, grid_norm_maxes
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import ChannelState, Outcome, channel_offer
 
@@ -131,6 +134,55 @@ def miet_reference(
     f_bold = f_bar / (a_hat + abar) + f_cap / (a_hat + alpha)
     miet = math.log1p(beta / f_bold) / (a_hat + abar)
     return miet, f_cap, f_bar, f_bold
+
+
+def every_window_delta(s_mat, cfg, M, windows, gamma, env_model):
+    """compute_Delta evaluating the sup grids of every window, in one call.
+
+    This is compute_Delta's algorithm before its window skip, kept as the
+    reference the skip must match bit for bit; unlike the rest of this
+    module it shares delta_bar and grid_norm_maxes with the package.  A grid
+    failure puts the envelope gain c in every sup.
+    """
+    c = env_model.c
+    frags = []
+    bars = [
+        tuple(delta_bar(eta, c * x_norm, gamma, env_model.rate, cfg, t_j) for t_j, eta, x_norm in rows)
+        for rows in windows
+    ]
+    tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
+    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tilde in tildes for tk in tilde if not tk <= 0.0]
+    try:
+        sups = iter(grid_norm_maxes(s_mat, grids))
+    except NumericsError:
+        sups = iter([c] * len(grids))
+    for bar, tilde in zip(bars, tildes):
+        total = 1.0
+        for tk in tilde:
+            total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
+        frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
+    return max(frags, key=lambda frag: frag.Delta)
+
+
+def _hurwitz(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random Hurwitz matrix of one kind of spectrum."""
+    if kind == "complex":
+        a = rng.normal(size=(n, n))
+        return a - (np.max(np.linalg.eigvals(a).real) + rng.uniform(0.1, 1.0)) * np.eye(n)
+    if kind == "repeated":  # each eigenvalue twice, diagonalizable
+        v = rng.normal(size=(n, n))
+        return v @ np.diag(-np.repeat(rng.uniform(0.2, 2.0, (n + 1) // 2), 2)[:n]) @ np.linalg.inv(v)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if kind == "jordan":  # one defective eigenvalue
+        return q @ (-rng.uniform(0.2, 1.5) * np.eye(n) + 2.0 * np.eye(n, k=1)) @ q.T
+    upper = np.diag(-rng.uniform(0.2, 2.0, n)) + np.triu(rng.normal(scale=2.0, size=(n, n)), 1)
+    return q @ upper @ q.T  # strongly non-normal
+
+
+HURWITZ_KINDS = ("complex", "repeated", "jordan", "nonnormal")
+_RNG = np.random.default_rng(20)
+# Every kind for n = 2..9, by id.
+HURWITZ = {f"{kind}_{n}": _hurwitz(kind, n, _RNG) for n in range(2, 10) for kind in HURWITZ_KINDS}
 
 
 def modal_growth_coefficient(gamma_mat: np.ndarray, x0: np.ndarray) -> float:

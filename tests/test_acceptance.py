@@ -38,8 +38,7 @@ from lossyetc.trigger_channel import (
     random_drop_script,
 )
 
-from oracles import taylor_expm
-from test_bounds import every_window_delta
+from oracles import every_window_delta, taylor_expm
 
 BERNOULLI_PS = (0.0, 0.5, 0.9)
 

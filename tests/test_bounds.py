@@ -10,7 +10,6 @@ from scipy.linalg import solve_continuous_are
 
 import lossyetc as le
 from lossyetc.bounds import (
-    _SUP_GRID_POINTS,
     BoundCheck,
     BoundsError,
     BoundsReport,
@@ -46,11 +45,12 @@ from lossyetc.system_model import (
 )
 from lossyetc.trigger_channel import TriggerConfig
 
-from test_numerics import HURWITZ
 from oracles import (
+    HURWITZ,
     delta_bar_reference,
     miet_reference,
     modal_growth_coefficient,
+    every_window_delta,
     zoh_crossing_reference,
 )
 
@@ -216,31 +216,6 @@ class TestDeltaBar:
         assert lo > 0.0
 
 
-def every_window_delta(s_mat, cfg, M, windows, gamma, env_model):
-    """compute_Delta evaluating the sup grids of every window, in one call.
-
-    A grid failure puts the envelope gain c in every sup.
-    """
-    c = env_model.c
-    frags = []
-    bars = [
-        tuple(delta_bar(eta, c * x_norm, gamma, env_model.rate, cfg, t_j) for t_j, eta, x_norm in rows)
-        for rows in windows
-    ]
-    tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
-    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tilde in tildes for tk in tilde if not tk <= 0.0]
-    try:
-        sups = iter(grid_norm_maxes(s_mat, grids))
-    except NumericsError:
-        sups = iter([c] * len(grids))
-    for bar, tilde in zip(bars, tildes):
-        total = 1.0
-        for tk in tilde:
-            total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
-        frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
-    return max(frags, key=lambda frag: frag.Delta)
-
-
 class TestComputeDelta:
     def test_single_drop_stable_model(self):
         # stable model copy: the transition sup floors at 1
@@ -359,6 +334,34 @@ class TestComputeDelta:
             got = compute_Delta(s_mat, cfg, 2, windows, 1e-305, env)
             assert got == every_window_delta(s_mat, cfg, 2, windows, 1e-305, env)
         assert got.Delta == 1.0 + math.exp(cfg.alpha * got.delta_tilde[0]) * 3.0
+
+    def test_growing_model_evaluates_every_window(self, monkeypatch):
+        # A growing S has no ceiling, so every window's grids are evaluated,
+        # in one call each for the top window and the rest.
+        model = NominalModel(A_hat=[[0.5, 1.0], [0.0, -1.0]], B_hat=[[0.0], [0.0]])
+        s_mat = closed_loop(model, Gain(K=[[0.0, 0.0]]))
+        windows = [[(float(t), 1.0, x)] * 2 for t, x in ((0.0, 2.0), (1.0, 5.0), (2.0, 3.0), (0.5, 1.5))]
+        evaluated = []
+
+        def counting(m, grids):
+            evaluated.append(len(grids))
+            return grid_norm_maxes(m, grids)
+
+        monkeypatch.setattr("lossyetc.bounds.grid_norm_maxes", counting)
+        got = compute_Delta(s_mat, CFG, 3, windows, 1.0, UNIT_ENV)
+        assert numerics.norm_ceiling(s_mat) is None
+        assert got == every_window_delta(s_mat, CFG, 3, windows, 1.0, UNIT_ENV)
+        assert evaluated == [2, 6]
+
+    def test_single_window_asks_for_no_ceiling(self, monkeypatch):
+        def fail(*_args):
+            raise AssertionError("no ceiling is needed")
+
+        monkeypatch.setattr("lossyetc.bounds.norm_ceiling", fail)
+        s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
+        rows = [(0.0, 1.0, 1.0)] * 2
+        got = compute_Delta(s_mat, CFG, 3, [rows], 1.0, UNIT_ENV)
+        assert got == every_window_delta(s_mat, CFG, 3, [rows], 1.0, UNIT_ENV)
 
     def test_windows_give_the_max_of_single_window_calls(self):
         model = NominalModel(A_hat=[[-2.0, 3.0], [0.0, 0.5]], B_hat=[[0.0], [1.0]])

@@ -20,7 +20,7 @@ from lossyetc.numerics import (
     norm_ceiling,
 )
 from lossyetc.system_model import closed_loop
-from oracles import charpoly_eigenvalues, taylor_expm
+from oracles import HURWITZ, HURWITZ_KINDS, charpoly_eigenvalues, taylor_expm
 
 
 def test_mat_exp_identity_at_zero_time():
@@ -258,27 +258,6 @@ def test_decay_envelope_is_value_type():
     assert env.c == 2.0 and env.rate == 0.5
 
 
-def _hurwitz(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A random Hurwitz matrix of one kind of spectrum."""
-    if kind == "complex":
-        a = rng.normal(size=(n, n))
-        return a - (np.max(np.linalg.eigvals(a).real) + rng.uniform(0.1, 1.0)) * np.eye(n)
-    if kind == "repeated":  # each eigenvalue twice, diagonalizable
-        v = rng.normal(size=(n, n))
-        return v @ np.diag(-np.repeat(rng.uniform(0.2, 2.0, (n + 1) // 2), 2)[:n]) @ np.linalg.inv(v)
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if kind == "jordan":  # one defective eigenvalue
-        return q @ (-rng.uniform(0.2, 1.5) * np.eye(n) + 2.0 * np.eye(n, k=1)) @ q.T
-    upper = np.diag(-rng.uniform(0.2, 2.0, n)) + np.triu(rng.normal(scale=2.0, size=(n, n)), 1)
-    return q @ upper @ q.T  # strongly non-normal
-
-
-HURWITZ_KINDS = ("complex", "repeated", "jordan", "nonnormal")
-_RNG = np.random.default_rng(20)
-# Every kind for n = 2..9, by id.
-HURWITZ = {f"{kind}_{n}": _hurwitz(kind, n, _RNG) for n in range(2, 10) for kind in HURWITZ_KINDS}
-
-
 def _oracle_peak(a: np.ndarray) -> float:
     """Max of ||taylor_expm(a s)||_2 on a dense grid, refined around its argmax.
 
@@ -331,6 +310,38 @@ def test_norm_ceiling_stops_at_its_sample_budget(monkeypatch):
     numerics._cached_record.cache_clear()
     monkeypatch.undo()
     assert norm_ceiling(a) is not None
+
+
+def test_failed_ceiling_is_kept(monkeypatch):
+    # A ceiling whose sampling fails (an overflowing expm) is None, and the
+    # record keeps it, so the samples are not taken again.
+    calls = []
+
+    def failing(rec):
+        calls.append(rec)
+        raise NumericsError("matrix * t overflows")
+
+    monkeypatch.setattr(numerics, "_sampled_ceiling", failing)
+    a = np.array([[-1.0, 4.0], [0.0, -2.0]])
+    assert norm_ceiling(a) is None and norm_ceiling(a) is None
+    assert len(calls) == 1
+
+
+def test_failed_eigendecomposition_raises_afresh(monkeypatch):
+    # The record keeps only the failure's message: each call raises a new
+    # error, whose traceback holds no earlier caller.
+    def failing(matrix):
+        raise EigendecompositionError("eigensolver did not converge")
+
+    monkeypatch.setattr(numerics, "eigendecompose", failing)
+    a = np.array([[-1.0, 4.0], [0.0, -2.0]])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(EigendecompositionError, match="did not converge") as info:
+            decay_envelope(a)
+        raised.append(info.value)
+    assert raised[0] is not raised[1]
+    assert _record(a).error == "eigensolver did not converge"
 
 
 def test_bisect_root_cosine():
