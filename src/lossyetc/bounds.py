@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import schur
 
 from .numerics import (
     MARGINAL_RE_TOL,
@@ -358,28 +359,23 @@ def stable_subspace_residual(
 ) -> SubspaceReport:
     """Distance of the doubled initial condition from the non-growing span.
 
-    The non-growing invariant subspace of the (x, x_c) flow is the orthogonal
-    complement of the growing left eigenvectors U of gamma_matrix, so the
-    distance of [x0; x0] from it is the norm of its projection onto span(U).
-    A residual above tolerance certifies that the matched flow excites a
-    growing mode.  A defective growing mode has no left eigenbasis; it is
-    rejected when lstsq finds U rank-deficient.
+    An ordered real Schur form of gamma_matrix puts its basis_dim eigenvalues
+    with real part at most MARGINAL_RE_TOL first.  The leading Schur vectors
+    span the non-growing invariant subspace of the (x, x_c) flow, defective
+    modes included, so the distance is the norm of [x0; x0] projected onto
+    the trailing ones.  A residual above tolerance certifies that the
+    matched flow excites a growing mode.
     """
     n = plant.n
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != n:
         raise BoundsError(f"x0 has size {x0.size}, expected {n}")
-    eig = eigendecompose(gamma_matrix(plant, model, gain).T)
-    u = eig.eigenvectors[:, eig.eigenvalues.real > MARGINAL_RE_TOL].conj()
-    n_u = u.shape[1]
-    if n_u < 1:
+    _, z, dim = schur(gamma_matrix(plant, model, gain), output="real",
+                      sort=lambda re, im: re <= MARGINAL_RE_TOL)
+    if dim == 2 * n:
         raise BoundsError("augmented flow has no growing mode; the membership test is vacuous")
-    coef, _, rank, _ = np.linalg.lstsq(u, np.concatenate([x0, x0]), rcond=None)
-    if rank < n_u:
-        raise BoundsError(
-            f"growing left eigenvectors have rank {rank} < {n_u}; a mode is defective"
-        )
-    return SubspaceReport(residual=float(np.linalg.norm(u @ coef)), basis_dim=2 * n - n_u)
+    residual = np.linalg.norm(z[:, dim:].T @ np.concatenate([x0, x0]))
+    return SubspaceReport(residual=float(residual), basis_dim=int(dim))
 
 
 def stability_envelope_bound(scn: Scenario, report: BoundsReport) -> float:

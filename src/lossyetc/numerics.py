@@ -164,7 +164,11 @@ class _Record:
 
     @functools.cached_property
     def ceiling(self) -> float | None:
-        return _ceiling(self)
+        # Every sampling failure gives None, which the record keeps.
+        try:
+            return _sampled_ceiling(self)
+        except NumericsError:
+            return None
 
 
 def _record(matrix: Matrix) -> _Record:
@@ -205,7 +209,14 @@ def _all_norms(m: Matrix, batch: np.ndarray | None, ts: np.ndarray) -> np.ndarra
             return np.linalg.svd(batch, compute_uv=False)[:, 0]
         except np.linalg.LinAlgError:
             pass
-    return np.array([np.linalg.norm(mat_exp(m, float(t)), 2) for t in ts])
+    exps = [mat_exp(m, float(t)) for t in ts]
+    # An overflowed expm raises here, before LAPACK sees its inf or NaN.
+    if not all(np.isfinite(e).all() for e in exps):
+        raise NumericsError("exp(matrix * t) overflows on the grid")
+    try:
+        return np.array([np.linalg.norm(e, 2) for e in exps])
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"SVD of exp(matrix * t) failed: {exc}") from exc
 
 
 def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
@@ -318,19 +329,11 @@ def norm_ceiling(matrix: Matrix) -> float | None:
     ||exp(M s)|| e^{mu r} for 0 <= r <= h, mu the largest eigenvalue of
     (M + M^T) / 2 (Soderlind, BIT 2006), and cells are halved until every
     cell's bound is within CEILING_SLACK of the largest sample.  U is the
-    largest cell bound.  A non-square, non-finite or non-Hurwitz matrix, or
-    one that needs more than CEILING_MAX_SAMPLES samples, gets None.
+    largest cell bound.  A non-square, non-finite or non-Hurwitz matrix, a
+    failed sample, or more than CEILING_MAX_SAMPLES samples give None.
     """
     try:
         return _record(matrix).ceiling
-    except NumericsError:
-        return None
-
-
-def _ceiling(rec: _Record) -> float | None:
-    # A failed sample (an overflowing expm) gives None, which the record keeps.
-    try:
-        return _sampled_ceiling(rec)
     except NumericsError:
         return None
 

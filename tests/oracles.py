@@ -2,10 +2,11 @@
 
 Everything here is written against definitions, not against the package's
 code paths: truncated series for the matrix exponential, characteristic
-polynomial roots for eigenvalues, dense scans plus bisection for crossing
-equations, and a general-purpose adaptive ODE integration of the hybrid
-closed loop.  Slow and simple on purpose.  Also the random Hurwitz test
-matrices, and every_window_delta, the all-windows form of compute_Delta.
+polynomial roots for eigenvalues, the matrix sign function for spectral
+projectors, dense scans plus bisection for crossing equations, and a
+general-purpose adaptive ODE integration of the hybrid closed loop.  Slow
+and simple on purpose.  Also the random Hurwitz test matrices, and
+every_window_delta, the all-windows form of compute_Delta.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import schur
 
 from lossyetc.bounds import _SUP_GRID_POINTS, DeltaBreakdown, delta_bar
 from lossyetc.numerics import NumericsError, grid_norm_maxes
@@ -204,15 +204,32 @@ def nongrowing_subspace_distance(
 ) -> tuple[float, int]:
     """Distance of [x0; x0] from the non-growing invariant subspace, and its dim.
 
-    An ordered real Schur form puts the eigenvalues with real part at most
-    `marginal` first; its leading Schur vectors are an orthonormal basis of
-    that subspace, defective eigenvalues included.
+    The spectral projector onto the eigenvalues with real part at most
+    `marginal` is (I - sign(G - tau I)) / 2, with tau in the middle of the gap
+    between those real parts and the growing ones; the sign function comes
+    from Newton's iteration X <- (X + X^-1) / 2 (Higham, Functions of
+    Matrices, ch. 5).  The projector's rank is its trace, and the left
+    singular vectors past that rank span the orthogonal complement of its
+    range, onto which [x0; x0] is projected.
     """
-    _, z, dim = schur(np.asarray(gamma_mat, dtype=float), output="real",
-                      sort=lambda re, im: re <= marginal)
+    g = np.asarray(gamma_mat, dtype=float)
+    re = np.linalg.eigvals(g).real
+    growing = re > marginal
+    tau = 0.5 * (max(re[~growing], default=marginal) + min(re[growing], default=marginal))
+    x = g - tau * np.eye(g.shape[0])
+    for _ in range(100):
+        step = 0.5 * (x + np.linalg.inv(x))
+        done = np.linalg.norm(step - x) <= 1e-12 * np.linalg.norm(step)
+        x = step
+        if done:
+            break
+    else:
+        raise RuntimeError("sign iteration did not converge")
+    projector = 0.5 * (np.eye(g.shape[0]) - x)
+    dim = int(round(np.trace(projector)))
+    u, _, _ = np.linalg.svd(projector)
     v = np.concatenate([x0, x0]).astype(float)
-    lead = z[:, :dim]
-    return float(np.linalg.norm(v - lead @ (lead.T @ v))), int(dim)
+    return float(np.linalg.norm(u[:, dim:].T @ v)), dim
 
 
 @dataclass

@@ -51,6 +51,7 @@ from oracles import (
     miet_reference,
     modal_growth_coefficient,
     every_window_delta,
+    nongrowing_subspace_distance,
     zoh_crossing_reference,
 )
 
@@ -598,7 +599,9 @@ class TestSubspaceResidual:
         assert rep.basis_dim == 7  # 2n minus the one growing plant mode
 
     def test_perturbed_draw_frozen(self):
-        # From tests/oracles.py: nongrowing_subspace_distance of gamma_matrix.
+        # Taken from an ordered real Schur form of gamma_matrix; the
+        # sign-function projector of tests/oracles.py (nongrowing_subspace_distance)
+        # gives 0.04494524156512542, 2.5e-13 away.
         scn = le.vehicle_preset(1)
         rep = stable_subspace_residual(scn.plant, scn.model, scn.gain, scn.x0)
         assert rep.residual == pytest.approx(0.04494524156513683, rel=1e-9)
@@ -667,7 +670,7 @@ class TestSubspaceResidual:
 
     def test_shared_plant_model_spectrum(self):
         # Plant and model share both eigenvalues, so the flow has each twice;
-        # the growing left eigenvectors are e_1 and e_3.
+        # the trailing Schur vectors span e_1 and e_3.
         a = np.diag([1.0, -1.0])
         plant = Plant(A=a, B=np.ones((2, 1)))
         model = NominalModel(A_hat=a, B_hat=np.ones((2, 1)))
@@ -675,13 +678,23 @@ class TestSubspaceResidual:
         assert rep.residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert rep.basis_dim == 2
 
-    def test_defective_growing_mode_rejected(self):
+    @pytest.mark.parametrize("a_hat", [
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[1.0, 1.0], [0.1, 1.0]],  # the model loop gains a growing mode
+    ], ids=["exact_model", "perturbed_model"])
+    def test_defective_growing_mode_matches_oracle(self, a_hat):
+        # The plant's growing mode is a Jordan block, which has one
+        # eigenvector; the Schur vectors still span its invariant subspace.
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([[0.0], [1.0]])
         plant = Plant(A=jordan, B=b)
-        model = NominalModel(A_hat=jordan, B_hat=b)
-        with pytest.raises(BoundsError, match="defective"):
-            stable_subspace_residual(plant, model, Gain(K=np.array([[-3.0, -4.0]])), [1.0, 0.0])
+        model = NominalModel(A_hat=np.array(a_hat), B_hat=b)
+        gain = Gain(K=np.array([[-3.0, -4.0]]))
+        x0 = np.array([1.0, 0.0])
+        rep = stable_subspace_residual(plant, model, gain, x0)
+        ref, dim = nongrowing_subspace_distance(gamma_matrix(plant, model, gain), x0)
+        assert rep.basis_dim == dim
+        assert rep.residual == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 class TestReports:

@@ -190,10 +190,13 @@ def test_sup_cases_take_their_paths():
     assert _record(JORDAN).basis is None
     far = mat_exp(RANK_ONE, 6.0)
     assert np.linalg.norm(far) == pytest.approx(np.linalg.norm(far, 2), rel=1e-14)
+    # The batch overflows past t = 7, its SVD fails, and the expm fallback
+    # meets the same overflow, which it reports instead of taking an SVD.
     with np.errstate(all="ignore"):
-        norms = exp_norms_on_grid(OVERFLOW, np.linspace(0.0, 10.0, 50))
-        assert not np.all(np.isfinite(norms))
-        assert not np.isfinite(grid_norm_maxes(OVERFLOW, [np.linspace(0.0, 10.0, 50)])[0])
+        with pytest.raises(NumericsError, match="overflows on the grid"):
+            exp_norms_on_grid(OVERFLOW, np.linspace(0.0, 10.0, 50))
+        with pytest.raises(NumericsError, match="overflows on the grid"):
+            grid_norm_maxes(OVERFLOW, [np.linspace(0.0, 10.0, 50)])
 
 
 def test_decay_envelope_holds_on_fresh_grid():
@@ -241,6 +244,22 @@ def test_decay_envelope_eigendecomposes_once(a, calls, rate, monkeypatch):
     assert len(seen) == calls
     assert env.rate == pytest.approx(rate, rel=1e-6)
     for t in np.linspace(0.0, 40.0, 101):
+        assert np.linalg.norm(taylor_expm(a, t), 2) <= env.c * np.exp(-env.rate * t) + 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericsError,
+    reason="ROADMAP item 3: at 0.99 of the spectral abscissa, the t^2 growth of a "
+    "Jordan block peaks past the fit grid and the envelope fails validation",
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_decay_envelope_of_rotated_jordan_block(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    a = q @ (-rng.uniform(0.2, 1.5) * np.eye(3) + 2.0 * np.eye(3, k=1)) @ q.T
+    env = decay_envelope(a)
+    for t in np.linspace(0.0, 40.0 / env.rate, 101):
         assert np.linalg.norm(taylor_expm(a, t), 2) <= env.c * np.exp(-env.rate * t) + 1e-9
 
 
@@ -301,6 +320,18 @@ def test_norm_ceiling_of_the_vehicle(vehicle7):
 ], ids=["growing", "one_growing_mode", "marginal", "inf", "nan", "not_square"])
 def test_norm_ceiling_refuses(a):
     assert norm_ceiling(a) is None
+
+
+@pytest.mark.parametrize("shift", [0.9, 0.99])
+def test_norm_ceiling_of_shifted_matrices_raises_nothing(shift):
+    # Moving the spectral abscissa to (1 - shift) of itself leaves slow,
+    # strongly growing Jordan transients, on which expm can overflow; such a
+    # sample gives None, as every other sampling failure does.
+    for name, a in HURWITZ.items():
+        sa = float(np.max(np.linalg.eigvals(a).real))
+        with np.errstate(all="ignore"):
+            ceiling = norm_ceiling(a - shift * sa * np.eye(a.shape[0]))
+        assert ceiling is None or ceiling >= 1.0, name
 
 
 def test_norm_ceiling_stops_at_its_sample_budget(monkeypatch):

@@ -4,7 +4,8 @@ Each draw builds a model with one growing mode, an LQR gain on the model,
 and a true plant that perturbs the model slightly, then checks the traces
 of both estimators against the protocol and against the certificates.
 Draws whose certificate preconditions fail are rejected, not counted.  The
-membership residual is checked on such draws and on the vehicle family.
+membership residual is checked on such draws, on the vehicle family and on
+rotated growing blocks.
 """
 
 import dataclasses
@@ -140,8 +141,31 @@ def test_known_zoh_certificate_gaps(n, m, M, seed, p):
     assert verify_ec_bound(bernoulli, bound, scn.trigger).ok
 
 
-def test_membership_residual_matches_schur_oracle(qualifying_seeds):
-    """The residual and its span's dimension against an ordered Schur form."""
+# Plant spectra of the membership cases beside the draws: a growing Jordan
+# block (numpy's eigenvectors of it, once rotated, are two distinct, nearly
+# parallel vectors), a complex growing pair, and two growing modes.
+GROWING_BLOCKS = (
+    [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]],
+    [[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.0, 0.0, -1.0]],
+    np.diag([0.3, 1.2, -0.5, -1.0]),
+)
+
+
+def _growing_block_case(block, seed):
+    """The block under a random rotation, a perturbed model, and its LQR gain."""
+    rng = np.random.default_rng(seed)
+    block = np.asarray(block)
+    n = block.shape[0]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ block @ q.T
+    b = rng.normal(size=(n, 2))
+    a_hat = a + PERTURBATION * rng.normal(size=(n, n)) / np.sqrt(n)
+    k = -b.T @ solve_continuous_are(a_hat, b, np.eye(n), np.eye(2))
+    return Plant(A=a, B=b), NominalModel(A_hat=a_hat, B_hat=b), Gain(K=k), rng.normal(size=n)
+
+
+def test_membership_residual_matches_sign_oracle(qualifying_seeds):
+    """The residual and its span's dimension against the sign-function projector."""
     scenarios = [vehicle_preset(seed) for seed in qualifying_seeds]
     seed = 0
     while len(scenarios) < len(qualifying_seeds) + 100:
@@ -150,11 +174,11 @@ def test_membership_residual_matches_schur_oracle(qualifying_seeds):
         if scn is not None:
             scenarios.append(scn)
         seed += 1
-    for scn in scenarios:
-        rep = stable_subspace_residual(scn.plant, scn.model, scn.gain, scn.x0)
-        ref, dim = nongrowing_subspace_distance(
-            gamma_matrix(scn.plant, scn.model, scn.gain), scn.x0
-        )
+    cases = [(scn.plant, scn.model, scn.gain, scn.x0) for scn in scenarios]
+    cases += [_growing_block_case(block, seed) for block in GROWING_BLOCKS for seed in range(8)]
+    for plant, model, gain, x0 in cases:
+        rep = stable_subspace_residual(plant, model, gain, x0)
+        ref, dim = nongrowing_subspace_distance(gamma_matrix(plant, model, gain), x0)
         assert rep.basis_dim == dim
         if ref < 1e-12:
             assert abs(rep.residual - ref) <= 1e-12
