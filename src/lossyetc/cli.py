@@ -204,13 +204,13 @@ def cmd_sweep(args) -> int:
                 keys.append(["channel.p", _fmt(value), repeat, kind.value])
                 runs.append(dataclasses.replace(scn, estimator=kind, channel=policy))
                 ranks.append((kind is EstimatorKind.MODEL_BASED, -value))
-    # Longest first: hold-estimator runs take 2.5-6x as long as model-based
-    # ones, and longer the more packets drop (preset 7, sweep seed 1,
-    # p = 0/0.5/0.9, min of 15 runs: 41/88/130 ms against 15/17/22 ms), so
-    # they go in descending p and the short runs fill in behind them.
-    # Estimated by list-scheduling measured run times on 2 workers (draws
-    # 7/45/56, best of 5): ascending p 228/227/225 ms, descending
-    # 220/218/213 ms.
+    # Longest first: hold-estimator runs take longer than model-based ones,
+    # most of all once packets drop (draws 7/45/56, sweep seed 1,
+    # p = 0/0.5/0.9, best of 5 in-process runs: hold 17-26 ms at p = 0 and
+    # 54-88 ms above, model-based 12-26 ms), so they go first, in descending
+    # p, and the short runs fill in behind them. List-scheduling those run
+    # times on 2 workers: 134/106/106 ms in this order, 145/123/121 ms in
+    # input order.
     order = sorted(range(len(runs)), key=ranks.__getitem__)
     summaries = list(fork_map(_summary, runs, order))
     with open(out, "w", newline="") as fh:

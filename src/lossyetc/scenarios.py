@@ -9,11 +9,13 @@ line it appears on.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
 import json
 import math
+import os
 from typing import Any
 
 import numpy as np
@@ -338,7 +340,10 @@ def save_trace(tr: Trace, path: str) -> None:
     """Write the trace as CSV with exact (17-significant-digit) numbers.
 
     Floats are written with ``%.17g``, the two flags as ``0``/``1``, and every
-    line ends in CRLF. Blocks of rows are formatted on the usable CPUs.
+    line ends in CRLF. Blocks of rows are formatted on the usable CPUs. The
+    file is written beside `path` and renamed onto it once complete, so a
+    save that fails leaves no file at `path` that load_trace would take for a
+    shorter trace.
     """
     n = tr.x.shape[1]
     table = np.column_stack(
@@ -347,9 +352,15 @@ def save_trace(tr: Trace, path: str) -> None:
     )
     row = ",".join(["%.17g"] * (3 * n + 4)) + ",%d,%d\r\n"
     blocks = [table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(_trace_header(n)) + "\r\n").encode())
-        fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write((",".join(_trace_header(n)) + "\r\n").encode())
+            fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
+        os.replace(part, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
 
 
 def _format_block(row: str, block: np.ndarray) -> bytes:
@@ -401,7 +412,8 @@ def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
         return None
     width = len(header)
     data = np.empty((width, sum(rows for _, _, rows in spans)))
-    parts = fork_map(functools.partial(_parse_span, path), spans)
+    # the pool's workers keep the working directory of its start
+    parts = fork_map(functools.partial(_parse_span, os.path.abspath(path)), spans)
     done = 0
     try:
         for (_, _, rows), part in zip(spans, parts):

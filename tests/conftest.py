@@ -84,10 +84,13 @@ def usable_cpus(monkeypatch):
     """Call with n to make `pool.fork_map` see n usable CPUs.
 
     The call returns a list that receives the worker count of each pool
-    started from then on.
+    started from then on. The call and the teardown shut the process's pool
+    down, so a pool the test starts has n workers, forked with the module
+    state the test set, and no later test reuses them.
     """
 
     def set_cpus(n: int) -> list[int]:
+        pool.shutdown()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         pools = []
 
@@ -99,4 +102,5 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(pool, "ProcessPoolExecutor", Recording)
         return pools
 
-    return set_cpus
+    yield set_cpus
+    pool.shutdown()

@@ -1,11 +1,15 @@
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from lossyetc import cli, pool, scenarios, simulator
 from lossyetc.bounds import BoundCheck
 from lossyetc.cli import main
 from lossyetc.numerics import NumericsError
-from lossyetc.scenarios import load_trace, save_scenario, scenario_to_dict
+from lossyetc.scenarios import _format_block, load_trace, save_scenario, scenario_to_dict
 from lossyetc.simulator import SimulationError, simulate
 from lossyetc.trigger_channel import ChannelError, ChannelMode, ChannelPolicy
 
@@ -25,6 +29,13 @@ _FORK = "fork" in multiprocessing.get_all_start_methods()
 def _exit_at_once(*args):
     """Stands in for a worker's task: the worker dies as if the OS killed it."""
     os._exit(1)
+
+
+def _exit_after_first_block(row, block):
+    """Stands in for `_format_block`: the first block formats, a later one dies."""
+    if block[0, 0] > 0.0:
+        os._exit(1)
+    return _format_block(row, block)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,18 @@ def _module_env() -> dict:
     src = str(Path(le.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def _simulate_with_dying_formatter(die, config, tmp_path, monkeypatch, usable_cpus, capsys):
+    """`simulate --out` whose formatting worker runs `die`: exit 3, no file left."""
+    started = usable_cpus(2)
+    monkeypatch.setattr(scenarios, "_format_block", die)
+    out = tmp_path / "run.trace.csv"
+    assert main(["simulate", "--config", config, "--out", str(out), "--tmax", "10"]) == 3
+    assert started == [2]
+    assert "terminated abruptly" in capsys.readouterr().err
+    # no truncated trace that load_trace would take for a shorter run
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -161,14 +184,19 @@ class TestSimulate:
     def test_killed_formatting_worker_exits_three(
         self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
     ):
-        started = usable_cpus(2)
-        monkeypatch.setattr(scenarios, "_format_block", _exit_at_once)
-        assert main([
-            "simulate", "--config", config_seed1, "--out", str(tmp_path / "run.trace.csv"),
-            "--tmax", "10",
-        ]) == 3
-        assert started == [2]
-        assert "terminated abruptly" in capsys.readouterr().err
+        _simulate_with_dying_formatter(
+            _exit_at_once, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
+        )
+
+    @pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+    def test_killed_later_formatting_worker_leaves_no_trace(
+        self, config_seed1, tmp_path, monkeypatch, usable_cpus, capsys
+    ):
+        # the first block is written before the later one dies
+        _simulate_with_dying_formatter(
+            _exit_after_first_block, config_seed1, tmp_path, monkeypatch, usable_cpus,
+            capsys,
+        )
 
 
 # --format and --param have their own tests: test_csv_format_rejected and
@@ -655,6 +683,27 @@ class TestSweep:
         assert proc.stderr == ""
         assert proc.stdout == f"sweep: 4 runs over channel.p=[0.0, 0.9], wrote {out}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/proc"), reason="needs /proc")
+    def test_leaves_no_worker_behind(self, config_seed1, tmp_path):
+        # The pool outlives main() but not the interpreter; the workers hold the
+        # child's stdout, so run() would block on its EOF if they outlived it.
+        script = (
+            "import json, multiprocessing, sys\n"
+            "from lossyetc.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "--config", config_seed1,
+             "--out", str(tmp_path / "s.csv"), "--values", "0,0.9", "--tmax", "5"],
+            capture_output=True, text=True, env=_module_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        workers = json.loads(proc.stdout.splitlines()[-1])
+        assert len(workers) == (pool._usable_cpus() if pool.would_fork(4) else 0)
+        assert not any(_running(pid) for pid in workers)
+
     def test_rejections(self, config_seed1, capsys):
         # channel.p is the one swept parameter and CSV the one table format
         for option, value in (("--param", "trigger.beta"), ("--format", "json")):
@@ -678,3 +727,109 @@ class TestSweep:
         assert main([
             "sweep", "--config", config_seed1, "--values", " ,",
         ]) == 1
+
+
+def _worker_pid(item=None) -> int:
+    return os.getpid()
+
+
+def _fail(item):
+    raise ValueError(f"task {item} failed")
+
+
+def _fail_first(directory, item):
+    """Task 0 raises at once; every other task waits, then leaves a file."""
+    if item == 0:
+        raise ValueError("task 0 failed")
+    time.sleep(0.2)
+    (Path(directory) / str(item)).touch()
+
+
+def _child_pool_pids(conn) -> None:
+    conn.send(list(pool.fork_map(_worker_pid, range(4))))
+    conn.close()
+
+
+def _pool_workers() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+class TestForkPool:
+    def test_calls_share_one_pool(self, usable_cpus):
+        started = usable_cpus(2)
+        first = list(pool.fork_map(_worker_pid, range(4)))
+        workers = _pool_workers()
+        second = list(pool.fork_map(_worker_pid, range(4)))
+        assert started == [2]
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert set(first + second) <= workers == _pool_workers()
+
+    def test_killed_worker_replaces_the_pool(self, usable_cpus):
+        started = usable_cpus(2)
+        list(pool.fork_map(_worker_pid, range(2)))
+        with pytest.raises(BrokenProcessPool, match="terminated abruptly"):
+            list(pool.fork_map(_exit_at_once, range(2)))
+        assert started == [2]
+        first = list(pool.fork_map(_worker_pid, range(4)))
+        second = list(pool.fork_map(_worker_pid, range(4)))
+        assert started == [2, 2]
+        assert set(first + second) <= _pool_workers()
+
+    def test_failed_task_keeps_the_pool(self, usable_cpus):
+        started = usable_cpus(2)
+        with pytest.raises(ValueError, match="task 1 failed"):
+            list(pool.fork_map(_fail, range(1, 5)))
+        workers = _pool_workers()
+        assert set(pool.fork_map(_worker_pid, range(4))) <= workers
+        # an abandoned generator keeps the pool too
+        parts = pool.fork_map(_worker_pid, range(4))
+        next(parts)
+        parts.close()
+        assert set(pool.fork_map(_worker_pid, range(4))) <= workers == _pool_workers()
+        assert started == [2]
+
+    def test_failed_task_cancels_the_queued_ones(self, usable_cpus, tmp_path):
+        usable_cpus(2)
+        with pytest.raises(ValueError, match="task 0 failed"):
+            list(pool.fork_map(functools.partial(_fail_first, str(tmp_path)), range(12)))
+        # a later call's tasks start after every earlier task still queued
+        list(pool.fork_map(_worker_pid, range(2)))
+        time.sleep(0.5)  # longer than a task: the ones that started are done
+        # only the two running tasks and the few handed to the call queue ran
+        assert len(list(tmp_path.iterdir())) < 11
+
+    def test_child_starts_its_own_pool(self, usable_cpus):
+        usable_cpus(2)
+        list(pool.fork_map(_worker_pid, range(4)))
+        workers = _pool_workers()
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_pool_pids, args=(writer,))
+        child.start()
+        writer.close()
+        child_workers = set()
+        try:
+            # a child that submits to the parent's pool waits forever
+            assert reader.poll(60), "fork_map in the child did not return"
+            child_workers = set(reader.recv())
+            # and one that does not stop its pool before it exits hangs
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+                for pid in filter(_running, child_workers):
+                    os.kill(pid, signal.SIGKILL)
+        assert child_workers and not child_workers & (workers | {os.getpid()})
+        assert set(pool.fork_map(_worker_pid, range(4))) <= workers == _pool_workers()
