@@ -358,6 +358,11 @@ def save_trace(tr: Trace, path: str) -> None:
             fh.write((",".join(_trace_header(n)) + "\r\n").encode())
             fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
         os.replace(part, path)
+    except OSError as exc:
+        # The temporary name means nothing to the caller: name the target.
+        if exc.filename != part:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)

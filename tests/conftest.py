@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lossyetc as le
-from lossyetc import numerics, pool
+from lossyetc import numerics, pool, simulator
 from lossyetc.system_model import EstimatorKind
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
 
@@ -15,6 +15,18 @@ from lossyetc.trigger_channel import ChannelMode, ChannelPolicy
 def fresh_numerics_records():
     """Each test starts without the per-matrix records an earlier test left."""
     numerics._cached_record.cache_clear()
+
+
+@pytest.fixture
+def cold_flows():
+    """The test starts with no cached flow or grid, so its runs build their own.
+
+    For tests that patch what a flow build reads (simulator.mat_exp,
+    _Flow.__init__) or count builds.  Entries the test leaves stay: they hold
+    the arrays an unpatched build makes.
+    """
+    simulator._cached_flow.cache_clear()
+    simulator._grid.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from lossyetc.bounds import (
     MietBreakdown,
     SubspaceReport,
     ZohBoundsReport,
+    _crossing_roots,
     _dropped_intervals,
     _growth_rate,
     analyze_scenario,
@@ -31,7 +32,7 @@ from lossyetc.bounds import (
     verify_ec_bound,
     worst_case_trace,
 )
-from lossyetc import numerics
+from lossyetc import bounds, numerics
 from lossyetc.numerics import DecayEnvelope, NumericsError, decay_envelope, grid_norm_maxes
 from lossyetc.scenarios import load_trace, save_trace
 from lossyetc.simulator import Trace, simulate, summarize
@@ -42,6 +43,7 @@ from lossyetc.system_model import (
     Plant,
     closed_loop,
     gamma_matrix,
+    gamma_zoh,
 )
 from lossyetc.trigger_channel import TriggerConfig
 
@@ -578,6 +580,52 @@ class TestComputeDeltaZoh:
         assert 0.0 < a.delta_bar_zoh[0] < b.delta_bar_zoh[0]
         assert a == compute_delta_zoh(cfg, 2, [first], 1.0)
         assert b == compute_delta_zoh(cfg, 2, [second], 1.0)
+
+    def test_roots_match_scalar_bisection(self, monkeypatch, zoh7, trace_zoh7):
+        # The array bisection gives every row the bits of one scalar
+        # bisect_root run from [0, t_cap]: the rows of all preset-7 hold
+        # windows, plus a row whose crossing is zero at 0 (threshold
+        # underflowed, eta = X_j) and one whose bracket outgrows bisect_root's
+        # step budget.
+        gamma = _growth_rate(gamma_zoh(zoh7.plant, zoh7.gain))
+        alpha = zoh7.trigger.alpha
+        rows = []
+        for window in _dropped_intervals(trace_zoh7, zoh7.channel.M, gamma):
+            eta = min(min(e, x) for _, e, x in window)
+            for t_j, _, x_norm in window:
+                beta_j = zoh7.trigger.beta * math.exp(-alpha * t_j)
+                rows.append((eta, x_norm, beta_j, math.log((x_norm + beta_j) / eta) / gamma + 1.0))
+        rows += [(2.0, 2.0, 0.0, 5.0), (1.0, 3.0, 0.5, 1e60)]
+
+        def reference(eta, x_norm, beta_j, t_cap, gamma):
+            def crossing(d):
+                return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
+            return numerics.bisect_root(crossing, 0.0, t_cap, tol=1e-12)
+
+        want = [reference(*row, gamma) for row in rows[:-1]]
+        want.append(reference(*rows[-1], 1e-59))
+        calls = []
+
+        def counting(f, lo, hi, tol):
+            calls.append(lo)
+            return numerics.bisect_root(f, lo, hi, tol)
+
+        monkeypatch.setattr(bounds, "bisect_root", counting)
+        got = _crossing_roots(rows[:-1], gamma, alpha) + _crossing_roots(rows[-1:], 1e-59, alpha)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got[-2] == 0.0
+        # the array pass settles nearly every row; the two extra rows go whole
+        assert calls.count(0.0) == 2 and len(calls) < len(rows) / 10
+        # Under slow growth the last midpoints' crossings come within an ulp
+        # of zero, where np.exp and math.exp can disagree on the sign.
+        rng = np.random.default_rng(1)
+        for gamma in (1e-4, 1e-3):
+            rows = []
+            for eta, ratio, beta_j in rng.uniform((0.05, 1.0, 1e-3), (2.0, 20.0, 4.0), (200, 3)):
+                x_norm = eta * ratio
+                rows.append((eta, x_norm, beta_j, math.log((x_norm + beta_j) / eta) / gamma + 1.0))
+            want = [reference(*row, gamma) for row in rows]
+            assert _crossing_roots(rows, gamma, alpha) == want
 
     def test_validation(self):
         with pytest.raises(BoundsError, match="M > 1"):

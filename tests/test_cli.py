@@ -103,6 +103,24 @@ class TestSimulate:
         line = capsys.readouterr().out
         assert line.startswith("simulate[mb]: 0 triggers")
 
+    def test_missing_out_directory_names_target(
+        self, config_v0, tmp_path, monkeypatch, capsys
+    ):
+        # save_trace writes a temporary file beside its target; the error
+        # names the target, and nothing is left behind.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "simulate", "--config", config_v0, "--out", "missing/run.trace.csv",
+            "--tmax", "10",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "lossyetc simulate: [Errno 2] No such file or directory: "
+            "'missing/run.trace.csv'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_format(self, config_seed1, tmp_path):
         out = tmp_path / "run.trace.json"
         code = main([

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lossyetc as le
-from lossyetc import simulator
+from lossyetc import bounds, simulator
 
 from lossyetc.numerics import mat_exp
 from lossyetc.scenarios import load_trace, save_trace
@@ -222,6 +222,7 @@ def _trace_sha256(tr):
 
 
 _ZOH7_SHA256 = "a6d4db63d71b3ebd733efe292ab1847207f72e90093b6aa8e153f547f1d912a4"
+_MB7_SHA256 = "19b10ee253a43c568c0e180485ea7a663c6fea785a2a68344c246e2d01e7a493"
 
 
 def test_zoh_trace_bytes_pinned(trace_zoh7):
@@ -246,9 +247,7 @@ def test_zoh_trace_bytes_pinned_through_table_growth(zoh7, monkeypatch):
 def test_mb_trace_bytes_pinned(trace7):
     # The model-based run fits the initial capacity of the row table.
     assert trace7.num_samples == 60167
-    assert _trace_sha256(trace7) == (
-        "19b10ee253a43c568c0e180485ea7a663c6fea785a2a68344c246e2d01e7a493"
-    )
+    assert _trace_sha256(trace7) == _MB7_SHA256
 
 
 @pytest.mark.parametrize("n, seed, estimator, rows, digest, reports", [
@@ -356,7 +355,7 @@ def test_split_batch_traces_pinned(
     scn = dataclasses.replace(
         le.vehicle_preset(45), estimator=estimator, channel=channel
     )
-    flow = simulator._Flow(scn)
+    flow = simulator._flow(scn)
     z0 = np.tile(scn.x0, 3)
     whole = flow.grid_rows(0, 256, z0)
     for lo, hi in [(0, 1), (1, 97), (97, 256), (200, 201)]:
@@ -482,12 +481,13 @@ def test_batch_row_budget(monkeypatch, vehicle7, zoh7):
     assert len(chunks) <= 271
 
 
-def test_mat_exp_only_in_flow_build(monkeypatch, zoh7):
+def test_mat_exp_only_in_flow_build(monkeypatch, cold_flows, zoh7):
     # Event location and the steps after events use the scan stacks, so an
     # on-grid run takes every matrix exponential while _Flow is built: the
     # grid step and one per scan round (1e-3 / 32**4 <= 1e-9: four rounds).
-    # A t_max off the grid adds one per step to it: here two, as an event
-    # falls inside that last partial step.
+    # A second run of the same scenario takes its flow from the cache and
+    # no exponential at all.  A t_max off the grid adds one per step to it:
+    # here two, as an event falls inside that last partial step.
     calls, building = [], []
     exp, init = simulator.mat_exp, simulator._Flow.__init__
 
@@ -495,9 +495,9 @@ def test_mat_exp_only_in_flow_build(monkeypatch, zoh7):
         calls.append(bool(building))
         return exp(*args)
 
-    def tracked_init(flow, scn):
-        building.append(scn)
-        init(flow, scn)
+    def tracked_init(flow, *args):
+        building.append(args)
+        init(flow, *args)
         building.pop()
 
     monkeypatch.setattr(simulator, "mat_exp", counting_exp)
@@ -505,8 +505,97 @@ def test_mat_exp_only_in_flow_build(monkeypatch, zoh7):
     assert simulate(zoh7).triggers.size == 936
     assert calls == [True] * 5
     calls.clear()
+    assert simulate(zoh7).triggers.size == 936
+    assert calls == []
     simulate(_zoh45_short())
     assert calls == [True] * 5 + [False] * 2
+
+
+def _wide9(estimator):
+    return dataclasses.replace(_scenario(9, 2, 3, estimator, 0), t_max=10.0)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: le.vehicle_preset(7), _MB7_SHA256),
+    (lambda: dataclasses.replace(
+        le.vehicle_preset(7), estimator=EstimatorKind.ZERO_ORDER_HOLD), _ZOH7_SHA256),
+    (lambda: _wide9(EstimatorKind.MODEL_BASED),
+     "2de29dc9481f0a57f56e5313f3465fc72f48a765dec726869476d2f7a3917936"),
+    (lambda: _wide9(EstimatorKind.ZERO_ORDER_HOLD),
+     "bee994d469e4b062943b40f33add982a4c4ad6c4e6dfe298b58aaa66c58a15ae"),
+], ids=["mb7", "zoh7", "mb_n9", "zoh_n9"])
+def test_flow_cache_warm_run_bytes_pinned(cold_flows, make, digest):
+    # A warm entry holds the arrays the cold build made, so the run that
+    # builds its flow and grid and the run that finds them give one trace.
+    scn = make()
+    cold = _trace_sha256(simulate(scn))
+    warm = _trace_sha256(simulate(scn))
+    for cache in (simulator._cached_flow, simulator._grid):
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+    assert cold == warm == digest
+
+
+def test_flow_cache_keys_on_exact_values(cold_flows, vehicle7):
+    # A one-ulp change of the plant, or another event_tol, sample_dt or
+    # estimator, gets a flow of its own; the same scenario finds its flow.
+    flow = simulator._flow(vehicle7)
+    a = vehicle7.plant.A.copy()
+    a[0, 1] = math.nextafter(a[0, 1], math.inf)
+    variants = [
+        dataclasses.replace(vehicle7, plant=Plant(A=a, B=vehicle7.plant.B)),
+        dataclasses.replace(vehicle7, event_tol=vehicle7.event_tol / 2),
+        dataclasses.replace(vehicle7, sample_dt=vehicle7.sample_dt / 2),
+        dataclasses.replace(vehicle7, estimator=EstimatorKind.ZERO_ORDER_HOLD),
+    ]
+    for scn in variants:
+        misses = simulator._cached_flow.cache_info().misses
+        other = simulator._flow(scn)
+        assert simulator._cached_flow.cache_info().misses == misses + 1
+        assert other is not flow and simulator._flow(scn) is other
+        assert simulator._flow(vehicle7) is flow
+    assert simulator._flow(dataclasses.replace(vehicle7, x0=2.0 * vehicle7.x0)) is flow
+
+
+def test_flow_cache_arrays_read_only(cold_flows, vehicle7, zoh7):
+    for scn in (vehicle7, zoh7):
+        flow = simulator._flow(scn)
+        for arr in (flow.gen, flow.blank, flow.powers, *flow.scan, *flow.scan_es):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            flow.powers[0, 0, 0] = 0.0
+    _, grid, grid_thr = simulator._grid(vehicle7.t_max, vehicle7.sample_dt, vehicle7.trigger)
+    assert not grid.flags.writeable and not grid_thr.flags.writeable
+
+
+def test_flow_cache_holds_two_entries(cold_flows, vehicle7):
+    for k in range(1, 5):
+        scn = dataclasses.replace(vehicle7, sample_dt=vehicle7.sample_dt / k)
+        simulator._flow(scn)
+        simulator._grid(scn.t_max, scn.sample_dt, scn.trigger)
+    for cache in (simulator._cached_flow, simulator._grid):
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == 2
+
+
+def test_flow_cache_one_build_per_family_draw(monkeypatch, cold_flows):
+    # The acceptance family's unit: a worst-case run, then three Bernoulli
+    # runs of the same draw, which differ only in their channel.
+    builds = []
+    init = simulator._Flow.__init__
+
+    def counting(flow, *args):
+        builds.append(args[0])
+        init(flow, *args)
+
+    monkeypatch.setattr(simulator._Flow, "__init__", counting)
+    scn = le.vehicle_preset(8)
+    bounds.worst_case_trace(scn)
+    for p in (0.0, 0.5, 0.9):
+        chan = ChannelPolicy(M=scn.channel.M, mode=ChannelMode.BERNOULLI, p=p, seed=3)
+        simulate(dataclasses.replace(scn, channel=chan))
+    assert builds == [EstimatorKind.MODEL_BASED]
+    assert simulator._grid.cache_info().misses == 1
 
 
 def test_event_accumulation_aborts(monkeypatch, vehicle7, trace7):
