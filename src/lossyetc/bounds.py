@@ -23,7 +23,6 @@ reproducible from the scenario alone.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -324,10 +323,13 @@ def compute_delta_zoh(
     _dropped_intervals returns them; the window's growth envelope takes
     eta = min over its rows of min(eta_j, X_j).  Each interval bound solves
     eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with the threshold
-    beta_j = beta e^{-alpha t_j} at the interval's start, by bisection; the
-    left side starts below the right and grows without bound, so
-    [0, ln((X_j + beta_j)/eta)/gamma + 1] always brackets the crossing.
-    Returns the first window with the largest Delta_zoh.
+    beta_j = beta e^{-alpha t_j} at the interval's start; the left side
+    starts below the right and grows without bound, so
+    [0, ln((X_j + beta_j)/eta)/gamma + 1] brackets the crossing; a cap where
+    the crossing is not positive raises BoundsError naming the first.  One
+    bisection of every row at once (_crossing_roots) gives each the bits of a
+    bisection of its crossing alone.  Returns the first window with the
+    largest Delta_zoh.
     """
     _check_windows(M, windows)
     alpha = cfg.alpha
@@ -335,13 +337,10 @@ def compute_delta_zoh(
     for window in windows:
         growth = GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in window), gamma=gamma)
         growths.append(growth)
-        eta = growth.eta
         for t_j, _, x_norm in window:
             beta_j = cfg.beta * math.exp(-alpha * t_j)
-            t_cap = math.log((x_norm + beta_j) / eta) / gamma + 1.0
-            if not _crossing(eta, x_norm, beta_j, gamma, alpha, t_cap) > 0.0:
-                raise BoundsError(f"crossing bracket failed at cap {t_cap!r}")
-            rows.append((eta, x_norm, beta_j, t_cap))
+            t_cap = math.log((x_norm + beta_j) / growth.eta) / gamma + 1.0
+            rows.append((growth.eta, x_norm, beta_j, t_cap))
     roots = iter(_crossing_roots(rows, gamma, alpha))
     reports = []
     for window, growth in zip(windows, growths):
@@ -357,56 +356,38 @@ def compute_delta_zoh(
     return max(reports, key=lambda rep: rep.Delta_zoh)
 
 
-def _crossing(eta: float, x_norm: float, beta_j: float, gamma: float, alpha: float,
-              d: float) -> float:
-    return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
-
-
 def _crossing_roots(
     rows: list[tuple[float, float, float, float]], gamma: float, alpha: float
 ) -> list[float]:
-    """bisect_root(_crossing, 0.0, t_cap, tol=_ZOH_TOL) of every row
-    (eta, X_j, beta_j, t_cap), bit for bit, bisecting all rows at once.
+    """Crossing time on [0, t_cap] of every row (eta, X_j, beta_j, t_cap), by
+    one bisect_root call, with the bits of a bisection of each row alone.
 
-    The array pass evaluates the crossing with np.exp, which differed from
-    math.exp by at most one ulp over 800,000 arguments (numpy 2.4.6, x86-64
-    with AVX-512).  A gap of k ulp moves the crossing by at most
-    (k + 3) eps (A + X_j + B) through the formula's roundings, A and B being
-    its two exponential terms, so where the crossing clears 8 eps (A + X_j + B)
-    both evaluations put the midpoint on the same side of the root.  A row
-    whose midpoint does not clear it goes on in bisect_root from its current
-    bracket: the crossing is nonzero at both ends with known sign, so
-    bisect_root repeats the scalar run.  Rows whose crossing is not negative
-    at 0, or whose bracket is so wide that bisect_root's 200-step budget
-    could bind, go to bisect_root whole.
+    crossing evaluates eta e^{gamma d} - X_j - beta_j e^{-alpha d} with
+    np.exp, which differed from math.exp by at most one ulp over 800,000
+    arguments (numpy 2.4.6, x86-64 with AVX-512).  A gap of k ulp moves the
+    value by at most (k + 3) eps (A + X_j + B), A and B being its two
+    exponential terms, so where it clears 8 eps (A + X_j + B) both have the
+    same sign.  Elsewhere it takes the math.exp value, so every sign and
+    exact zero that bisect_root sees is the scalar formula's.
     """
-    eta, x, b, hi = (np.array(col) for col in zip(*rows))
-    lo = np.zeros_like(hi)
-    roots = np.zeros_like(hi)
-    vector = (eta - x - b < 0.0) & (hi <= _ZOH_TOL * 2.0**180)
-    handed = ~vector
-    live = np.flatnonzero(vector)
-    while live.size:
-        l, h = lo[live], hi[live]
-        mid = 0.5 * (l + h)
-        done = (h - l <= _ZOH_TOL) | (mid <= l) | (mid >= h)
-        roots[live[done]] = mid[done]
-        live, mid = live[~done], mid[~done]
-        a = eta[live] * np.exp(gamma * mid)
-        bb = b[live] * np.exp(-alpha * mid)
-        f = a - x[live] - bb
+    eta, x, b, t_cap = (np.array(col) for col in zip(*rows))
+
+    def crossing(d, i):
+        a = eta[i] * np.exp(gamma * d)
+        bb = b[i] * np.exp(-alpha * d)
+        f = a - x[i] - bb
         # The tail term covers the absolute rounding of subnormal terms.
-        clear = np.abs(f) > 8.0 * _EPS * (a + x[live] + bb) + 2.0**-1070
-        handed[live[~clear]] = True
-        up = clear & (f > 0.0)
-        hi[live[up]] = mid[up]
-        down = clear & ~up
-        lo[live[down]] = mid[down]
-        live = live[clear]
-    for i in np.flatnonzero(handed).tolist():
-        f = functools.partial(_crossing, *rows[i][:3], gamma, alpha)
-        roots[i] = bisect_root(f, lo.item(i), hi.item(i), tol=_ZOH_TOL)
-    return roots.tolist()
+        near = np.flatnonzero(~(np.abs(f) > 8.0 * _EPS * (a + x[i] + bb) + 2.0**-1070))
+        f[near] = [
+            eta.item(r) * math.exp(gamma * t) - x.item(r) - b.item(r) * math.exp(-alpha * t)
+            for r, t in zip(i[near].tolist(), d[near].tolist())
+        ]
+        return f
+
+    failed = np.flatnonzero(~(crossing(t_cap, np.arange(t_cap.size)) > 0.0))
+    if failed.size:
+        raise BoundsError(f"crossing bracket failed at cap {t_cap.item(failed[0])!r}")
+    return bisect_root(crossing, 0.0, t_cap, tol=_ZOH_TOL).tolist()
 
 
 def stable_subspace_residual(

@@ -376,35 +376,48 @@ def _sampled_ceiling(rec: _Record) -> float | None:
         norms = np.insert(norms, split + 1, rec.norms(mids))
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
+def bisect_root(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float) -> np.ndarray:
+    """Roots of the brackets [lo[k], hi[k]] by bisection, all halved at once.
 
-    Returns the midpoint of the final bracket, whose width is at most tol.
+    f(points, rows) returns f of bracket rows[k] at points[k]; lo and hi
+    broadcast to one 1-D array of brackets, and f must differ in sign at the
+    two ends of each.  A zero of f at an end (lo first) or at a midpoint is
+    that bracket's root.  Otherwise a bracket is halved until its width is at
+    most tol, its midpoint no longer splits it, or 200 halvings are done, and
+    its root is the midpoint of its last bracket, so the final width can
+    exceed tol.  Each bracket gets the bits of a bisection of it alone.
     """
     if not (tol > 0.0):
         raise NumericsError("tol must be positive")
-    if not (hi > lo):
-        raise NumericsError("need hi > lo")
-    lo, hi = float(lo), float(hi)
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NumericsError(f"no sign change on [{lo!r}, {hi!r}]")
+    lo, hi = (np.array(end, dtype=float, ndmin=1) for end in np.broadcast_arrays(lo, hi))
+    rows = np.arange(lo.size)
+    bad = np.flatnonzero(~(hi > lo))
+    if bad.size:
+        k = bad[0]
+        raise NumericsError(f"need hi > lo, bracket {k}: [{lo.item(k)!r}, {hi.item(k)!r}]")
+    flo, fhi = f(lo, rows), f(hi, rows)
+    roots = np.where(flo == 0.0, lo, hi)
+    rising = fhi > 0.0
+    live = (flo != 0.0) & (fhi != 0.0)
+    bad = np.flatnonzero(live & ((flo > 0.0) == rising))
+    if bad.size:
+        k = bad[0]
+        raise NumericsError(f"no sign change on bracket {k}: [{lo.item(k)!r}, {hi.item(k)!r}]")
+    live = np.flatnonzero(live)
     for _ in range(200):
-        if hi - lo <= tol:
+        if not live.size:
             break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (fhi > 0.0):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
+        done = (h - l <= tol) | (mid <= l) | (mid >= h)
+        roots[live[done]] = mid[done]
+        live, mid = live[~done], mid[~done]
+        fmid = f(mid, live)
+        zero = fmid == 0.0
+        roots[live[zero]] = mid[zero]
+        up = (fmid > 0.0) == rising[live]
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+        live = live[~zero]
+    roots[live] = 0.5 * (lo[live] + hi[live])
+    return roots

@@ -3,7 +3,8 @@
 Everything here is written against definitions, not against the package's
 code paths: truncated series for the matrix exponential, characteristic
 polynomial roots for eigenvalues, the matrix sign function for spectral
-projectors, dense scans plus bisection for crossing equations, and a
+projectors, dense scans plus bisection for crossing equations, the scalar
+bisection that numerics.bisect_root runs on many brackets at once, and a
 general-purpose adaptive ODE integration of the hybrid closed loop.  Slow
 and simple on purpose.  Also the random Hurwitz test matrices, and
 every_window_delta, the all-windows form of compute_Delta.
@@ -63,6 +64,41 @@ def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
         if mid in (lo, hi):
             break
         if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_bisect_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
+
+    The one-bracket bisection that numerics.bisect_root runs on every bracket
+    at once: the same zero handling, stopping rule and returned midpoint.
+    """
+    if not (tol > 0.0):
+        raise NumericsError("tol must be positive")
+    if not (hi > lo):
+        raise NumericsError("need hi > lo")
+    lo, hi = float(lo), float(hi)
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise NumericsError(f"no sign change on [{lo!r}, {hi!r}]")
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (fhi > 0.0):
             hi = mid
         else:
             lo = mid

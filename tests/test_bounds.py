@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from oracles import (
     modal_growth_coefficient,
     every_window_delta,
     nongrowing_subspace_distance,
+    scalar_bisect_root,
     zoh_crossing_reference,
 )
 
@@ -520,6 +522,43 @@ class TestMinInterEventTime:
             min_inter_event_time(*args, fast, 2.0, 1.0, env)
 
 
+def _crossing_batches(scn, tr):
+    """(rows, gamma, roots) batches for _crossing_roots, each row's root from
+    the scalar bisection of its crossing on [0, t_cap].
+
+    The rows of all of tr's hold windows, plus a row whose crossing is zero
+    at 0 (threshold underflowed, eta = X_j); a row whose bracket outgrows the
+    200-halving budget; and rows under slow growth, whose last midpoints'
+    crossings come within an ulp of zero, where np.exp and math.exp can
+    disagree on the sign.
+    """
+    alpha = scn.trigger.alpha
+
+    def cap(eta, x_norm, beta_j, gamma):
+        return math.log((x_norm + beta_j) / eta) / gamma + 1.0
+
+    def root(eta, x_norm, beta_j, t_cap, gamma):
+        def crossing(d):
+            return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
+        return scalar_bisect_root(crossing, 0.0, t_cap, tol=1e-12)
+
+    gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
+    rows = []
+    for window in _dropped_intervals(tr, scn.channel.M, gamma):
+        eta = min(min(e, x) for _, e, x in window)
+        for t_j, _, x_norm in window:
+            beta_j = scn.trigger.beta * math.exp(-alpha * t_j)
+            rows.append((eta, x_norm, beta_j, cap(eta, x_norm, beta_j, gamma)))
+    batches = [(rows + [(2.0, 2.0, 0.0, 5.0)], gamma), ([(1.0, 3.0, 0.5, 1e60)], 1e-59)]
+    rng = np.random.default_rng(1)
+    for gamma in (1e-4, 1e-3):
+        rows = []
+        for eta, ratio, beta_j in rng.uniform((0.05, 1.0, 1e-3), (2.0, 20.0, 4.0), (200, 3)):
+            rows.append((eta, eta * ratio, beta_j, cap(eta, eta * ratio, beta_j, gamma)))
+        batches.append((rows, gamma))
+    return [(rows, gamma, [root(*row, gamma) for row in rows]) for rows, gamma in batches]
+
+
 class TestComputeDeltaZoh:
     def test_frozen_crossing(self):
         rep = compute_delta_zoh(CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0)
@@ -581,51 +620,57 @@ class TestComputeDeltaZoh:
         assert a == compute_delta_zoh(cfg, 2, [first], 1.0)
         assert b == compute_delta_zoh(cfg, 2, [second], 1.0)
 
+    def test_cap_check_names_the_first_failing_cap(self):
+        # With the threshold underflowed and growth this slow, the + 1 of
+        # t_cap = ln(X_j / eta) / gamma + 1 is lost, and the crossing at the
+        # cap is the rounding of e^{ln X_j} - X_j: positive for X_j = 3,
+        # negative for 5 and 7.
+        windows = [[(1e20, 1.0, x_norm)] for x_norm in (3.0, 5.0, 7.0)]
+        cap = math.log(5.0) / 1e-300 + 1.0
+        with pytest.raises(BoundsError, match=re.escape(f"failed at cap {cap!r}") + "$"):
+            compute_delta_zoh(CFG, 2, windows, 1e-300)
+
     def test_roots_match_scalar_bisection(self, monkeypatch, zoh7, trace_zoh7):
-        # The array bisection gives every row the bits of one scalar
-        # bisect_root run from [0, t_cap]: the rows of all preset-7 hold
-        # windows, plus a row whose crossing is zero at 0 (threshold
-        # underflowed, eta = X_j) and one whose bracket outgrows bisect_root's
-        # step budget.
-        gamma = _growth_rate(gamma_zoh(zoh7.plant, zoh7.gain))
-        alpha = zoh7.trigger.alpha
-        rows = []
-        for window in _dropped_intervals(trace_zoh7, zoh7.channel.M, gamma):
-            eta = min(min(e, x) for _, e, x in window)
-            for t_j, _, x_norm in window:
-                beta_j = zoh7.trigger.beta * math.exp(-alpha * t_j)
-                rows.append((eta, x_norm, beta_j, math.log((x_norm + beta_j) / eta) / gamma + 1.0))
-        rows += [(2.0, 2.0, 0.0, 5.0), (1.0, 3.0, 0.5, 1e60)]
-
-        def reference(eta, x_norm, beta_j, t_cap, gamma):
-            def crossing(d):
-                return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
-            return numerics.bisect_root(crossing, 0.0, t_cap, tol=1e-12)
-
-        want = [reference(*row, gamma) for row in rows[:-1]]
-        want.append(reference(*rows[-1], 1e-59))
+        # One bisect_root call per _crossing_roots gives every row the bits of
+        # the scalar bisection of its crossing from [0, t_cap].
+        batches = _crossing_batches(zoh7, trace_zoh7)
         calls = []
 
         def counting(f, lo, hi, tol):
-            calls.append(lo)
+            calls.append(len(hi))
             return numerics.bisect_root(f, lo, hi, tol)
 
         monkeypatch.setattr(bounds, "bisect_root", counting)
-        got = _crossing_roots(rows[:-1], gamma, alpha) + _crossing_roots(rows[-1:], 1e-59, alpha)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert got[-2] == 0.0
-        # the array pass settles nearly every row; the two extra rows go whole
-        assert calls.count(0.0) == 2 and len(calls) < len(rows) / 10
-        # Under slow growth the last midpoints' crossings come within an ulp
-        # of zero, where np.exp and math.exp can disagree on the sign.
-        rng = np.random.default_rng(1)
-        for gamma in (1e-4, 1e-3):
-            rows = []
-            for eta, ratio, beta_j in rng.uniform((0.05, 1.0, 1e-3), (2.0, 20.0, 4.0), (200, 3)):
-                x_norm = eta * ratio
-                rows.append((eta, x_norm, beta_j, math.log((x_norm + beta_j) / eta) / gamma + 1.0))
-            want = [reference(*row, gamma) for row in rows]
-            assert _crossing_roots(rows, gamma, alpha) == want
+        for rows, gamma, want in batches:
+            got = _crossing_roots(rows, gamma, zoh7.trigger.alpha)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert calls == [len(rows) for rows, _, _ in batches]
+        assert batches[0][2][-1] == 0.0
+
+    def test_roots_match_scalar_bisection_under_jittered_exp(
+        self, monkeypatch, zoh7, trace_zoh7
+    ):
+        # np.exp and math.exp differ in the last bit on some arguments, on
+        # some hosts only.  Moving a seeded half of np.exp's results by one
+        # ulp either way must leave every root the scalar one: wherever the
+        # two could disagree on a sign, the margin hands the value to math.exp.
+        batches = _crossing_batches(zoh7, trace_zoh7)
+        rng = np.random.default_rng(5)
+        exp = np.exp
+        moved = []
+
+        def jittered(z):
+            out = exp(z)
+            shift = rng.random(np.shape(out)) < 0.5
+            moved.append(int(np.count_nonzero(shift)))
+            toward = np.where(rng.random(np.shape(out)) < 0.5, np.inf, -np.inf)
+            return np.where(shift, np.nextafter(out, toward), out)
+
+        monkeypatch.setattr(np, "exp", jittered)
+        for rows, gamma, want in batches:
+            got = _crossing_roots(rows, gamma, zoh7.trigger.alpha)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert sum(moved) > 10_000
 
     def test_validation(self):
         with pytest.raises(BoundsError, match="M > 1"):

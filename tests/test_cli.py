@@ -467,6 +467,16 @@ def test_json_key_order(config_seed1, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("estimator", ["mb", "zoh"])
+def test_bounds_writes_the_report_verify_checks(config_seed1, tmp_path, estimator):
+    common = ["--config", config_seed1, "--estimator", estimator, "--tmax", "20"]
+    bounds_out, verify_out = tmp_path / "rep.bounds.json", tmp_path / "rep.verify.json"
+    assert main(["bounds", *common, "--out", str(bounds_out)]) == 0
+    assert main(["verify", *common, "--out", str(verify_out)]) == 0
+    report = json.loads(verify_out.read_text())["report"]
+    assert json.loads(bounds_out.read_text()) == report
+
+
 def test_readme_commands_run(tmp_path, monkeypatch):
     """The README's command-line examples parse and run, on a short horizon."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

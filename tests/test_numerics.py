@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from lossyetc.numerics import (
     norm_ceiling,
 )
 from lossyetc.system_model import closed_loop
-from oracles import HURWITZ, HURWITZ_KINDS, charpoly_eigenvalues, taylor_expm
+from oracles import HURWITZ, HURWITZ_KINDS, charpoly_eigenvalues, scalar_bisect_root, taylor_expm
 
 
 def test_mat_exp_identity_at_zero_time():
@@ -375,17 +377,80 @@ def test_failed_eigendecomposition_raises_afresh(monkeypatch):
     assert _record(a).error == "eigensolver did not converge"
 
 
+def _each(fs):
+    """f(points, rows) for bisect_root from one scalar function per bracket."""
+    return lambda points, rows: np.array([fs[r](p) for p, r in zip(points.tolist(), rows.tolist())])
+
+
+# (f, lo, hi, tol): zeros at lo, at hi and at the first midpoint; the
+# 200-halving budget binding; the float grid stopping the halving; a falling
+# and a rising function stopped by tol.
+BISECT_CASES = [
+    (lambda d: d, 0.0, 1.0, 1e-12),
+    (lambda d: d - 1.0, 0.0, 1.0, 1e-12),
+    (lambda d: d - 0.5, 0.0, 1.0, 1e-12),
+    (lambda d: d - 1.0, 0.0, 1e60, 1e-12),
+    (lambda d: d * d - 2.0, 1.0, 2.0, 1e-300),
+    (lambda d: 0.123456789 - d, 0.0, 1.0, 1e-6),
+    (math.cos, 0.0, 3.0, 1e-12),
+]
+
+
 def test_bisect_root_cosine():
-    root = bisect_root(np.cos, 0.0, 3.0, tol=1e-12)
+    (root,) = bisect_root(lambda d, rows: np.cos(d), 0.0, 3.0, tol=1e-12)
     assert root == pytest.approx(np.pi / 2.0, abs=1e-11)
 
 
 def test_bisect_root_rejects_bad_bracket():
-    with pytest.raises(NumericsError):
-        bisect_root(np.cos, 0.0, 1.0, tol=1e-12)
+    with pytest.raises(NumericsError, match=r"no sign change on bracket 1: \[0.0, 1.0\]"):
+        bisect_root(lambda d, rows: np.cos(d), 0.0, [3.0, 1.0], tol=1e-12)
 
 
 def test_bisect_root_respects_tolerance():
-    f = lambda x: x - 0.123456789
+    f = lambda x, rows: x - 0.123456789
     for tol in (1e-3, 1e-6, 1e-12):
-        assert abs(bisect_root(f, 0.0, 1.0, tol=tol) - 0.123456789) <= tol
+        assert abs(bisect_root(f, 0.0, 1.0, tol=tol)[0] - 0.123456789) <= tol
+
+
+@pytest.mark.parametrize("case", range(len(BISECT_CASES)))
+def test_bisect_root_matches_scalar_bisection(case):
+    f, lo, hi, tol = BISECT_CASES[case]
+    points, scalar_points = [], []
+
+    def counted(d, rows):
+        points.extend(d.tolist())
+        return _each([f])(d, rows)
+
+    got = bisect_root(counted, lo, hi, tol)
+    want = scalar_bisect_root(lambda d: f(scalar_points.append(d) or d), lo, hi, tol)
+    assert got.tobytes() == np.array([want]).tobytes()
+    # the same points, in order: the two ends, then one midpoint per halving
+    assert points == scalar_points
+    if case < 5:
+        assert len(points) == 2 + [0, 0, 1, 200, 52][case]
+
+
+def test_bisect_root_brackets_at_once_match_one_at_a_time():
+    # every case above and 60 cubics, each twice, in one call
+    rng = np.random.default_rng(11)
+    cubics = [(lambda d, c=c: d**3 - c, -2.0, 2.0) for c in rng.uniform(-1.0, 2.0, 60).tolist()]
+    fs, lo, hi = map(list, zip(*([case[:3] for case in BISECT_CASES] + cubics) * 2))
+    for tol in (1e-12, 1e-9, 1e-300):
+        got = bisect_root(_each(fs), lo, hi, tol)
+        one = [bisect_root(_each([f]), l, h, tol)[0] for f, l, h in zip(fs, lo, hi)]
+        want = [scalar_bisect_root(f, l, h, tol) for f, l, h in zip(fs, lo, hi)]
+        assert got.tobytes() == np.array(one).tobytes() == np.array(want).tobytes()
+
+
+def test_bisect_root_errors_name_the_first_bad_bracket():
+    f = lambda points, rows: points - 0.5
+    with pytest.raises(NumericsError, match="tol must be positive"):
+        bisect_root(f, 0.0, 1.0, tol=0.0)
+    with pytest.raises(NumericsError, match=r"need hi > lo, bracket 1: \[1.0, 1.0\]"):
+        bisect_root(f, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0], tol=1e-12)
+    with pytest.raises(NumericsError, match=r"no sign change on bracket 2: \[0.6, 1.0\]"):
+        bisect_root(f, [0.0, 0.5, 0.6, 0.7], 1.0, tol=1e-12)
+    # the scalar bisection rejects each of those brackets too
+    for lo, hi, tol in ((0.0, 1.0, 0.0), (1.0, 1.0, 1e-12), (0.6, 1.0, 1e-12)):
+        with pytest.raises(NumericsError):
+            scalar_bisect_root(lambda d: d - 0.5, lo, hi, tol)

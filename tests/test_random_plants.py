@@ -129,6 +129,7 @@ def test_certificates_hold_on_random_plants(n, m, M, estimator, seed, p):
     (3, 1, 2, 559551, 0.3),  # max ratio 1.0049
     (2, 1, 2, 1592285228, 0.3),  # max ratio 1.0032
     (5, 1, 2, 156, 0.7),  # max ratio 1.0405
+    (4, 1, 2, 30249, 0.3),  # max ratio 1.0138
 ])
 def test_known_zoh_certificate_gaps(n, m, M, seed, p):
     scn = _scenario(n, m, M, EstimatorKind.ZERO_ORDER_HOLD, seed)
