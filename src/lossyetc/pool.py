@@ -47,7 +47,8 @@ _OPENBLAS_SET_THREADS = (
 _pool: ProcessPoolExecutor | None = None
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on: the worker count of a pool started now."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -56,7 +57,7 @@ def _usable_cpus() -> int:
 def would_fork(tasks: int) -> bool:
     """Whether fork_map runs this many tasks on forked workers."""
     return (
-        min(tasks, _usable_cpus()) >= 2
+        min(tasks, usable_cpus()) >= 2
         and "fork" in multiprocessing.get_all_start_methods()
     )
 
@@ -87,7 +88,7 @@ def _the_pool() -> ProcessPoolExecutor:
         sys.stdout.flush()
         sys.stderr.flush()
         _pool = ProcessPoolExecutor(
-            _usable_cpus(),
+            usable_cpus(),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_one_blas_thread,
         )

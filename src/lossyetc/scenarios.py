@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .pool import fork_map, would_fork
+from .pool import fork_map, usable_cpus, would_fork
 from .simulator import Scenario, Trace
 from .system_model import EstimatorKind, Gain, ModelError, NominalModel, Plant
 from .trigger_channel import ChannelError, ChannelMode, ChannelPolicy, TriggerConfig
@@ -321,7 +321,7 @@ def load_scenario(path: str) -> Scenario:
 
 # Rows per save_trace task; bounds the size of the formatted text in memory.
 _BLOCK_ROWS = 2048
-# Body bytes per load_trace task, cut at a line end.
+# Most body bytes per load_trace task, cut at a line end.
 _SPAN_BYTES = 1 << 20
 
 
@@ -339,8 +339,11 @@ def _trace_header(n: int) -> list[str]:
 def save_trace(tr: Trace, path: str) -> None:
     """Write the trace as CSV with exact (17-significant-digit) numbers.
 
-    Floats are written with ``%.17g``, the two flags as ``0``/``1``, and every
-    line ends in CRLF. Blocks of rows are formatted on the usable CPUs. The
+    Every float is written as ``'%.17g' % v`` would write it, the two flags
+    as ``0``/``1``, and every line ends in CRLF. Blocks of rows are formatted
+    on the usable CPUs, each by an exact vectorized conversion that hands the
+    entries it cannot certify to ``'%.17g' % v`` (see `_format_rows`); the
+    bytes do not depend on the worker count or the block boundaries. The
     file is written beside `path` and renamed onto it once complete, so a
     save that fails leaves no file at `path` that load_trace would take for a
     shorter trace.
@@ -350,13 +353,12 @@ def save_trace(tr: Trace, path: str) -> None:
         (tr.t, tr.x, tr.x_s, tr.x_c, tr.e_s_norm, tr.e_c_norm, tr.threshold,
          tr.triggered, tr.delivered)
     )
-    row = ",".join(["%.17g"] * (3 * n + 4)) + ",%d,%d\r\n"
     blocks = [table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS)]
     part = f"{path}.{os.getpid()}.part"
     try:
         with open(part, "wb") as fh:
             fh.write((",".join(_trace_header(n)) + "\r\n").encode())
-            fh.writelines(fork_map(functools.partial(_format_block, row), blocks))
+            fh.writelines(fork_map(_format_block, blocks))
         os.replace(part, path)
     except OSError as exc:
         # The temporary name means nothing to the caller: name the target.
@@ -368,8 +370,11 @@ def save_trace(tr: Trace, path: str) -> None:
             os.remove(part)
 
 
-def _format_block(row: str, block: np.ndarray) -> bytes:
-    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+def _format_block(block: np.ndarray) -> bytes:
+    """CSV lines of table rows: the floats as ``%.17g``, the last two columns
+    (0 or 1) as ``%d``, each line ended by CRLF."""
+    step = max(1, _G17_CHUNK // block.shape[1])
+    return b"".join(_format_rows(block[i : i + step]) for i in range(0, len(block), step))
 
 
 def load_trace(path: str) -> Trace:
@@ -432,34 +437,42 @@ def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
 
 
 def _body_spans(path: str, header: bytes) -> list[tuple[int, int, int]]:
-    """(start, stop, lines) byte spans of about _SPAN_BYTES covering the body.
+    """(start, stop, lines) byte spans covering the body.
 
-    Each span but the last ends just after a newline, so it holds whole lines
-    under the universal-newline reading of load_trace. `lines` counts its
-    newlines, plus one for an unterminated last line. Returns [] where the
-    spans could differ from that reading: a header line not ended by CRLF or
-    LF, a line longer than a span, or a span of empty lines only (loadtxt
-    warns on it; the one-piece parse skips it).
+    A body within _SPAN_BYTES is one span. A longer one is cut into about
+    equal spans, as many as the fewest multiple of the usable CPUs that keeps
+    them near _SPAN_BYTES, so each worker of the pool parses the same share.
+    Each span ends at the first newline at or after its cut, so it holds
+    whole lines under the universal-newline reading of load_trace. `lines`
+    counts its newlines, plus one for an unterminated last line. Returns []
+    where the spans could differ from that reading: a header line not ended
+    by CRLF or LF, or a span of empty lines only (loadtxt warns on it; the
+    one-piece parse skips it).
     """
     spans = []
     with open(path, "rb") as fh:
         if fh.readline() not in (header + b"\r\n", header + b"\n"):
             return []
-        start = fh.tell()
-        while chunk := fh.read(_SPAN_BYTES):
-            stop = len(chunk)
-            if stop == _SPAN_BYTES:
-                stop = chunk.rfind(b"\n") + 1
-                if stop == 0:
-                    return []
-                fh.seek(start + stop)
-            if len(chunk) - len(chunk.lstrip(b"\r\n")) >= stop:
+        body = start = fh.tell()
+        end = os.fstat(fh.fileno()).st_size
+        count = 1
+        if end - body > _SPAN_BYTES:
+            cpus = usable_cpus()
+            count = cpus * -(-(end - body) // (cpus * _SPAN_BYTES))
+        for i in range(1, count + 1):
+            size = body + (end - body) * i // count - start
+            if size <= 0:
+                continue  # the last line of the previous span ran past this cut
+            span = fh.read(size)
+            if not span.endswith(b"\n"):
+                span += fh.readline()
+            if not span.lstrip(b"\r\n"):
                 return []
             # numpy counts about 3x as fast as bytes.count
-            newlines = np.count_nonzero(np.frombuffer(chunk, np.uint8, stop) == ord("\n"))
-            lines = int(newlines) + (chunk[stop - 1] != ord("\n"))
-            spans.append((start, start + stop, lines))
-            start += stop
+            newlines = np.count_nonzero(np.frombuffer(span, np.uint8) == ord("\n"))
+            lines = int(newlines) + (not span.endswith(b"\n"))
+            spans.append((start, start + len(span), lines))
+            start += len(span)
     return spans
 
 
@@ -469,6 +482,206 @@ def _parse_span(path: str, span: tuple[int, int, int]) -> np.ndarray:
         fh.seek(start)
         lines = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+# --- exact %.17g --------------------------------------------------------------
+#
+# _format_rows writes '%.17g' % v for whole arrays of doubles.  For |v| in
+# about [1e-250, 1e250] it takes the decimal exponent k from log10 and the 17
+# significant digits D = round(|v| * 10**(16 - k)) from a double-double
+# product (Dekker, Numer. Math. 18, 1971): 10**(16 - k) is a table entry hi +
+# lo built from Python integers, |v| * hi is exact through Veltkamp's split,
+# and the error of the whole product is below 2**-47 in units of D's last
+# digit.  An entry whose fraction lies within _TIE_MARGIN of one half (a tie,
+# or a product too close to one to trust), and every zero, non-finite or
+# out-of-range value, goes to Python's own '%.17g' % v instead.  Each field is
+# then laid out in a 32-byte frame of four little-endian words, with 0 bytes
+# where the field is shorter, and one bytes.translate per pass drops them.
+
+# Values per pass.  Temporaries stay at 32 KB, below glibc's 128 KB mmap
+# threshold: with whole 2,048-row blocks they were mapped afresh at every
+# allocation, and on a 2-CPU VM the page faults (21,000 per 20,019-row trace)
+# cost more than the arithmetic.
+_G17_CHUNK = 4096
+# Decimal exponents covered by the tables.
+_K_MIN, _K_MAX = -252, 252
+# A fraction closer than this to one half is left to Python.
+_TIE_MARGIN = 2.0**-40
+# 2**27 + 1: Veltkamp's constant, splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
+_LE64 = np.dtype("<u8")
+
+
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**(16 - k) for k in [_K_MIN, _K_MAX] as hi + lo doubles, with hi
+    split into two halves of 26 bits.
+
+    hi is the double nearest to 10**(16 - k) and lo the double nearest to
+    the remainder, both from exact integer arithmetic.
+    """
+    hi, lo = [], []
+    for p in range(16 - _K_MIN, 15 - _K_MAX, -1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        h = num / den  # int / int rounds correctly
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi_arr = np.array(hi)
+    c = hi_arr * _SPLIT
+    hi_head = c - (c - hi_arr)
+    return hi_head, hi_arr - hi_head, np.array(lo)
+
+
+def _field_words() -> tuple[np.ndarray, ...]:
+    """Tables that lay out a field in four words, the layout of each exponent.
+
+    Bytes of a 32-byte field: 0 the sign, 1..5 the prefix ``0.`` and zeros of
+    the fixed notation below 1, 7..23 the 17 digits.  The point goes in at
+    byte 7 + pp, pp digits from the first, and the digits from there on move
+    up one byte; the suffix ``e±XX`` and the comma take bytes 25..30.  A
+    layout is e notation (0), fixed below 1 (1), or fixed with 1 + j digits
+    before the point (2 + j).  Returns, by k - _K_MIN, the layout and the
+    constant words 0 and 3 (prefix, suffix); and by layout * 18 + nsig, for
+    nsig significant digits left after trailing zeros, the (4, entries)
+    masks of the digit bytes that stay and that move, and the point.
+    """
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    layout = np.where((k >= 0) & (k < 17), k + 2, np.where((k >= -4) & (k < 0), 1, 0))
+    ends = np.frombuffer(
+        b"".join(
+            b"\0" + (b"0." + b"0" * (-exp - 1) if -4 <= exp < 0 else b"").ljust(24, b"\0")
+            + (b"," if -4 <= exp < 17 else b"e%+03d," % exp).ljust(7, b"\0")
+            for exp in k.tolist()
+        ),
+        _LE64,
+    ).reshape(len(k), 4)
+    # digits before the point, and those that stripping trailing zeros keeps
+    pp = np.array([1, 17, *range(1, 18)])[:, None, None]
+    whole = np.array([1, 0, *range(1, 18)])[:, None, None]
+    nsig = np.arange(18)[:, None]
+    byte = np.arange(32)
+    kept = np.maximum(nsig, whole)
+    stay = (byte >= 8) & (byte < 7 + pp) & (byte - 7 < kept)
+    moved = (byte > 7 + pp) & (byte - 8 < kept)
+    dot = (byte == 7 + pp) & (nsig > pp)
+
+    def words(mask, value):
+        field = (mask.view(np.uint8) * np.uint8(value)).view(_LE64).reshape(-1, 4)
+        return np.ascontiguousarray(field.T)  # each word a contiguous row, for take
+
+    return (
+        layout, np.ascontiguousarray(ends[:, 0]), np.ascontiguousarray(ends[:, 3]),
+        words(stay, 0xFF), words(moved, 0xFF), words(dot, ord(".")),
+    )
+
+
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII of 0000..9999 as little-endian words, and their trailing zeros."""
+    # int16 keeps the import's transient memory small
+    n = np.arange(10000, dtype=np.int16)
+    place = np.array([1000, 100, 10, 1], np.int16)
+    digits = (n[:, None] // place % 10 + ord("0")).astype(np.uint8)
+    zeros = sum((n % 10**i == 0).astype(np.int8) for i in range(1, 5))
+    return digits.view("<u4").ravel().astype(_LE64), zeros
+
+
+_TEN_HEAD, _TEN_TAIL, _TEN_LO = _powers_of_ten()
+_LAYOUT, _PREFIX, _SUFFIX, _STAY, _MOVED, _POINT = _field_words()
+_QUAD_ASCII, _QUAD_ZEROS = _quads()
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a * 10**(16 - k)) as int64, and the fraction it leaves.
+
+    p + t is the product with the table's hi + lo: p + e = a * hi exactly
+    (Dekker's two-product), and t adds a * lo.  |t| < 20, so rounding it
+    costs under 2**-49; a * lo, under 2**-50; lo's own rounding, under
+    2**-49 for products below 2**57.
+    """
+    i = k - _K_MIN
+    h1, h2, lo = _TEN_HEAD.take(i), _TEN_TAIL.take(i), _TEN_LO.take(i)
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * (h1 + h2)
+    t = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    whole = np.floor(t)
+    # p >= 2**53 is an integer; a smaller p is off by one exponent and redone
+    return p.astype(np.int64) + whole.astype(np.int64), t - whole
+
+
+def _python_g17(values: list[float]) -> list[str]:
+    """``'%.17g' % v`` of each value: the entries _format_rows cannot certify."""
+    return ["%.17g" % v for v in values]
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """_format_block's bytes for up to _G17_CHUNK values."""
+    rows, nf = len(block), block.shape[1] - 2
+    v = block[:, :nf].ravel()
+    a = np.abs(v)
+    certified = (a >= 1e-250) & (a <= 1e250)
+    a[~certified] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    d, frac = _scaled(a, k)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if len(off):
+        # log10 missed the exponent by one
+        k[off] += np.where(d[off] < 10**16, -1, 1)
+        d[off], frac[off] = _scaled(a[off], k[off])
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    k[carry] += 1
+    certified &= (np.abs(frac - 0.5) >= _TIE_MARGIN) & (d >= 10**16) & (d < 10**17)
+    # any valid table entry: Python's text replaces these fields below
+    d[~certified] = 10**16
+    k[~certified] = 0
+    # d = g0 g1 g2 g3 g4: one digit, then four groups of four (// and a
+    # product take half the time of np.divmod)
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    g0 = upper // 10**8
+    g1 = (upper - g0 * 10**8) // 10**4
+    g2 = upper - g0 * 10**8 - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    z4, z3, z2, z1 = (_QUAD_ZEROS.take(g) for g in (g4, g3, g2, g1))
+    nsig = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+    kx = k - _K_MIN
+    idx = _LAYOUT.take(kx) * 18 + nsig
+    w0 = (
+        _PREFIX.take(kx)
+        | ((g0.astype(_LE64) + ord("0")) << 56)
+        | np.signbit(v).astype(_LE64) * ord("-")
+    )
+    w1 = _QUAD_ASCII.take(g1) | (_QUAD_ASCII.take(g2) << 32)
+    w2 = _QUAD_ASCII.take(g3) | (_QUAD_ASCII.take(g4) << 32)
+    frame = np.empty((rows, 4 * nf + 1), _LE64)
+    fields = frame[:, : 4 * nf].reshape(rows, nf, 4)
+    fields[..., 0] = w0.reshape(rows, nf)
+    fields[..., 1] = (
+        (w1 & _STAY[1].take(idx)) | (((w1 << 8) | (w0 >> 56)) & _MOVED[1].take(idx))
+        | _POINT[1].take(idx)
+    ).reshape(rows, nf)
+    fields[..., 2] = (
+        (w2 & _STAY[2].take(idx)) | (((w2 << 8) | (w1 >> 56)) & _MOVED[2].take(idx))
+        | _POINT[2].take(idx)
+    ).reshape(rows, nf)
+    fields[..., 3] = (
+        ((w2 >> 56) & _MOVED[3].take(idx)) | _POINT[3].take(idx) | _SUFFIX.take(kx)
+    ).reshape(rows, nf)
+    # the flags, comma, CR and LF in the row's last word
+    flags = block[:, nf:].astype(_LE64)
+    frame[:, -1] = 0x0A0D302C30 + flags[:, 0] + (flags[:, 1] << 16)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        text = np.array(_python_g17(v[rest].tolist()), dtype="S31")
+        field_bytes = frame.view(np.uint8)[:, : 32 * nf].reshape(rows, nf, 32)
+        r, c = np.divmod(rest, nf)
+        field_bytes[r, c, :31] = text.view(np.uint8).reshape(-1, 31)
+        field_bytes[r, c, 31] = ord(",")
+    return frame.tobytes().translate(None, b"\0")
 
 
 # --- trace JSON ---------------------------------------------------------------

@@ -4,10 +4,11 @@ Everything here is written against definitions, not against the package's
 code paths: truncated series for the matrix exponential, characteristic
 polynomial roots for eigenvalues, the matrix sign function for spectral
 projectors, dense scans plus bisection for crossing equations, the scalar
-bisection that numerics.bisect_root runs on many brackets at once, and a
-general-purpose adaptive ODE integration of the hybrid closed loop.  Slow
-and simple on purpose.  Also the random Hurwitz test matrices, and
-every_window_delta, the all-windows form of compute_Delta.
+bisection that numerics.bisect_root runs on many brackets at once, Python's
+own %-formatting of trace CSV rows, and a general-purpose adaptive ODE
+integration of the hybrid closed loop.  Slow and simple on purpose.  Also
+the random Hurwitz test matrices, and every_window_delta, the all-windows
+form of compute_Delta.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def scalar_bisect_root(f, lo: float, hi: float, tol: float) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def percent_trace_rows(block: np.ndarray) -> bytes:
+    """Trace CSV lines of table rows by Python's % operator.
+
+    Every column but the last two is written ``%.17g``, those two (the
+    flags) ``%d``, and each line ends in CRLF: the bytes
+    scenarios._format_block must give.
+    """
+    row = ",".join(["%.17g"] * (block.shape[1] - 2)) + ",%d,%d\r\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
 def delta_bar_reference(

@@ -31,11 +31,11 @@ def _exit_at_once(*args):
     os._exit(1)
 
 
-def _exit_after_first_block(row, block):
+def _exit_after_first_block(block):
     """Stands in for `_format_block`: the first block formats, a later one dies."""
     if block[0, 0] > 0.0:
         os._exit(1)
-    return _format_block(row, block)
+    return _format_block(block)
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +729,7 @@ class TestSweep:
         )
         assert proc.returncode == 0, proc.stderr
         workers = json.loads(proc.stdout.splitlines()[-1])
-        assert len(workers) == (pool._usable_cpus() if pool.would_fork(4) else 0)
+        assert len(workers) == (pool.usable_cpus() if pool.would_fork(4) else 0)
         assert not any(_running(pid) for pid in workers)
 
     def test_rejections(self, config_seed1, capsys):

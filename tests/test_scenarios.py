@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles import percent_trace_rows
 
 import lossyetc as le
 from lossyetc import scenarios
@@ -400,7 +401,62 @@ def _write_rows(path, rows):
     path.write_text("\r\n".join([_HEADER, *rows]) + "\r\n")
 
 
+# %.17g edge cases: the switches between e and fixed notation at 1e-4 and at
+# 17 digits, zeros in the integer part, and an exact tie in the 17th digit.
+_FORMAT_EDGES = (
+    0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e-4, 9.9999999999999995e-5,
+    1e16, 1e17, 99999999999999999.0, 10.0, 100.0, 0.1, 1234567890123456.75,
+)
+
+
+def _flagged(values, rng):
+    """A table block of the given float columns plus two random flag columns."""
+    flags = rng.integers(0, 2, size=(len(values), 2)).astype(float)
+    return np.column_stack((values, flags))
+
+
 class TestTraceCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=3), data=st.data())
+    def test_format_block_matches_percent_operator(self, n, data):
+        width = 3 * n + 4
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        values = data.draw(
+            st.lists(st.floats(width=64), min_size=rows * width, max_size=rows * width)
+        )
+        block = _flagged(np.array(values).reshape(rows, width), np.random.default_rng(rows))
+        assert scenarios._format_block(block) == percent_trace_rows(block)
+
+    def test_format_block_random_bit_patterns(self):
+        # every exponent, subnormals, NaN payloads and infinities
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        block = _flagged(bits.view(np.float64).reshape(-1, 16), rng)
+        text = scenarios._format_block(block)
+        assert text == percent_trace_rows(block)
+        # the bytes do not depend on where blocks are cut
+        cuts = [0, 1, 700, 4097, 9000, len(block)]
+        assert b"".join(
+            scenarios._format_block(block[i:j]) for i, j in zip(cuts, cuts[1:])
+        ) == text
+
+    def test_format_block_edges_and_fallback(self, monkeypatch):
+        edges = np.array(_FORMAT_EDGES + tuple(-v for v in _FORMAT_EDGES))
+        block = _flagged(edges.reshape(2, -1), np.random.default_rng(0))
+        uncertified = []
+
+        def python_g17(values):
+            uncertified.extend(values)
+            return ["%.17g" % v for v in values]
+
+        monkeypatch.setattr(scenarios, "_python_g17", python_g17)
+        assert scenarios._format_block(block) == percent_trace_rows(block)
+        # zeros, out-of-range magnitudes and the tie go to Python; the rest
+        # is certified by the vectorized conversion
+        fallback = (0.0, 5e-324, 1.7976931348623157e308, 1234567890123456.75)
+        assert sorted(map(abs, uncertified)) == sorted(2 * fallback)
+        assert {np.signbit(v) for v in uncertified} == {False, True}
+
     @_POOL_CASES
     def test_round_trip_bitwise(self, golden_trace, tmp_path, usable_cpus, cpus, pools):
         started = usable_cpus(cpus)
@@ -551,7 +607,7 @@ class TestTraceCsv:
         _write_rows(path, [f"{i},1,2,3,4,5,6,0,0" for i in range(5)] + [bad, "6,1,2,3,4,5,6,0,0"])
         with pytest.raises(ValueError) as in_process:
             load_trace(str(path))
-        # spans of three rows: the bad row is the last of the second span
+        # spans of two rows: the bad row is the last of the third span
         monkeypatch.setattr(scenarios, "_SPAN_BYTES", 64)
         started = usable_cpus(2)
         with pytest.raises(ValueError) as pooled:
@@ -559,6 +615,24 @@ class TestTraceCsv:
         assert started == ([2] if _FORK else [])
         assert str(pooled.value) == str(in_process.value)
         assert str(pooled.value).startswith(message)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_spans_balanced_over_the_cpus(self, tmp_path, monkeypatch, usable_cpus, cpus):
+        path = tmp_path / "trace.csv"
+        _write_rows(path, [f"{i},1,2,3,4,5,6,0,{i % 2}" for i in range(40)])
+        whole = load_trace(str(path))
+        monkeypatch.setattr(scenarios, "_SPAN_BYTES", 64)
+        started = usable_cpus(cpus)
+        # 790 body bytes: the fewest spans of at most about 64 bytes whose
+        # count is a multiple of the CPUs, cut every 790 / count <= 57 bytes
+        spans = scenarios._body_spans(str(path), _HEADER.encode())
+        assert len(spans) == cpus * -(-790 // (cpus * 64))
+        # each runs at most one 20-byte line past its cut
+        assert max(stop - start for start, stop, _ in spans) <= 57 + 20
+        loaded = load_trace(str(path))
+        assert started == ([cpus] if _FORK else [])
+        for name in ("t", "x", "x_s", "x_c", "e_s_norm", "triggered", "delivered"):
+            assert np.array_equal(getattr(loaded, name), getattr(whole, name)), name
 
     def test_short_later_span_rejected(self, tmp_path, monkeypatch, usable_cpus):
         path = tmp_path / "trace.csv"
