@@ -234,57 +234,6 @@ def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
     return rec.norms(ts)
 
 
-# SVDs per screening step of grid_norm_maxes.
-_SCREEN_CHUNK = 8
-
-
-def grid_norm_maxes(matrix: Matrix, grids: list[np.ndarray]) -> list[float]:
-    """float(np.max(exp_norms_on_grid(matrix, ts))) for each non-empty ts, bit for bit.
-
-    The matrix's one eigendecomposition serves every grid. On the batched
-    path the Frobenius norm bounds each point's 2-norm from above
-    (||A||_2 <= ||A||_F, equal for rank-1 A). Inflated by 64 n eps, the computed Frobenius norm
-    also covers the round-off of both computed norms at the sizes this module
-    handles, so a point whose bound is below a computed 2-norm cannot hold
-    the max. SVDs run in chunks in descending bound order and stop at the
-    first chunk whose bound falls below the best 2-norm so far. A non-finite
-    bound sends the grid through exp_norms_on_grid's full path, so inf and
-    NaN come out as they do there.
-    """
-    rec = _record(matrix)
-    m = rec.m
-    slack = 1.0 + 64.0 * m.shape[0] * np.finfo(float).eps
-    maxes = []
-    for ts in grids:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size == 0:
-            raise ValueError("grid_norm_maxes needs non-empty grids")
-        batch = _exp_batch(m, rec.basis, ts)
-        maxes.append(_screened_max(m, batch, ts, slack))
-    return maxes
-
-
-def _screened_max(m: Matrix, batch: np.ndarray | None, ts: np.ndarray, slack: float) -> float:
-    """Max 2-norm over the grid, with SVDs only where slack * ||.||_F reaches it."""
-    if batch is not None:
-        bound = slack * np.sqrt(np.einsum("tij,tij->t", batch, batch))
-        if np.all(np.isfinite(bound)):
-            order = np.argsort(-bound, kind="stable")
-            best = -np.inf
-            try:
-                for start in range(0, order.size, _SCREEN_CHUNK):
-                    idx = order[start:start + _SCREEN_CHUNK]
-                    if bound[idx[0]] < best:
-                        break
-                    sigma = np.linalg.svd(batch[idx], compute_uv=False)[:, 0]
-                    best = max(best, float(np.max(sigma)))
-                return best
-            except np.linalg.LinAlgError:
-                # The full batch holds this chunk, so its SVD fails too.
-                batch = None
-    return float(np.max(_all_norms(m, batch, ts)))
-
-
 def decay_envelope(matrix: Matrix) -> DecayEnvelope:
     """Fit and validate c, rate with ||exp(M t)|| <= c exp(-rate t).
 

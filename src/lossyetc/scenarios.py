@@ -497,6 +497,8 @@ def _parse_span(path: str, span: tuple[int, int, int]) -> np.ndarray:
 # out-of-range value, goes to Python's own '%.17g' % v instead.  Each field is
 # then laid out in a 32-byte frame of four little-endian words, with 0 bytes
 # where the field is shorter, and one bytes.translate per pass drops them.
+# The tables are built at the first call that needs them, so a process that
+# writes no trace CSV never holds them.
 
 # Values per pass.  Temporaries stay at 32 KB, below glibc's 128 KB mmap
 # threshold: with whole 2,048-row blocks they were mapped afresh at every
@@ -512,6 +514,7 @@ _SPLIT = 134217729.0
 _LE64 = np.dtype("<u8")
 
 
+@functools.cache
 def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """10**(16 - k) for k in [_K_MIN, _K_MAX] as hi + lo doubles, with hi
     split into two halves of 26 bits.
@@ -532,6 +535,7 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hi_head, hi_arr - hi_head, np.array(lo)
 
 
+@functools.cache
 def _field_words() -> tuple[np.ndarray, ...]:
     """Tables that lay out a field in four words, the layout of each exponent.
 
@@ -575,19 +579,15 @@ def _field_words() -> tuple[np.ndarray, ...]:
     )
 
 
+@functools.cache
 def _quads() -> tuple[np.ndarray, np.ndarray]:
     """ASCII of 0000..9999 as little-endian words, and their trailing zeros."""
-    # int16 keeps the import's transient memory small
+    # int16 keeps the transient memory of the build small
     n = np.arange(10000, dtype=np.int16)
     place = np.array([1000, 100, 10, 1], np.int16)
     digits = (n[:, None] // place % 10 + ord("0")).astype(np.uint8)
     zeros = sum((n % 10**i == 0).astype(np.int8) for i in range(1, 5))
     return digits.view("<u4").ravel().astype(_LE64), zeros
-
-
-_TEN_HEAD, _TEN_TAIL, _TEN_LO = _powers_of_ten()
-_LAYOUT, _PREFIX, _SUFFIX, _STAY, _MOVED, _POINT = _field_words()
-_QUAD_ASCII, _QUAD_ZEROS = _quads()
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -599,7 +599,8 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2**-49 for products below 2**57.
     """
     i = k - _K_MIN
-    h1, h2, lo = _TEN_HEAD.take(i), _TEN_TAIL.take(i), _TEN_LO.take(i)
+    head, tail, low = _powers_of_ten()
+    h1, h2, lo = head.take(i), tail.take(i), low.take(i)
     c = a * _SPLIT
     a1 = c - (c - a)
     a2 = a - a1
@@ -617,6 +618,8 @@ def _python_g17(values: list[float]) -> list[str]:
 
 def _format_rows(block: np.ndarray) -> bytes:
     """_format_block's bytes for up to _G17_CHUNK values."""
+    layout, prefix, suffix, stay, moved, point = _field_words()
+    quad_ascii, quad_zeros = _quads()
     rows, nf = len(block), block.shape[1] - 2
     v = block[:, :nf].ravel()
     a = np.abs(v)
@@ -646,30 +649,30 @@ def _format_rows(block: np.ndarray) -> bytes:
     g2 = upper - g0 * 10**8 - g1 * 10**4
     g3 = lower // 10**4
     g4 = lower - g3 * 10**4
-    z4, z3, z2, z1 = (_QUAD_ZEROS.take(g) for g in (g4, g3, g2, g1))
+    z4, z3, z2, z1 = (quad_zeros.take(g) for g in (g4, g3, g2, g1))
     nsig = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
     kx = k - _K_MIN
-    idx = _LAYOUT.take(kx) * 18 + nsig
+    idx = layout.take(kx) * 18 + nsig
     w0 = (
-        _PREFIX.take(kx)
+        prefix.take(kx)
         | ((g0.astype(_LE64) + ord("0")) << 56)
         | np.signbit(v).astype(_LE64) * ord("-")
     )
-    w1 = _QUAD_ASCII.take(g1) | (_QUAD_ASCII.take(g2) << 32)
-    w2 = _QUAD_ASCII.take(g3) | (_QUAD_ASCII.take(g4) << 32)
+    w1 = quad_ascii.take(g1) | (quad_ascii.take(g2) << 32)
+    w2 = quad_ascii.take(g3) | (quad_ascii.take(g4) << 32)
     frame = np.empty((rows, 4 * nf + 1), _LE64)
     fields = frame[:, : 4 * nf].reshape(rows, nf, 4)
     fields[..., 0] = w0.reshape(rows, nf)
     fields[..., 1] = (
-        (w1 & _STAY[1].take(idx)) | (((w1 << 8) | (w0 >> 56)) & _MOVED[1].take(idx))
-        | _POINT[1].take(idx)
+        (w1 & stay[1].take(idx)) | (((w1 << 8) | (w0 >> 56)) & moved[1].take(idx))
+        | point[1].take(idx)
     ).reshape(rows, nf)
     fields[..., 2] = (
-        (w2 & _STAY[2].take(idx)) | (((w2 << 8) | (w1 >> 56)) & _MOVED[2].take(idx))
-        | _POINT[2].take(idx)
+        (w2 & stay[2].take(idx)) | (((w2 << 8) | (w1 >> 56)) & moved[2].take(idx))
+        | point[2].take(idx)
     ).reshape(rows, nf)
     fields[..., 3] = (
-        ((w2 >> 56) & _MOVED[3].take(idx)) | _POINT[3].take(idx) | _SUFFIX.take(kx)
+        ((w2 >> 56) & moved[3].take(idx)) | point[3].take(idx) | suffix.take(kx)
     ).reshape(rows, nf)
     # the flags, comma, CR and LF in the row's last word
     flags = block[:, nf:].astype(_LE64)

@@ -7,21 +7,23 @@ projectors, dense scans plus bisection for crossing equations, the scalar
 bisection that numerics.bisect_root runs on many brackets at once, Python's
 own %-formatting of trace CSV rows, and a general-purpose adaptive ODE
 integration of the hybrid closed loop.  Slow and simple on purpose.  Also
-the random Hurwitz test matrices, and every_window_delta, the all-windows
-form of compute_Delta.
+the random Hurwitz test matrices, and the paper's windowed amplification
+factor (compute_Delta with its interval bound delta_bar), the reference that
+the model-based Delta of bounds.analyze_scenario must not exceed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lossyetc.bounds import _SUP_GRID_POINTS, DeltaBreakdown, delta_bar
-from lossyetc.numerics import NumericsError, grid_norm_maxes
-from lossyetc.system_model import EstimatorKind
+from lossyetc.bounds import BoundsError, _check_windows, _dropped_intervals, _growth_rate
+from lossyetc.numerics import NumericsError, decay_envelope, exp_norms_on_grid
+from lossyetc.system_model import EstimatorKind, closed_loop, gamma_matrix
 from lossyetc.trigger_channel import ChannelState, Outcome, channel_offer
 
 
@@ -184,32 +186,92 @@ def miet_reference(
     return miet, f_cap, f_bar, f_bold
 
 
-def every_window_delta(s_mat, cfg, M, windows, gamma, env_model):
-    """compute_Delta evaluating the sup grids of every window, in one call.
+SUP_GRID_POINTS = 400
 
-    This is compute_Delta's algorithm before its window skip, kept as the
-    reference the skip must match bit for bit; unlike the rest of this
-    module it shares delta_bar and grid_norm_maxes with the package.  A grid
-    failure puts the envelope gain c in every sup.
+
+class DeltaBreakdown(NamedTuple):
+    """Windowed amplification factor with the interval bounds that produced it."""
+
+    Delta: float
+    delta_bar: tuple[float, ...]
+    delta_tilde: tuple[float, ...]
+
+
+def delta_bar(
+    eta_j: float,
+    zeta_j: float,
+    gamma: float,
+    kappa: float,
+    cfg,
+    t_j: float = 0.0,
+) -> float:
+    """Guaranteed length of one dropped-packet interval.
+
+    ln((zeta_j + beta e^{-alpha t_j}) / eta_j) over (gamma + alpha) when
+    kappa >= alpha, over (gamma + kappa) otherwise.
     """
+    if not (eta_j > 0.0 and math.isfinite(eta_j)):
+        raise BoundsError(f"eta_j must be positive and finite, got {eta_j!r}")
+    if zeta_j < eta_j:
+        raise BoundsError(f"zeta_j {zeta_j!r} must be at least eta_j {eta_j!r}")
+    if not (gamma > 0.0 and kappa > 0.0):
+        raise BoundsError(f"rates must be positive, got gamma={gamma!r} kappa={kappa!r}")
+    if t_j < 0.0:
+        raise BoundsError(f"t_j must be nonnegative, got {t_j!r}")
+    numer = zeta_j + cfg.beta * math.exp(-cfg.alpha * t_j)
+    denom = gamma + cfg.alpha if kappa >= cfg.alpha else gamma + kappa
+    return math.log(numer / eta_j) / denom
+
+
+def compute_Delta(s_mat, cfg, M, windows, gamma, env_model) -> DeltaBreakdown:
+    """The paper's windowed amplification factor under M - 1 drops.
+
+    s_mat is the model closed loop S and env_model its decay envelope; each
+    window holds (t_j, eta_j, X_j) for its M - 1 dropped intervals, as
+    bounds._dropped_intervals returns them.  Interval j's bound takes
+    zeta_j = c X_j and kappa = rate from env_model.  Per window,
+    Delta = 1 + sum over k of e^{alpha tilde_k} * max(1, sup ||exp(S s)||)
+    with the sup sampled on 400 points of [0, tilde_k]; tilde_k is the tail
+    sum of the interval bounds.  Returns the first window with the largest
+    Delta.  If any sup grid fails, c stands in for every sup.  Unlike the
+    rest of this module it shares the window check and exp_norms_on_grid
+    with the package; it gives the bits of the package's windowed Delta
+    before the model-based Delta stopped reading the trace.
+    """
+    _check_windows(M, windows)
     c = env_model.c
-    frags = []
     bars = [
         tuple(delta_bar(eta, c * x_norm, gamma, env_model.rate, cfg, t_j) for t_j, eta, x_norm in rows)
         for rows in windows
     ]
     tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
-    grids = [np.linspace(0.0, tk, _SUP_GRID_POINTS) for tilde in tildes for tk in tilde if not tk <= 0.0]
+    lengths = [tk for tilde in tildes for tk in tilde if not tk <= 0.0]
     try:
-        sups = iter(grid_norm_maxes(s_mat, grids))
+        sups = iter([
+            float(np.max(exp_norms_on_grid(s_mat, np.linspace(0.0, tk, SUP_GRID_POINTS))))
+            for tk in lengths
+        ])
     except NumericsError:
-        sups = iter([c] * len(grids))
+        sups = iter([c] * len(lengths))
+    frags = []
     for bar, tilde in zip(bars, tildes):
         total = 1.0
         for tk in tilde:
             total += math.exp(cfg.alpha * tk) * (1.0 if tk <= 0.0 else max(1.0, next(sups)))
         frags.append(DeltaBreakdown(Delta=total, delta_bar=bar, delta_tilde=tilde))
     return max(frags, key=lambda frag: frag.Delta)
+
+
+def windowed_delta(scn, tr) -> DeltaBreakdown:
+    """compute_Delta of a scenario, grounded on the dropped intervals of tr.
+
+    The growth rate is that of the scenario's (x, x_c) flow, so the
+    scenario's plant must have a growing mode.
+    """
+    s_mat = closed_loop(scn.model, scn.gain)
+    gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
+    windows = _dropped_intervals(tr, scn.channel.M, gamma)
+    return compute_Delta(s_mat, scn.trigger, scn.channel.M, windows, gamma, decay_envelope(s_mat))
 
 
 def _hurwitz(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -308,12 +308,12 @@ class TestBounds:
         assert code == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {
-            "Delta", "delta_bar", "delta_tilde", "miet", "F_bar", "F_cap",
-            "F_bold", "a_hat", "a_tilde", "envelopes", "x0_norm",
+            "Delta", "miet", "F_bar", "F_cap", "F_bold", "a_hat", "a_tilde",
+            "envelopes", "x0_norm",
         }
         assert doc["Delta"] >= 1.0 and doc["miet"] > 0.0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f9d8b244ecbebbd10631615ac8c65cd44390224b016d8fefa1b1182f94554ca4"
+            "6a6a476442623fbc386ca978570754e52711eed7090752941ac9447d1f2cfa9d"
         )
         assert capsys.readouterr().out == (
             f"bounds: Delta={doc['Delta']:.6g}, miet={doc['miet']:.6g}, wrote {out}\n"
@@ -420,10 +420,8 @@ class TestVerify:
 
 
 _BOUNDS_KEYS = [
-    "Delta", "delta_bar", "delta_tilde", "miet", "F_bar", "F_cap", "F_bold",
-    "a_hat", "a_tilde",
-    ("envelopes", [("true_loop", ["c", "rate"]), ("model_loop", ["c", "rate"])]),
-    "x0_norm",
+    "Delta", "miet", "F_bar", "F_cap", "F_bold", "a_hat", "a_tilde",
+    ("envelopes", [("true_loop", ["c", "rate"])]), "x0_norm",
 ]
 _ZOH_KEYS = ["Delta_zoh", "delta_bar_zoh", ("growth", ["eta", "gamma"]), "state_norms"]
 

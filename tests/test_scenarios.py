@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -440,6 +443,18 @@ class TestTraceCsv:
             scenarios._format_block(block[i:j]) for i, j in zip(cuts, cuts[1:])
         ) == text
 
+    def test_tables_are_built_at_the_first_save(self):
+        # A process that writes no trace CSV never builds the %.17g tables.
+        code = (
+            "import numpy as np, lossyetc.cli, lossyetc.scenarios as s\n"
+            "tables = (s._powers_of_ten, s._field_words, s._quads)\n"
+            "assert all(t.cache_info().currsize == 0 for t in tables)\n"
+            "s._format_block(np.ones((3, 6)))\n"
+            "assert all(t.cache_info().currsize == 1 for t in tables)\n"
+        )
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
     def test_format_block_edges_and_fallback(self, monkeypatch):
         edges = np.array(_FORMAT_EDGES + tuple(-v for v in _FORMAT_EDGES))
         block = _flagged(edges.reshape(2, -1), np.random.default_rng(0))
@@ -683,10 +698,10 @@ class TestReportSerializers:
     def test_bounds_report_keys(self, report7):
         doc = dataclasses.asdict(report7)
         assert list(doc) == [
-            "Delta", "delta_bar", "delta_tilde", "miet", "F_bar", "F_cap",
-            "F_bold", "a_hat", "a_tilde", "envelopes", "x0_norm",
+            "Delta", "miet", "F_bar", "F_cap", "F_bold", "a_hat", "a_tilde",
+            "envelopes", "x0_norm",
         ]
-        assert list(doc["envelopes"]) == ["true_loop", "model_loop"]
+        assert list(doc["envelopes"]) == ["true_loop"]
         assert list(doc["envelopes"]["true_loop"]) == ["c", "rate"]
         assert doc["Delta"] == report7.Delta
         json.dumps(doc)

@@ -253,22 +253,22 @@ def test_mb_trace_bytes_pinned(trace7):
 @pytest.mark.parametrize("n, seed, estimator, rows, digest, reports", [
     (8, 0, EstimatorKind.MODEL_BASED, 10007,
      "98d4124beefb4ef02b4f4d73830c6e9dcbd7303b19d0503c709e70815ff6de69",
-     "c2c26e6bcd9fa2d1c66117866ea0db423f94437553274bef78ad39c8fcd1aeca"),
+     "d538eddecf548807ecc646083c422376f845469ab375165c3418e8f2347c11e9"),
     (8, 0, EstimatorKind.ZERO_ORDER_HOLD, 10085,
      "404e2f66829fa672b2ad8cdc0ff8e8a2a299e4a380a8fbe5376b0ba542d1f8af",
-     "d3f72f2ef964b9ed8619f8328d5fe83ed421da6a946a83185db18bf58d7985ae"),
+     "8d050015aae7fb20bfd8cf9ea9542effaa3efce2cc27a9f65f1132e360b36cc3"),
     (9, 0, EstimatorKind.MODEL_BASED, 10027,
      "2de29dc9481f0a57f56e5313f3465fc72f48a765dec726869476d2f7a3917936",
-     "bb5e431e7be66267c67e5bd60c6ec87eada9e1da5e727136ac80a77cb135a02d"),
+     "fa66a706b6b9a2dcdaa5998b0e3cf5f78eb7ddd3b0d4885ed5bb6f05410fba00"),
     (9, 0, EstimatorKind.ZERO_ORDER_HOLD, 10099,
      "bee994d469e4b062943b40f33add982a4c4ad6c4e6dfe298b58aaa66c58a15ae",
-     "ffb467e4922a9c9eb64c7675064db4bba6a3bd9dd043ddc3e6ee3998c91abb6d"),
+     "ec49211a1b7d857958fb9b30c79a90ec8391df4b4ccc7c1a005d26837fc09538"),
     (8, 1, EstimatorKind.MODEL_BASED, 10007,
      "4057a4ec02ee84d864adcd8d65eac227ac6399b8785239f81b8959ba363a4c51",
-     "ea1b9e1ae72d20793a34024cbaceec50e78dc60a28f13260e1f977d0efd588fc"),
+     "373f4ce2b0e35e37c027af9e04f8a8911bb92e631338e417fc7a56fdf88fe040"),
     (8, 1, EstimatorKind.ZERO_ORDER_HOLD, 10079,
      "28e67c148765ec76e961bc76c883bf7137fa32e6530c14796d53cf7d83d79602",
-     "06192dc5a92f1bba923a9a1628b57522af98970444867ca8bab73d1a7a665c9d"),
+     "f7401e35486b9511c73e5a1c0f69476d55c5812bdef8bdd8c4fce3c4e5d71888"),
 ])
 def test_wide_state_traces_pinned(n, seed, estimator, rows, digest, reports):
     # From n = 8 on numpy sums a row of squares in 8 running partial sums, so
