@@ -15,18 +15,18 @@ sum of the dropped sensor errors since the last delivery, each carried
 forward by the model closed loop's flow exp(S s), so one norm ceiling of
 S + alpha I bounds every term at once (see analyze_scenario).  The hold
 estimator's w does not decay between events, so Delta_zoh sums bounds on the
-dropped intervals of a maximal-drop window instead.  Each interval bound
-uses the threshold beta * exp(-alpha t_j) at its own start t_j, while the
-factor itself stays relative to the global threshold beta * exp(-alpha t).
-Its per-interval growth constants are not constructive in general; the
-report builder grounds them on a worst-case dropout trace of the scenario
-under study, which makes every reported number reproducible from the
-scenario alone.
+dropped intervals of a maximal-drop window instead, read from one
+(3, W, M - 1) table of t_j, eta_j and ||x(t_j)|| over W windows.  Each
+interval bound uses the threshold beta * exp(-alpha t_j) at its own start
+t_j, while the factor itself stays relative to the global threshold
+beta * exp(-alpha t).  Its per-interval growth constants are not
+constructive in general; the report builder grounds them on a worst-case
+dropout trace of the scenario under study, which makes every reported
+number reproducible from the scenario alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -138,17 +138,6 @@ class SubspaceReport:
     basis_dim: int
 
 
-def _check_windows(M: int, windows: list[list[tuple[float, float, float]]]) -> None:
-    """At least one window, each with the M - 1 rows of a drop budget M > 1."""
-    if M <= 1:
-        raise BoundsError(f"need M > 1, got {M!r}")
-    sizes = {len(rows) for rows in windows}
-    if sizes != {M - 1}:
-        raise BoundsError(
-            f"need {M - 1} per-interval rows per window for M={M}, got {sorted(sizes)}"
-        )
-
-
 def verify_ec_bound(tr: Trace, Delta: float, cfg: TriggerConfig) -> BoundCheck:
     """Check every sample against Delta * beta * exp(-alpha t) + 1e-9."""
     if tr.num_samples == 0:
@@ -206,55 +195,55 @@ def min_inter_event_time(
 
 
 def compute_delta_zoh(
-    cfg: TriggerConfig,
-    M: int,
-    windows: list[list[tuple[float, float, float]]],
-    gamma: float,
+    cfg: TriggerConfig, M: int, table: np.ndarray, gamma: float
 ) -> ZohBoundsReport:
     """Amplification factor for the hold-type estimator.
 
-    Each window holds (t_j, eta_j, X_j) for its M - 1 dropped intervals, as
-    _dropped_intervals returns them; the window's growth envelope takes
-    eta = min over its rows of min(eta_j, X_j).  Each interval bound solves
-    eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with the threshold
-    beta_j = beta e^{-alpha t_j} at the interval's start; the left side
-    starts below the right and grows without bound, so
+    table is _dropped_intervals' (3, W, M - 1) array of t_j, eta_j and
+    X_j = ||x(t_j)|| over the dropped intervals of W windows; a window's
+    growth envelope takes eta = min over its rows of min(eta_j, X_j).  Each
+    interval bound solves eta e^{gamma d} - X_j = beta_j e^{-alpha d}, with
+    the threshold beta_j = beta e^{-alpha t_j} at the interval's start; the
+    left side starts below the right and grows without bound, so
     [0, ln((X_j + beta_j)/eta)/gamma + 1] brackets the crossing; a cap where
     the crossing is not positive raises BoundsError naming the first.  One
     bisection of every row at once (_crossing_roots) gives each the bits of a
-    bisection of its crossing alone.  Returns the first window with the
-    largest Delta_zoh.
+    bisection of its crossing alone.  Every window's eta and crossing times
+    are checked; the report is that of the first window with the largest
+    Delta_zoh.
     """
-    _check_windows(M, windows)
+    if not (M > 1 and table.ndim == 3 and table.shape[::2] == (3, M - 1) and table.size):
+        raise BoundsError(
+            f"need M > 1 and a (3, W > 0, M - 1) per-interval table, got M={M!r}, {table.shape}")
     alpha = cfg.alpha
-    growths, rows = [], []
-    for window in windows:
-        growth = GrowthEnvelope(eta=min(min(eta, x) for _, eta, x in window), gamma=gamma)
-        growths.append(growth)
-        for t_j, _, x_norm in window:
-            beta_j = cfg.beta * math.exp(-alpha * t_j)
-            t_cap = math.log((x_norm + beta_j) / growth.eta) / gamma + 1.0
-            rows.append((growth.eta, x_norm, beta_j, t_cap))
-    roots = iter(_crossing_roots(rows, gamma, alpha))
-    reports = []
-    for window, growth in zip(windows, growths):
-        bars = tuple(itertools.islice(roots, len(window)))
-        # Tail sums for k = 1..M; the last is empty, so its term contributes 1.
-        tilde = [float(sum(bars[k:])) for k in range(M - 1)] + [0.0]
-        reports.append(ZohBoundsReport(
-            Delta_zoh=float(sum(math.exp(alpha * tk) for tk in tilde)),
-            delta_bar_zoh=bars,
-            growth=growth,
-            state_norms=tuple((t_j, x_norm) for t_j, _, x_norm in window),
-        ))
-    return max(reports, key=lambda rep: rep.Delta_zoh)
+    t_j, eta_j, x_j = table
+    etas = np.minimum(eta_j, x_j).min(axis=1)
+    # The least and the largest eta (a NaN reaches both) stand for every window.
+    for extreme in (etas.min(), etas.max()):
+        GrowthEnvelope(eta=float(extreme), gamma=gamma)
+    # math.exp and math.log per row: np.exp and np.log can differ in the last bit.
+    x, eta = x_j.ravel(), np.repeat(etas, M - 1)
+    beta_j = cfg.beta * np.array([math.exp(z) for z in (-alpha * t_j.ravel()).tolist()])
+    t_cap = np.array([math.log(r) for r in ((x + beta_j) / eta).tolist()]) / gamma + 1.0
+    bars = _crossing_roots(eta, x, beta_j, t_cap, gamma, alpha).reshape(x_j.shape)
+    if not np.all(bars > 0.0):
+        raise BoundsError("every crossing time must be positive")
+    # Tail sums for k = 1..M, left to right; the last is empty and contributes 1.
+    deltas = [sum(math.exp(alpha * sum(bar[k:])) for k in range(M)) for bar in bars.tolist()]
+    w = deltas.index(max(deltas))
+    return ZohBoundsReport(
+        Delta_zoh=deltas[w],
+        delta_bar_zoh=tuple(bars[w].tolist()),
+        growth=GrowthEnvelope(eta=float(etas[w]), gamma=gamma),
+        state_norms=tuple(zip(t_j[w].tolist(), x_j[w].tolist())),
+    )
 
 
-def _crossing_roots(
-    rows: list[tuple[float, float, float, float]], gamma: float, alpha: float
-) -> list[float]:
-    """Crossing time on [0, t_cap] of every row (eta, X_j, beta_j, t_cap), by
-    one bisect_root call, with the bits of a bisection of each row alone.
+def _crossing_roots(eta: np.ndarray, x: np.ndarray, b: np.ndarray, t_cap: np.ndarray,
+                    gamma: float, alpha: float) -> np.ndarray:
+    """Crossing time on [0, t_cap] of every row of the columns eta, X_j,
+    beta_j and t_cap, by one bisect_root call, with the bits of a bisection
+    of each row alone.
 
     crossing evaluates eta e^{gamma d} - X_j - beta_j e^{-alpha d} with
     np.exp, which differed from math.exp by at most one ulp over 800,000
@@ -264,7 +253,6 @@ def _crossing_roots(
     same sign.  Elsewhere it takes the math.exp value, so every sign and
     exact zero that bisect_root sees is the scalar formula's.
     """
-    eta, x, b, t_cap = (np.array(col) for col in zip(*rows))
 
     def crossing(d, i):
         a = eta[i] * np.exp(gamma * d)
@@ -281,7 +269,7 @@ def _crossing_roots(
     failed = np.flatnonzero(~(crossing(t_cap, np.arange(t_cap.size)) > 0.0))
     if failed.size:
         raise BoundsError(f"crossing bracket failed at cap {t_cap.item(failed[0])!r}")
-    return bisect_root(crossing, 0.0, t_cap, tol=_ZOH_TOL).tolist()
+    return bisect_root(crossing, 0.0, t_cap, tol=_ZOH_TOL)
 
 
 def stable_subspace_residual(
@@ -350,10 +338,9 @@ def _lower_envelopes(
     return _TRACE_MARGIN * np.minimum.reduceat(decayed, starts)
 
 
-def _dropped_intervals(
-    tr: Trace, M: int, gamma: float
-) -> list[list[tuple[float, float, float]]]:
-    """Rows (t_j, eta_j, ||x(t_j)||) of every maximal-drop window in the trace.
+def _dropped_intervals(tr: Trace, M: int, gamma: float) -> np.ndarray:
+    """The (3, W, M - 1) table of t_j, eta_j and ||x(t_j)|| of the trace's W
+    maximal-drop windows.
 
     A window runs from a delivery (or the synchronized start) over M - 1
     dropped triggers to the next delivery; its j-th dropped interval starts
@@ -374,19 +361,16 @@ def _dropped_intervals(
         eta = _lower_envelopes(
             tr.t, norms, np.array([0]), np.array([tr.num_samples]), np.array([0.0]), gamma
         )
-        return [[(0.0, float(eta[0]), float(np.max(norms)))] * (M - 1)]
+        return np.array([0.0, eta[0], np.max(norms)]).reshape(3, 1, 1).repeat(M - 1, axis=2)
     lo = tr.triggers[first[full, None] + np.arange(M - 1)]
     hi = np.concatenate([lo[:, 1:], anchors[full + 1, None]], axis=1)
     i0 = np.searchsorted(tr.t, lo.ravel(), side="left")
     i1 = np.searchsorted(tr.t, hi.ravel(), side="left")
     etas = _lower_envelopes(tr.t, norms, i0, i1, lo.ravel(), gamma).reshape(lo.shape)
-    return [
-        [
-            (float(t_j), float(eta), float(np.linalg.norm(tr.x[i])))
-            for t_j, eta, i in zip(lo_row, eta_row, i0_row)
-        ]
-        for lo_row, eta_row, i0_row in zip(lo, etas, i0.reshape(lo.shape))
-    ]
+    # ||x(t_j)|| in np.linalg.norm(tr.x[i])'s bits: the dot product of each
+    # row as a contiguous copy.  The column sums above differ in the last bit.
+    x_norms = np.sqrt([row.dot(row) for row in tr.x[i0]]).reshape(lo.shape)
+    return np.stack([lo, etas, x_norms])
 
 
 def _drop_budget(scn: Scenario, tr: Trace) -> int:

@@ -186,7 +186,7 @@ def _exp_batch(m: Matrix, basis, ts: np.ndarray) -> np.ndarray | None:
     """exp(m t) stacked over ts, rebuilt from the eigen-basis.
 
     Cross-checked against expm at the middle grid point; None when there is
-    no basis or the check fails, so the caller falls back to expm per point.
+    no basis or the check fails, so the caller falls back to a batched expm.
     """
     if basis is None:
         return None
@@ -203,18 +203,19 @@ def _exp_batch(m: Matrix, basis, ts: np.ndarray) -> np.ndarray | None:
 
 
 def _all_norms(m: Matrix, batch: np.ndarray | None, ts: np.ndarray) -> np.ndarray:
-    """2-norm of every exponential: batched SVDs, else one expm per point."""
+    """2-norm of every exponential: batched SVDs of the batch, else of a batched expm."""
     if batch is not None:
         try:
             return np.linalg.svd(batch, compute_uv=False)[:, 0]
         except np.linalg.LinAlgError:
             pass
-    exps = [mat_exp(m, float(t)) for t in ts]
-    # An overflowed expm raises here, before LAPACK sees its inf or NaN.
-    if not all(np.isfinite(e).all() for e in exps):
+    mt = m * ts[:, None, None]
+    # A non-finite product or expm raises here, before LAPACK sees its inf or NaN.
+    exps = _scipy_expm(mt) if np.isfinite(mt).all() else mt
+    if not np.isfinite(exps).all():
         raise NumericsError("exp(matrix * t) overflows on the grid")
     try:
-        return np.array([np.linalg.norm(e, 2) for e in exps])
+        return np.linalg.svd(exps, compute_uv=False)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"SVD of exp(matrix * t) failed: {exc}") from exc
 
@@ -224,8 +225,8 @@ def exp_norms_on_grid(matrix: Matrix, ts: np.ndarray) -> np.ndarray:
 
     Fast path reconstructs the exponentials from one eigendecomposition and
     takes batched SVDs; it is cross-checked against expm at one grid point and
-    abandoned for a direct expm loop when the input is too far from
-    diagonalizable.
+    abandoned for one batched expm of every point when the input is too far
+    from diagonalizable.
     """
     rec = _record(matrix)
     ts = np.asarray(ts, dtype=float)

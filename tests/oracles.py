@@ -7,9 +7,10 @@ projectors, dense scans plus bisection for crossing equations, the scalar
 bisection that numerics.bisect_root runs on many brackets at once, Python's
 own %-formatting of trace CSV rows, and a general-purpose adaptive ODE
 integration of the hybrid closed loop.  Slow and simple on purpose.  Also
-the random Hurwitz test matrices, and the paper's windowed amplification
+the random Hurwitz test matrices, the paper's windowed amplification
 factor (compute_Delta with its interval bound delta_bar), the reference that
-the model-based Delta of bounds.analyze_scenario must not exceed.
+the model-based Delta of bounds.analyze_scenario must not exceed, and the
+hold certificate one scalar bisection at a time (zoh_delta_reference).
 """
 
 from __future__ import annotations
@@ -21,9 +22,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lossyetc.bounds import BoundsError, _check_windows, _dropped_intervals, _growth_rate
+from lossyetc.bounds import (
+    BoundsError,
+    GrowthEnvelope,
+    ZohBoundsReport,
+    _dropped_intervals,
+    _drop_budget,
+    _growth_rate,
+)
 from lossyetc.numerics import NumericsError, decay_envelope, exp_norms_on_grid
-from lossyetc.system_model import EstimatorKind, closed_loop, gamma_matrix
+from lossyetc.system_model import EstimatorKind, closed_loop, gamma_matrix, gamma_zoh
 from lossyetc.trigger_channel import ChannelState, Outcome, channel_offer
 
 
@@ -223,26 +231,36 @@ def delta_bar(
     return math.log(numer / eta_j) / denom
 
 
-def compute_Delta(s_mat, cfg, M, windows, gamma, env_model) -> DeltaBreakdown:
+def _check_windows(M: int, table: np.ndarray) -> None:
+    """At least one window, each with the M - 1 rows of a drop budget M > 1."""
+    if M <= 1:
+        raise BoundsError(f"need M > 1, got {M!r}")
+    if table.ndim != 3 or table.shape[0] != 3 or table.shape[1] == 0 or table.shape[2] != M - 1:
+        raise BoundsError(
+            f"need a (3, W > 0, {M - 1}) table of per-interval rows for M={M}, got {table.shape}"
+        )
+
+
+def compute_Delta(s_mat, cfg, M, table, gamma, env_model) -> DeltaBreakdown:
     """The paper's windowed amplification factor under M - 1 drops.
 
-    s_mat is the model closed loop S and env_model its decay envelope; each
-    window holds (t_j, eta_j, X_j) for its M - 1 dropped intervals, as
-    bounds._dropped_intervals returns them.  Interval j's bound takes
-    zeta_j = c X_j and kappa = rate from env_model.  Per window,
-    Delta = 1 + sum over k of e^{alpha tilde_k} * max(1, sup ||exp(S s)||)
+    s_mat is the model closed loop S and env_model its decay envelope; table
+    holds (t_j, eta_j, X_j) for the M - 1 dropped intervals of each window,
+    the (3, W, M - 1) array that bounds._dropped_intervals returns.  Interval
+    j's bound takes zeta_j = c X_j and kappa = rate from env_model.  Per
+    window, Delta = 1 + sum over k of e^{alpha tilde_k} * max(1, sup ||exp(S s)||)
     with the sup sampled on 400 points of [0, tilde_k]; tilde_k is the tail
     sum of the interval bounds.  Returns the first window with the largest
     Delta.  If any sup grid fails, c stands in for every sup.  Unlike the
-    rest of this module it shares the window check and exp_norms_on_grid
-    with the package; it gives the bits of the package's windowed Delta
-    before the model-based Delta stopped reading the trace.
+    rest of this module it shares exp_norms_on_grid with the package; it
+    gives the bits of the package's windowed Delta before the model-based
+    Delta stopped reading the trace.
     """
-    _check_windows(M, windows)
+    _check_windows(M, table)
     c = env_model.c
     bars = [
         tuple(delta_bar(eta, c * x_norm, gamma, env_model.rate, cfg, t_j) for t_j, eta, x_norm in rows)
-        for rows in windows
+        for rows in table.transpose(1, 2, 0).tolist()
     ]
     tildes = [tuple(float(sum(bar[k:])) for k in range(M - 1)) for bar in bars]
     lengths = [tk for tilde in tildes for tk in tilde if not tk <= 0.0]
@@ -270,8 +288,49 @@ def windowed_delta(scn, tr) -> DeltaBreakdown:
     """
     s_mat = closed_loop(scn.model, scn.gain)
     gamma = _growth_rate(gamma_matrix(scn.plant, scn.model, scn.gain))
-    windows = _dropped_intervals(tr, scn.channel.M, gamma)
-    return compute_Delta(s_mat, scn.trigger, scn.channel.M, windows, gamma, decay_envelope(s_mat))
+    table = _dropped_intervals(tr, scn.channel.M, gamma)
+    return compute_Delta(s_mat, scn.trigger, scn.channel.M, table, gamma, decay_envelope(s_mat))
+
+
+def zoh_delta_reference(cfg, M, table, gamma) -> ZohBoundsReport:
+    """bounds.compute_delta_zoh one row and one window at a time.
+
+    Per window of the (3, W, M - 1) dropped-interval table, eta = min over
+    its rows of min(eta_j, X_j); each row's crossing of
+    eta e^{gamma d} - X_j = beta_j e^{-alpha d} by scalar_bisect_root on
+    [0, ln((X_j + beta_j)/eta)/gamma + 1], all in math.exp and math.log;
+    then the tail sums and Delta_zoh, added left to right, and the first
+    window with the largest Delta_zoh.
+    """
+    alpha = cfg.alpha
+    reports = []
+    for rows in table.transpose(1, 2, 0).tolist():
+        eta = min(min(eta_j, x_norm) for _, eta_j, x_norm in rows)
+        bars = []
+        for t_j, _, x_norm in rows:
+            beta_j = cfg.beta * math.exp(-alpha * t_j)
+
+            def crossing(d):
+                return eta * math.exp(gamma * d) - x_norm - beta_j * math.exp(-alpha * d)
+
+            t_cap = math.log((x_norm + beta_j) / eta) / gamma + 1.0
+            bars.append(scalar_bisect_root(crossing, 0.0, t_cap, tol=1e-12))
+        tilde = [sum(bars[k:]) for k in range(M - 1)] + [0.0]
+        reports.append(ZohBoundsReport(
+            Delta_zoh=sum(math.exp(alpha * tk) for tk in tilde),
+            delta_bar_zoh=tuple(bars),
+            growth=GrowthEnvelope(eta=eta, gamma=gamma),
+            state_norms=tuple((t_j, x_norm) for t_j, _, x_norm in rows),
+        ))
+    return max(reports, key=lambda rep: rep.Delta_zoh)
+
+
+def zoh_report_reference(scn, tr) -> ZohBoundsReport:
+    """zoh_delta_reference of a scenario, on the dropped-interval table of tr
+    and the hold loop's growth rate, which it shares with the package."""
+    M = _drop_budget(scn, tr)
+    gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
+    return zoh_delta_reference(scn.trigger, M, _dropped_intervals(tr, M, gamma), gamma)
 
 
 def _hurwitz(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -56,6 +56,8 @@ from oracles import (
     taylor_expm,
     windowed_delta,
     zoh_crossing_reference,
+    zoh_delta_reference,
+    zoh_report_reference,
 )
 
 CFG = TriggerConfig(beta=0.5, alpha=0.25)
@@ -76,6 +78,11 @@ def report0(vehicle0):
 
 def _true_envelope(scn):
     return decay_envelope(scn.plant.A + scn.plant.B @ scn.gain.K)
+
+
+def _table(*windows):
+    """The (3, W, M - 1) dropped-interval table of windows of (t_j, eta_j, X_j) rows."""
+    return np.array(windows, dtype=float).transpose(2, 0, 1)
 
 
 def _scalar_flow_trace(ts):
@@ -99,9 +106,10 @@ class TestGrowthConstants:
     def test_scalar_example_against_modal_oracle(self):
         gamma = _growth_rate(SCALAR_GAMMA)
         tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
-        [rows] = _dropped_intervals(tr, 3, gamma)
-        assert rows[0] == rows[1]
-        t_j, eta, peak = rows[0]
+        table = _dropped_intervals(tr, 3, gamma)
+        assert table.shape == (3, 1, 2)
+        assert np.array_equal(table[:, 0, 0], table[:, 0, 1])
+        t_j, eta, peak = table[:, 0, 0]
         modal = modal_growth_coefficient(SCALAR_GAMMA, np.array([1.0]))
         assert modal == pytest.approx(1.25, rel=1e-12)
         assert t_j == 0.0
@@ -111,7 +119,9 @@ class TestGrowthConstants:
     def test_scalar_envelope_holds_on_fresh_grid(self):
         gamma = _growth_rate(SCALAR_GAMMA)
         tr = _scalar_flow_trace(np.linspace(5.0, 20.0, 400))
-        [[(_, eta, _)]] = _dropped_intervals(tr, 2, gamma)
+        table = _dropped_intervals(tr, 2, gamma)
+        assert table.shape == (3, 1, 1)
+        eta = table[1, 0, 0]
         rng = np.random.default_rng(99)
         ts = rng.uniform(5.0, 20.0, 500)
         vals = np.abs(1.25 * np.exp(ts) - 0.25 * np.exp(-ts))
@@ -120,11 +130,11 @@ class TestGrowthConstants:
     def test_rows_start_at_dropped_triggers(self, vehicle7, trace7):
         tr = trace7
         gamma = _growth_rate(gamma_matrix(vehicle7.plant, vehicle7.model, vehicle7.gain))
-        windows = _dropped_intervals(tr, vehicle7.channel.M, gamma)
-        assert windows
+        table = _dropped_intervals(tr, vehicle7.channel.M, gamma)
+        assert table.shape[0] == 3 and table.shape[1] > 0
+        assert table.shape[2] == vehicle7.channel.M - 1
         dropped = set(np.setdiff1d(tr.triggers, tr.deliveries).tolist())
-        for rows in windows:
-            assert len(rows) == vehicle7.channel.M - 1
+        for rows in table.transpose(1, 2, 0).tolist():
             starts = [t_j for t_j, _, _ in rows]
             assert starts == sorted(starts) and set(starts) <= dropped
             for t_j, eta, x_norm in rows:
@@ -229,7 +239,7 @@ class TestComputeDelta:
     def test_single_drop_stable_model(self):
         # stable model copy: the transition sup floors at 1
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
-        out = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
+        out = compute_Delta(s_mat, CFG, 2, _table([(0.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
         bar = 0.32437208648653149
         assert out.delta_bar == pytest.approx((bar,), rel=1e-15)
         assert out.delta_tilde == pytest.approx((bar,), rel=1e-15)
@@ -238,14 +248,14 @@ class TestComputeDelta:
     def test_single_drop_growing_model(self):
         # growing model copy: the sup contributes e^{0.5 tilde}
         s_mat = closed_loop(NominalModel(A_hat=[[0.5]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
-        out = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
+        out = compute_Delta(s_mat, CFG, 2, _table([(0.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
         bar = 0.32437208648653149
         assert out.Delta == pytest.approx(1.0 + math.exp(0.75 * bar), rel=1e-10)
 
     def test_tail_sums_and_growth_in_budget(self):
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
-        two = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
-        three = compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0)] * 2], 1.0, UNIT_ENV)
+        two = compute_Delta(s_mat, CFG, 2, _table([(0.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
+        three = compute_Delta(s_mat, CFG, 3, _table([(0.0, 1.0, 1.0)] * 2), 1.0, UNIT_ENV)
         assert three.Delta > two.Delta >= 1.0
         assert three.delta_tilde[0] == pytest.approx(sum(three.delta_bar), rel=1e-12)
         assert np.all(np.diff(three.delta_tilde) < 0.0)
@@ -253,26 +263,26 @@ class TestComputeDelta:
     def test_validation(self):
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
         with pytest.raises(BoundsError, match="M > 1"):
-            compute_Delta(s_mat, CFG, 1, [[]], 1.0, UNIT_ENV)
+            compute_Delta(s_mat, CFG, 1, np.zeros((3, 1, 0)), 1.0, UNIT_ENV)
         with pytest.raises(BoundsError, match="per-interval"):
-            compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
-        # every window is checked, not only the first, and there must be one
-        for windows in ([[(0.0, 1.0, 1.0)], []], []):
+            compute_Delta(s_mat, CFG, 3, _table([(0.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
+        # there must be a window, and each row needs all three columns
+        for table in (np.zeros((3, 0, 1)), np.ones((2, 1, 1)), np.ones((3, 1))):
             with pytest.raises(BoundsError, match="per-interval"):
-                compute_Delta(s_mat, CFG, 2, windows, 1.0, UNIT_ENV)
+                compute_Delta(s_mat, CFG, 2, table, 1.0, UNIT_ENV)
 
     def test_rows_take_the_envelope_constants(self):
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
         env = DecayEnvelope(c=2.0, rate=0.1)
-        out = compute_Delta(s_mat, CFG, 2, [[(0.5, 1.0, 1.5)]], 1.0, env)
+        out = compute_Delta(s_mat, CFG, 2, _table([(0.5, 1.0, 1.5)]), 1.0, env)
         assert out.delta_bar == (delta_bar(1.0, 3.0, 1.0, 0.1, CFG, 0.5),)
 
     def test_interval_start_shrinks_threshold(self):
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
-        late = compute_Delta(s_mat, CFG, 2, [[(4.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
+        late = compute_Delta(s_mat, CFG, 2, _table([(4.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
         bar = delta_bar_reference(1.0, 1.0, 1.0, 1.0, CFG.beta, CFG.alpha, 4.0)
         assert late.delta_bar == pytest.approx((bar,), rel=1e-9)
-        early = compute_Delta(s_mat, CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0, UNIT_ENV)
+        early = compute_Delta(s_mat, CFG, 2, _table([(0.0, 1.0, 1.0)]), 1.0, UNIT_ENV)
         assert late.Delta < early.Delta
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
@@ -287,7 +297,7 @@ class TestComputeDelta:
 
         monkeypatch.setattr(numerics, "eigendecompose", counting)
         windows = [[(0.0, 1.0, 2.0)] * 4, [(1.0, 1.0, 3.0)] * 4, [(2.0, 0.5, 2.0)] * 4]
-        compute_Delta(s_mat, CFG, 5, windows, 1.0, UNIT_ENV)
+        compute_Delta(s_mat, CFG, 5, _table(*windows), 1.0, UNIT_ENV)
         assert len(calls) == 1
 
     def test_overflowing_grid_evaluates_every_window(self):
@@ -298,7 +308,7 @@ class TestComputeDelta:
         env = DecayEnvelope(c=3.0, rate=1e-305)
         windows = [[(0.0, 1.0, 1.0)], [(0.0, 25000.0, 25000.0 / 3.0)]]
         with np.errstate(over="ignore"):
-            got = compute_Delta(s_mat, cfg, 2, windows, 1e-305, env)
+            got = compute_Delta(s_mat, cfg, 2, _table(*windows), 1e-305, env)
         assert got.Delta == 1.0 + math.exp(cfg.alpha * got.delta_tilde[0]) * 3.0
 
     def test_windows_give_the_max_of_single_window_calls(self):
@@ -309,9 +319,9 @@ class TestComputeDelta:
             [(float(t), float(eta), float(eta * (1.0 + f))) for t, eta, f in rng.uniform(0.1, 3.0, (3, 3))]
             for _ in range(6)
         ]
-        singles = [compute_Delta(s_mat, CFG, 4, [rows], 1.0, UNIT_ENV) for rows in windows]
+        singles = [compute_Delta(s_mat, CFG, 4, _table(rows), 1.0, UNIT_ENV) for rows in windows]
         assert len({single.Delta for single in singles}) == len(windows)
-        both = compute_Delta(s_mat, CFG, 4, windows, 1.0, UNIT_ENV)
+        both = compute_Delta(s_mat, CFG, 4, _table(*windows), 1.0, UNIT_ENV)
         assert both == max(singles, key=lambda single: single.Delta)
 
     def test_first_window_wins_a_tie(self):
@@ -321,12 +331,12 @@ class TestComputeDelta:
         s_mat = closed_loop(NominalModel(A_hat=[[-2.0]], B_hat=[[0.0]]), Gain(K=[[0.0]]))
         first = [(1e4, 1.0, 1.0 + 2.0**-52)]
         second = [(1e4, 1.0, 1.0 + 2.0**-51)]
-        a = compute_Delta(s_mat, CFG, 2, [first, second], 1.0, UNIT_ENV)
-        b = compute_Delta(s_mat, CFG, 2, [second, first], 1.0, UNIT_ENV)
+        a = compute_Delta(s_mat, CFG, 2, _table(first, second), 1.0, UNIT_ENV)
+        b = compute_Delta(s_mat, CFG, 2, _table(second, first), 1.0, UNIT_ENV)
         assert a.Delta == b.Delta == 2.0
         assert 0.0 < a.delta_bar[0] < b.delta_bar[0]
-        assert a == compute_Delta(s_mat, CFG, 2, [first], 1.0, UNIT_ENV)
-        assert b == compute_Delta(s_mat, CFG, 2, [second], 1.0, UNIT_ENV)
+        assert a == compute_Delta(s_mat, CFG, 2, _table(first), 1.0, UNIT_ENV)
+        assert b == compute_Delta(s_mat, CFG, 2, _table(second), 1.0, UNIT_ENV)
 
     def test_sup_falls_back_to_envelope_ceiling(self, monkeypatch):
         # the second interval starts where the threshold has underflowed and
@@ -342,7 +352,7 @@ class TestComputeDelta:
         # the ceiling is the given envelope's gain; S is not analyzed again
         monkeypatch.setattr("oracles.decay_envelope", fail)
         env = DecayEnvelope(c=3.0, rate=1.0)
-        out = compute_Delta(s_mat, CFG, 3, [[(0.0, 1.0, 1.0), (1e4, 3.0, 1.0)]], 1.0, env)
+        out = compute_Delta(s_mat, CFG, 3, _table([(0.0, 1.0, 1.0), (1e4, 3.0, 1.0)]), 1.0, env)
         assert out.delta_tilde[1] == 0.0
         assert out.Delta == 1.0 + math.exp(CFG.alpha * out.delta_tilde[0]) * 3.0 + 1.0
 
@@ -456,8 +466,9 @@ class TestMinInterEventTime:
 
 
 def _crossing_batches(scn, tr):
-    """(rows, gamma, roots) batches for _crossing_roots, each row's root from
-    the scalar bisection of its crossing on [0, t_cap].
+    """(rows, gamma, roots) batches for _crossing_roots, each row
+    (eta, X_j, beta_j, t_cap) with its root from the scalar bisection of its
+    crossing on [0, t_cap].
 
     The rows of all of tr's hold windows, plus a row whose crossing is zero
     at 0 (threshold underflowed, eta = X_j); a row whose bracket outgrows the
@@ -477,7 +488,7 @@ def _crossing_batches(scn, tr):
 
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
     rows = []
-    for window in _dropped_intervals(tr, scn.channel.M, gamma):
+    for window in _dropped_intervals(tr, scn.channel.M, gamma).transpose(1, 2, 0).tolist():
         eta = min(min(e, x) for _, e, x in window)
         for t_j, _, x_norm in window:
             beta_j = scn.trigger.beta * math.exp(-alpha * t_j)
@@ -492,9 +503,24 @@ def _crossing_batches(scn, tr):
     return [(rows, gamma, [root(*row, gamma) for row in rows]) for rows, gamma in batches]
 
 
+def _one_ulp_jitter(real, moved, seed=5):
+    """real with a seeded half of its results moved by one ulp either way;
+    each call appends how many it moved to `moved`."""
+    rng = np.random.default_rng(seed)
+
+    def jittered(z):
+        out = real(z)
+        shift = rng.random(np.shape(out)) < 0.5
+        moved.append(int(np.count_nonzero(shift)))
+        toward = np.where(rng.random(np.shape(out)) < 0.5, np.inf, -np.inf)
+        return np.where(shift, np.nextafter(out, toward), out)
+
+    return jittered
+
+
 class TestComputeDeltaZoh:
     def test_frozen_crossing(self):
-        rep = compute_delta_zoh(CFG, 2, [[(0.0, 1.0, 1.0)]], 1.0)
+        rep = compute_delta_zoh(CFG, 2, _table([(0.0, 1.0, 1.0)]), 1.0)
         root = 0.37516811896670577
         assert rep.growth == GrowthEnvelope(eta=1.0, gamma=1.0)
         assert rep.delta_bar_zoh[0] == pytest.approx(root, abs=1e-9)
@@ -510,7 +536,7 @@ class TestComputeDeltaZoh:
             alpha = float(rng.uniform(0.05, 2.0))
             t_j = float(rng.uniform(0.0, 10.0))
             cfg = TriggerConfig(beta=beta, alpha=alpha)
-            rep = compute_delta_zoh(cfg, 2, [[(t_j, eta, x_norm)]], gamma)
+            rep = compute_delta_zoh(cfg, 2, _table([(t_j, eta, x_norm)]), gamma)
             # the threshold at the interval's start takes beta's place
             beta_j = beta * math.exp(-alpha * t_j)
             ref = zoh_crossing_reference(eta, gamma, x_norm, beta_j, alpha)
@@ -518,7 +544,7 @@ class TestComputeDeltaZoh:
 
     def test_floor_and_positivity(self):
         rows = [(0.0, 0.5, 2.0), (0.3, 0.5, 1.5), (0.6, 0.5, 0.7)]
-        rep = compute_delta_zoh(CFG, 4, [rows], 0.8)
+        rep = compute_delta_zoh(CFG, 4, _table(rows), 0.8)
         assert rep.Delta_zoh >= 4.0
         assert all(d > 0.0 for d in rep.delta_bar_zoh)
         assert rep.state_norms == ((0.0, 2.0), (0.3, 1.5), (0.6, 0.7))
@@ -526,7 +552,7 @@ class TestComputeDeltaZoh:
     def test_window_envelope_is_the_least_row_constant(self):
         # a state norm below every eta_j caps the window's envelope gain
         rows = [(0.0, 0.8, 2.0), (0.3, 0.9, 0.6), (0.6, 0.7, 1.0)]
-        rep = compute_delta_zoh(CFG, 4, [rows], 0.8)
+        rep = compute_delta_zoh(CFG, 4, _table(rows), 0.8)
         assert rep.growth == GrowthEnvelope(eta=0.6, gamma=0.8)
 
     def test_windows_give_the_max_of_single_window_calls(self):
@@ -535,9 +561,9 @@ class TestComputeDeltaZoh:
             [(float(t), float(eta), float(eta * (1.0 + f))) for t, eta, f in rng.uniform(0.1, 3.0, (3, 3))]
             for _ in range(6)
         ]
-        singles = [compute_delta_zoh(CFG, 4, [rows], 0.5) for rows in windows]
+        singles = [compute_delta_zoh(CFG, 4, _table(rows), 0.5) for rows in windows]
         assert len({single.Delta_zoh for single in singles}) == len(windows)
-        both = compute_delta_zoh(CFG, 4, windows, 0.5)
+        both = compute_delta_zoh(CFG, 4, _table(*windows), 0.5)
         assert both == max(singles, key=lambda single: single.Delta_zoh)
 
     def test_first_window_wins_a_tie(self):
@@ -546,12 +572,12 @@ class TestComputeDeltaZoh:
         cfg = TriggerConfig(beta=0.5, alpha=1e-17)
         first = [(1e20, 1.0, 2.0)]
         second = [(1e20, 1.0, 3.0)]
-        a = compute_delta_zoh(cfg, 2, [first, second], 1.0)
-        b = compute_delta_zoh(cfg, 2, [second, first], 1.0)
+        a = compute_delta_zoh(cfg, 2, _table(first, second), 1.0)
+        b = compute_delta_zoh(cfg, 2, _table(second, first), 1.0)
         assert a.Delta_zoh == b.Delta_zoh == 2.0
         assert 0.0 < a.delta_bar_zoh[0] < b.delta_bar_zoh[0]
-        assert a == compute_delta_zoh(cfg, 2, [first], 1.0)
-        assert b == compute_delta_zoh(cfg, 2, [second], 1.0)
+        assert a == compute_delta_zoh(cfg, 2, _table(first), 1.0)
+        assert b == compute_delta_zoh(cfg, 2, _table(second), 1.0)
 
     def test_cap_check_names_the_first_failing_cap(self):
         # With the threshold underflowed and growth this slow, the + 1 of
@@ -561,7 +587,7 @@ class TestComputeDeltaZoh:
         windows = [[(1e20, 1.0, x_norm)] for x_norm in (3.0, 5.0, 7.0)]
         cap = math.log(5.0) / 1e-300 + 1.0
         with pytest.raises(BoundsError, match=re.escape(f"failed at cap {cap!r}") + "$"):
-            compute_delta_zoh(CFG, 2, windows, 1e-300)
+            compute_delta_zoh(CFG, 2, _table(*windows), 1e-300)
 
     def test_roots_match_scalar_bisection(self, monkeypatch, zoh7, trace_zoh7):
         # One bisect_root call per _crossing_roots gives every row the bits of
@@ -575,8 +601,8 @@ class TestComputeDeltaZoh:
 
         monkeypatch.setattr(bounds, "bisect_root", counting)
         for rows, gamma, want in batches:
-            got = _crossing_roots(rows, gamma, zoh7.trigger.alpha)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            got = _crossing_roots(*np.array(rows).T, gamma, zoh7.trigger.alpha)
+            assert got.tobytes() == np.array(want).tobytes()
         assert calls == [len(rows) for rows, _, _ in batches]
         assert batches[0][2][-1] == 0.0
 
@@ -588,32 +614,54 @@ class TestComputeDeltaZoh:
         # ulp either way must leave every root the scalar one: wherever the
         # two could disagree on a sign, the margin hands the value to math.exp.
         batches = _crossing_batches(zoh7, trace_zoh7)
-        rng = np.random.default_rng(5)
-        exp = np.exp
         moved = []
-
-        def jittered(z):
-            out = exp(z)
-            shift = rng.random(np.shape(out)) < 0.5
-            moved.append(int(np.count_nonzero(shift)))
-            toward = np.where(rng.random(np.shape(out)) < 0.5, np.inf, -np.inf)
-            return np.where(shift, np.nextafter(out, toward), out)
-
-        monkeypatch.setattr(np, "exp", jittered)
+        monkeypatch.setattr(np, "exp", _one_ulp_jitter(np.exp, moved))
         for rows, gamma, want in batches:
-            got = _crossing_roots(rows, gamma, zoh7.trigger.alpha)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            got = _crossing_roots(*np.array(rows).T, gamma, zoh7.trigger.alpha)
+            assert got.tobytes() == np.array(want).tobytes()
         assert sum(moved) > 10_000
+
+    def test_report_matches_scalar_reference_under_jittered_exp_and_log(
+        self, monkeypatch, zoh7, trace_zoh7
+    ):
+        # The same one-ulp jitter of np.exp and np.log leaves every byte of
+        # the report: each beta_j and cap is computed with math.exp and
+        # math.log, and the crossings keep their scalar signs.
+        gamma = _growth_rate(gamma_zoh(zoh7.plant, zoh7.gain))
+        table = _dropped_intervals(trace_zoh7, zoh7.channel.M, gamma)
+        want = repr(zoh_delta_reference(zoh7.trigger, zoh7.channel.M, table, gamma))
+        moved = []
+        monkeypatch.setattr(np, "exp", _one_ulp_jitter(np.exp, moved))
+        monkeypatch.setattr(np, "log", _one_ulp_jitter(np.log, moved))
+        assert repr(compute_delta_zoh(zoh7.trigger, zoh7.channel.M, table, gamma)) == want
+        assert sum(moved) > 1_000
 
     def test_validation(self):
         with pytest.raises(BoundsError, match="M > 1"):
-            compute_delta_zoh(CFG, 1, [[]], 1.0)
+            compute_delta_zoh(CFG, 1, np.zeros((3, 1, 0)), 1.0)
         with pytest.raises(BoundsError, match="per-interval"):
-            compute_delta_zoh(CFG, 3, [[(0.0, 1.0, 3.0)]], 1.0)
-        # every window is checked, not only the first, and there must be one
-        for windows in ([[(0.0, 1.0, 3.0)], []], []):
+            compute_delta_zoh(CFG, 3, _table([(0.0, 1.0, 3.0)]), 1.0)
+        # there must be a window, and each row needs all three columns
+        for table in (np.zeros((3, 0, 1)), np.ones((2, 1, 1)), np.ones((3, 1))):
             with pytest.raises(BoundsError, match="per-interval"):
-                compute_delta_zoh(CFG, 2, windows, 1.0)
+                compute_delta_zoh(CFG, 2, table, 1.0)
+
+    @pytest.mark.parametrize("bad, match", [
+        ((1.0, 0.0, 3.0), "eta must be positive"),
+        ((1.0, np.inf, np.inf), "eta must be positive"),
+        ((1.0, np.nan, 3.0), "eta must be positive"),
+        # the threshold has underflowed and eta = X_j: the crossing is 0 at 0
+        ((1e20, 2.0, 2.0), "every crossing time must be positive"),
+    ], ids=["zero_eta", "infinite_eta", "nan_eta", "zero_crossing"])
+    def test_every_window_is_checked(self, bad, match):
+        # A bad window is rejected also where another window would win.
+        good = [(0.0, 1.0, 3.0)]
+        assert compute_delta_zoh(CFG, 2, _table(good), 1.0).Delta_zoh > 2.0
+        for table in (_table(good, [bad]), _table([bad], good)):
+            with pytest.raises(BoundsError, match=match):
+                compute_delta_zoh(CFG, 2, table, 1.0)
+        with pytest.raises(BoundsError, match="gamma must be positive"):
+            compute_delta_zoh(CFG, 2, _table(good, good), 0.0)
 
 
 class TestSubspaceResidual:
@@ -754,6 +802,49 @@ class TestReports:
         )
         rep = analyze_scenario_zoh(scn, worst_case_trace(scn))
         assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("draw", [1, 7, 8, 45, 63, 72])
+    @pytest.mark.parametrize("channel", [
+        ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE),
+        ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.5, seed=3),
+    ], ids=["worst_case", "bernoulli"])
+    def test_zoh_report_matches_scalar_reference(self, draw, channel):
+        # Every byte of the hold report, against one scalar bisection per row.
+        scn = dataclasses.replace(
+            le.vehicle_preset(draw), estimator=EstimatorKind.ZERO_ORDER_HOLD,
+            channel=channel, t_max=20.0,
+        )
+        tr = simulate(scn)
+        assert _dropped_intervals(tr, 5, 1.0).shape[1] > 1  # several windows compete
+        assert repr(analyze_scenario_zoh(scn, tr)) == repr(zoh_report_reference(scn, tr))
+
+    def test_zoh_stand_in_row_matches_scalar_reference(self, zoh7):
+        # Three triggers and no delivery: no window is complete.
+        scn = dataclasses.replace(zoh7, t_max=0.5)
+        tr = worst_case_trace(scn)
+        assert tr.triggers.size < scn.channel.M and tr.deliveries.size == 0
+        rep = analyze_scenario_zoh(scn, tr)
+        assert repr(rep) == repr(zoh_report_reference(scn, tr))
+        assert [t_j for t_j, _ in rep.state_norms] == [0.0] * (scn.channel.M - 1)
+
+    def test_zoh_analysis_builds_one_report(self, zoh7, trace_zoh7, monkeypatch):
+        # One report, the winning window's, and no norm of a single state row.
+        reports, norms = [], []
+        real_norm = np.linalg.norm
+
+        def recording_report(**fields):
+            reports.append(ZohBoundsReport(**fields))
+            return reports[-1]
+
+        def recording_norm(a, *args, **kwargs):
+            norms.append(np.ndim(a))
+            return real_norm(a, *args, **kwargs)
+
+        monkeypatch.setattr("lossyetc.bounds.ZohBoundsReport", recording_report)
+        monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        rep = analyze_scenario_zoh(zoh7, trace_zoh7)
+        assert reports == [rep]
+        assert norms and 1 not in norms
 
     def test_analyzers_pass_the_table_through(
         self, vehicle7, trace7, zoh7, trace_zoh7, monkeypatch
@@ -973,38 +1064,59 @@ class TestReports:
             )
 
 
+def _largest_discrepancy_gap(tr, flow):
+    """Largest ||x_s - x_c + sum_i flow(t - t_i) e_s(t_i^-)|| / thr(t) over
+    every 50th row, and the most dropped triggers since a delivery."""
+    pre = np.flatnonzero(tr.triggered)
+    worst, longest = 0.0, 0
+    for r in range(0, tr.num_samples, 50):
+        done = pre[pre < r]
+        delivered = done[tr.delivered[done]]
+        since = done[done > delivered[-1]] if delivered.size else done
+        longest = max(longest, since.size)
+        w = np.zeros(tr.x.shape[1])
+        for i in since:
+            w -= flow(tr.t[r] - tr.t[i]) @ (tr.x_s[i] - tr.x[i])
+        worst = max(worst, np.linalg.norm(tr.x_s[r] - tr.x_c[r] - w) / tr.threshold[r])
+    return worst, longest
+
+
+_IDENTITY_CHANNELS = pytest.mark.parametrize("channel", [
+    ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE),
+    ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.5, seed=7),
+], ids=["worst_case", "bernoulli"])
+
+
 class TestDiscrepancyIdentity:
     """The lemma under the model-based Delta, read off preset-7 traces.
 
     With t_1 < ... < t_k the dropped triggers since the last delivery,
-    x_s - x_c = -sum_i exp(S (t - t_i)) e_s(t_i^-), e_s(t_i^-) = x_s - x on
-    the trigger's pre-jump row; the jump shows from the row after it.
+    x_s - x_c = -sum_i P(t - t_i) e_s(t_i^-), e_s(t_i^-) = x_s - x on the
+    trigger's pre-jump row; the jump shows from the row after it.  P(a) is
+    exp(S a) for the model-based estimator and I for the hold estimator.
     """
 
-    @pytest.mark.parametrize("channel", [
-        ChannelPolicy(M=5, mode=ChannelMode.WORST_CASE),
-        ChannelPolicy(M=5, mode=ChannelMode.BERNOULLI, p=0.5, seed=7),
-    ], ids=["worst_case", "bernoulli"])
+    @_IDENTITY_CHANNELS
     def test_discrepancy_is_the_sum_of_dropped_errors(self, vehicle7, channel):
         scn = dataclasses.replace(vehicle7, channel=channel, t_max=20.0)
         tr = simulate(scn)
         s_mat = closed_loop(scn.model, scn.gain)
-        pre = np.flatnonzero(tr.triggered)
-        worst, longest = 0.0, 0
-        for r in range(0, tr.num_samples, 50):
-            done = pre[pre < r]
-            delivered = done[tr.delivered[done]]
-            since = done[done > delivered[-1]] if delivered.size else done
-            longest = max(longest, since.size)
-            w = np.zeros(scn.n)
-            for i in since:
-                w -= taylor_expm(s_mat, tr.t[r] - tr.t[i]) @ (tr.x_s[i] - tr.x[i])
-            worst = max(worst, np.linalg.norm(tr.x_s[r] - tr.x_c[r] - w) / tr.threshold[r])
+        worst, longest = _largest_discrepancy_gap(tr, lambda a: taylor_expm(s_mat, a))
         # largest seen: 8.5e-14 (worst case) and 6.2e-14 (Bernoulli)
         assert worst <= 1e-9
         assert 0 < longest <= scn.channel.M - 1
         rep = analyze_scenario(scn, tr)
         assert np.all(tr.e_c_norm <= rep.Delta * tr.threshold)
+
+    @_IDENTITY_CHANNELS
+    def test_hold_discrepancy_is_the_sum_of_dropped_errors(self, zoh7, channel):
+        # The hold jump logic, without any certificate.
+        scn = dataclasses.replace(zoh7, channel=channel, t_max=20.0)
+        tr = simulate(scn)
+        worst, longest = _largest_discrepancy_gap(tr, lambda a: np.eye(scn.n))
+        # largest seen: 7.2e-16 (worst case) and 2.5e-16 (Bernoulli)
+        assert worst <= 1e-12
+        assert 0 < longest <= scn.channel.M - 1
 
 
 class TestStabilityEnvelope:

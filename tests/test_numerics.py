@@ -115,6 +115,24 @@ def test_sup_cases_take_their_paths():
             exp_norms_on_grid(OVERFLOW, np.linspace(0.0, 10.0, 50))
 
 
+def test_expm_fallback_keeps_the_bits_of_one_expm_per_point(monkeypatch):
+    # Without an eigen-basis a grid's norms come from one batched expm and one
+    # batched SVD, with the bits of np.linalg.norm(mat_exp(m, t), 2) per point.
+    ts = np.linspace(0.0, 60.0, 100)
+    for a in HURWITZ.values():
+        want = np.array([np.linalg.norm(mat_exp(a, float(t)), 2) for t in ts])
+        assert numerics._all_norms(a, None, ts).tobytes() == want.tobytes()
+    # A non-finite m t or exponential raises before any SVD runs.
+    def fail(*_args, **_kwargs):
+        raise AssertionError("SVD of a non-finite exponential")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with np.errstate(all="ignore"):
+        for a, t in ((JORDAN, np.inf), (np.full((2, 2), 1e300), 1e300), (OVERFLOW, 10.0)):
+            with pytest.raises(NumericsError, match="overflows on the grid"):
+                numerics._all_norms(a, None, np.array([0.0, t]))
+
+
 def test_decay_envelope_holds_on_fresh_grid():
     rng = np.random.default_rng(9)
     for _ in range(10):
