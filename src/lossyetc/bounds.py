@@ -142,11 +142,26 @@ def verify_ec_bound(tr: Trace, Delta: float, cfg: TriggerConfig) -> BoundCheck:
     """Check every sample against Delta * beta * exp(-alpha t) + 1e-9."""
     if tr.num_samples == 0:
         raise ValueError("empty trace")
-    bound = Delta * cfg.beta * np.exp(-cfg.alpha * tr.t)
-    ok = bool(np.all(tr.e_c_norm <= bound + 1e-9))
+    # One trace-length temporary, filled twice with the bound: once plus 1e-9
+    # for the check, once for the ratios.  A second temporary would cost more
+    # in freshly faulted pages than the second fill does.
+    bound = np.empty_like(tr.t)
+    _fill_ec_bound(bound, tr, Delta, cfg)
+    bound += 1e-9
+    ok = bool(np.all(tr.e_c_norm <= bound))
+    _fill_ec_bound(bound, tr, Delta, cfg)
+    positive = bound > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0.0, tr.e_c_norm / bound, 0.0)
+        ratios = np.divide(tr.e_c_norm, bound, out=bound, where=positive)
+    ratios[~positive] = 0.0
     return BoundCheck(ok=ok, max_ratio=float(np.max(ratios)))
+
+
+def _fill_ec_bound(out: np.ndarray, tr: Trace, Delta: float, cfg: TriggerConfig) -> None:
+    """out = Delta * beta * np.exp(-alpha * t) in place, the operations in that order."""
+    np.multiply(-cfg.alpha, tr.t, out=out)
+    np.exp(out, out=out)
+    out *= Delta * cfg.beta
 
 
 def min_inter_event_time(

@@ -9,10 +9,12 @@ does not depend on the worker count.
 
 Workers are forked when the pool starts, not at each call: module state they
 read (e.g. `simulator.ZENO_GAP`, `simulator.channel_offer` or `cli.simulate`),
-the simulator's cached flows and grids, and the working directory are those
-of the moment the pool started. Cached entries are keyed on exact values, so
-an inherited one is the entry the worker would build. Call `shutdown` after
-changing such state to have the next call fork fresh workers.
+the simulator's cached flows and grids and its spare trace tables, and the
+working directory are those of the moment the pool started. Cached entries
+are keyed on exact values, so an inherited one is the entry the worker would
+build; spare tables are private pages, so a worker writes its own copy of
+one. Call `shutdown` after changing such state to have the next call fork
+fresh workers.
 
 A pool belongs to the process that started it: a forked child drops the
 reference it inherits and starts its own pool if it forks. A pool whose

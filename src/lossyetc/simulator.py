@@ -11,7 +11,9 @@ located by a first-crossing scan on a fixed time lattice of the same exact
 flow, so no integration error enters the bound checks.  A run's propagators
 and its sample grid are kept for the next runs of the process, keyed on the
 exact values they derive from, so runs that share plant, model, gain, steps
-and trigger build them once.
+and trigger build them once.  A run writes its trace table into private
+anonymous memory pages that an earlier run's dead trace gave back, when one
+did, so a warm process does not fault in a fresh table for every run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +56,22 @@ _BATCH = 256
 # two per event, so that a typical run never grows the table: those runs take
 # 1,734 to 2,138 such rows on the 50 family draws.  Model-based runs trigger
 # about a tenth as often (at most 230 event rows there, worst case and
-# Bernoulli alike), which the _BATCH spare columns hold; room they do not need
-# would stay resident, as huge pages back the unused tail of every row.
+# Bernoulli alike), which the _BATCH spare columns hold.  Room a run does not
+# write is never touched, so it costs address space, not memory, until a
+# later run that reuses the table writes there.
 _EVENT_ROOM = 16 * _BATCH
 # Sub-points per round of the event scan: each round narrows a bracket _SCAN-fold.
 _SCAN = 32
 # Flows and sample grids kept per process, each keyed on exact values: two, as
 # a sweep worker alternates the two estimators of one scenario.
 _CACHE_ENTRIES = 2
+# Trace tables of dead traces kept for the next runs (see _table): four, as
+# the acceptance family and the certify_family benchmark keep four traces
+# alive per draw.
+_SPARE_TABLES = 4
+_spares: list[mmap.mmap] = []
+# Guards taking a spare; a finalizer that offers one back never takes it.
+_spares_lock = threading.Lock()
 
 
 class SimulationError(RuntimeError):
@@ -328,18 +340,62 @@ class _Flow:
         return k_hi, z_hi, es_hi
 
 
+def _pages(nbytes: int) -> mmap.mmap:
+    """nbytes of private anonymous memory pages, outside the heap.
+
+    Private, not shared: a forked child that writes to pages it inherited
+    writes its own copy of them, never its parent's or another child's.
+    """
+    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
 def _kept(arr: np.ndarray) -> np.ndarray:
     """Read-only copy of arr in memory pages of its own, for a cache entry.
 
-    An entry outlives many runs.  From the heap it would split the free
-    space that the next runs' trace tables reuse, so the heap would grow
-    instead: on a 2-core x86-64 host the zoh_sweep benchmark's peak RSS read
-    about 91 MB with heap-backed entries against 83 MB with page-backed ones.
+    An entry outlives many runs, so it stays out of the heap that the runs'
+    short-lived temporaries come and go in.  The gain is small since the
+    trace tables left the heap too: on a 2-core x86-64 host the zoh_sweep
+    benchmark's peak RSS read 85.8-85.9 MB with page-backed entries and
+    86.4-86.7 MB with heap-backed ones (two runs each).
     """
-    out = np.frombuffer(mmap.mmap(-1, arr.nbytes), dtype=arr.dtype).reshape(arr.shape)
+    out = np.frombuffer(_pages(arr.nbytes), dtype=arr.dtype).reshape(arr.shape)
     out[...] = arr
     out.flags.writeable = False
     return out
+
+
+def _table(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized rows x cols float table in pages reused across runs.
+
+    The table is a prefix of the smallest spare that holds it.  When no spare
+    does, fresh pages are mapped and every spare, all too small for this
+    table, is unmapped.  One np.frombuffer array wraps the pages, and every
+    view of the table, so every column of a Trace made from it, keeps that
+    array alive; once the last view dies, a finalizer offers the pages back
+    as a spare.  So a live trace's pages are never handed out again, and a
+    run that reuses a spare writes pages that are resident already.
+    """
+    nbytes = rows * cols * 8
+    with _spares_lock:
+        spares = list(_spares)  # a finalizer may append to _spares meanwhile
+        fits = [mm for mm in spares if len(mm) >= nbytes]
+        pages = min(fits, key=len) if fits else _pages(nbytes)
+        for mm in [pages] if fits else spares:
+            _spares.remove(mm)
+    flat = np.frombuffer(pages, count=rows * cols)
+    weakref.finalize(flat, _offer_spare, pages).atexit = False
+    return flat.reshape(rows, cols)
+
+
+def _offer_spare(pages: mmap.mmap) -> None:
+    """Keep the pages of a dead table as a spare, up to _SPARE_TABLES of them.
+
+    Runs wherever the table's last view dies, possibly while this thread
+    holds _spares_lock, so it takes no lock: it only appends.  Pages it does
+    not keep are unmapped with their last reference.
+    """
+    if len(_spares) < _SPARE_TABLES:
+        _spares.append(pages)
 
 
 def _flow(scn: Scenario) -> _Flow:
@@ -437,7 +493,7 @@ def simulate(scn: Scenario) -> Trace:
     # Column-major rows [t, x, x_s, x_c, es, ec, threshold], one per float
     # column of the trace CSV; the first `size` columns are filled.
     room = 0 if flow.model_based else _EVENT_ROOM
-    table = np.empty((3 * n + 4, grid.shape[0] + _BATCH + room))
+    table = _table(3 * n + 4, grid.shape[0] + _BATCH + room)
     put(table[:, 0], 0.0, z, *_errors(n, z), grid_thr[0])
     size = 1
 
@@ -445,8 +501,10 @@ def simulate(scn: Scenario) -> Trace:
         """Columns size .. size + k - 1 of the table, growing it if needed."""
         nonlocal table
         if size + k > table.shape[1]:
-            # An eighth more, not double: numpy backs a large table with huge
-            # pages, which would make all of a doubled table's rows resident.
+            # An eighth more, not double, from the heap: numpy advises huge
+            # pages for a table this large, and where the kernel takes that
+            # advice the unwritten tail of every row of a doubled table would
+            # be resident.  The outgrown table goes back to the spares.
             grown = np.empty((table.shape[0], max(size + k, table.shape[1] * 9 // 8)))
             grown[:, :size] = table[:, :size]
             table = grown
@@ -570,7 +628,12 @@ def summarize(tr: Trace, cfg: TriggerConfig) -> SummaryStats:
     deliv = tr.deliveries
     inter = np.diff(trig) if trig.size >= 2 else None
     recv = np.diff(deliv) if deliv.size >= 2 else None
-    amp = float(np.max(tr.e_c_norm * np.exp(cfg.alpha * tr.t) / cfg.beta))
+    # One trace-length temporary, in place, with the operations of
+    # e_c_norm * np.exp(alpha * t) / beta in their order.
+    amp = np.multiply(cfg.alpha, tr.t)
+    np.exp(amp, out=amp)
+    np.multiply(tr.e_c_norm, amp, out=amp)
+    amp /= cfg.beta
     return SummaryStats(
         trigger_count=int(trig.size),
         delivery_count=int(deliv.size),
@@ -579,5 +642,5 @@ def summarize(tr: Trace, cfg: TriggerConfig) -> SummaryStats:
         min_receive_interval=float(np.min(recv)) if recv is not None else None,
         mean_receive_interval=float(np.mean(recv)) if recv is not None else None,
         final_state_norm=float(np.linalg.norm(tr.x[-1])),
-        empirical_amplification=amp,
+        empirical_amplification=float(np.max(amp)),
     )

@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lossyetc as le
-from lossyetc import bounds, simulator
+from lossyetc import bounds, pool, simulator
 
 from lossyetc.numerics import mat_exp
 from lossyetc.scenarios import load_trace, save_trace
@@ -596,6 +600,140 @@ def test_flow_cache_one_build_per_family_draw(monkeypatch, cold_flows):
         simulate(dataclasses.replace(scn, channel=chan))
     assert builds == [EstimatorKind.MODEL_BASED]
     assert simulator._grid.cache_info().misses == 1
+
+
+@pytest.fixture
+def no_spares():
+    """The test starts with no spare trace table, so it knows which it gets."""
+    simulator._spares.clear()
+
+
+def _pages_of(tr):
+    """The mapping under the table of tr: its columns view one np.frombuffer array."""
+    return tr.t.base.base.obj
+
+
+def _bernoulli7(seed):
+    scn = le.vehicle_preset(7)
+    chan = ChannelPolicy(M=scn.channel.M, mode=ChannelMode.BERNOULLI, p=0.5, seed=seed)
+    return dataclasses.replace(scn, channel=chan)
+
+
+def test_spare_table_held_trace_keeps_digest(vehicle7):
+    # Later runs of the same table shape cycle through the spares; none may
+    # take the pages of a trace that is still alive.
+    kept = simulate(vehicle7)
+    for seed in range(simulator._SPARE_TABLES + 2):
+        other = simulate(_bernoulli7(seed))
+        assert other.t.base.shape == kept.t.base.shape
+        assert _pages_of(other) is not _pages_of(kept)
+    assert _trace_sha256(kept) == _MB7_SHA256
+
+
+def test_spare_table_reused_once_trace_dies(no_spares, vehicle7):
+    tr = simulate(vehicle7)
+    pages = _pages_of(tr)
+    assert simulator._spares == []
+    del tr
+    assert simulator._spares == [pages]
+    tr = simulate(vehicle7)
+    assert _pages_of(tr) is pages and simulator._spares == []
+    assert _trace_sha256(tr) == _MB7_SHA256
+
+
+def test_spare_tables_capped_and_smaller_ones_unmapped(no_spares, vehicle7, zoh7):
+    mb, zoh = (dataclasses.replace(scn, t_max=10.0) for scn in (vehicle7, zoh7))
+    traces = [simulate(mb) for _ in range(simulator._SPARE_TABLES + 2)]
+    digest = _trace_sha256(traces[0])
+    small = [weakref.ref(_pages_of(tr)) for tr in traces]
+    del traces
+    assert len(simulator._spares) == simulator._SPARE_TABLES
+    assert sum(ref() is None for ref in small) == 2
+    # A hold-estimator table is wider than every spare: they are unmapped.
+    tr = simulate(zoh)
+    assert simulator._spares == [] and all(ref() is None for ref in small)
+    large = _pages_of(tr)
+    del tr
+    # The smallest spare that fits serves a smaller table with its prefix.
+    tr = simulate(mb)
+    assert _pages_of(tr) is large and _trace_sha256(tr) == digest
+
+
+def _trace_digest_of_run(scn):
+    return _trace_sha256(simulate(scn))
+
+
+def test_spare_table_pages_private_to_forked_workers(no_spares, usable_cpus, vehicle7, zoh7):
+    # Workers forked while the parent holds spares inherit them.  A worker
+    # that takes one must write its own copy of the pages, not the parent's,
+    # which a live trace has taken since, nor another worker's.
+    pools = usable_cpus(2)
+    traces = [simulate(vehicle7), simulate(zoh7)]
+    del traces
+    assert len(simulator._spares) == 2
+    assert list(pool.fork_map(abs, [-1, -2])) == [1, 2] and pools == [2]
+    kept = simulate(_bernoulli7(3))
+    digest = _trace_sha256(kept)
+    runs = [vehicle7, zoh7, vehicle7, zoh7]
+    assert list(pool.fork_map(_trace_digest_of_run, runs)) == [_MB7_SHA256, _ZOH7_SHA256] * 2
+    assert _trace_sha256(kept) == digest
+
+
+def test_spare_tables_two_threads_pinned(vehicle7, zoh7):
+    # Two threads take and give back tables at once, alternating the two
+    # table sizes; no run may get pages another run still writes.
+    runs = [(vehicle7, _MB7_SHA256), (zoh7, _ZOH7_SHA256)] * 2
+    digests = [[], []]
+
+    def work(i):
+        for scn, _ in runs[i:] + runs[:i]:
+            digests[i].append(_trace_sha256(simulate(scn)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert digests == [[want for _, want in runs[i:] + runs[:i]] for i in (0, 1)]
+
+
+def test_spare_tables_stress_more_threads_than_cores():
+    # Four threads take tables of two widths thousands of times, each filling
+    # its table with its own number and reading it back after a thread switch:
+    # a table handed to two threads at once would mix the numbers, and two
+    # threads taking one spare would fail to remove it twice.
+    failures = []
+
+    def work(i):
+        try:
+            for k in range(2000):
+                table = simulator._table(7, 1000 + 500 * ((i + k) % 2))
+                table[...] = i
+                time.sleep(0)
+                if not np.all(table == i):
+                    failures.append((i, k))
+        except Exception as exc:  # a thread's error fails the test below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
+    assert len(simulator._spares) <= simulator._SPARE_TABLES
 
 
 def test_event_accumulation_aborts(monkeypatch, vehicle7, trace7):
