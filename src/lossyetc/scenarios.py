@@ -323,6 +323,14 @@ def load_scenario(path: str) -> Scenario:
 _BLOCK_ROWS = 2048
 # Most body bytes per load_trace task, cut at a line end.
 _SPAN_BYTES = 1 << 20
+# Body bytes per pass of the vectorized reader, cut at a line end: about
+# 6,900 fields of 19 bytes.  On a 2-CPU VM the 20 s preset-7 trace parsed in
+# 57-60 ms with 32 KiB blocks, 46 ms with 64 KiB and 39-42 ms with 128 or
+# 256 KiB ones (min of 9 in one process).
+_PARSE_BLOCK = 1 << 17
+# Zero bytes after a block: a field's 24 bytes and the 8-byte words of the
+# block's bit map of non-digits read up to 64 bytes past its last line.
+_PARSE_PAD = 64
 
 
 def _trace_header(n: int) -> list[str]:
@@ -380,7 +388,13 @@ def _format_block(block: np.ndarray) -> bytes:
 def load_trace(path: str) -> Trace:
     """Parse a trace CSV back into arrays; exact round-trip of save_trace.
 
-    The trace has the column-major layout that simulate gives it.  Raises
+    The trace has the column-major layout that simulate gives it.  A body in
+    save_trace's own dialect (CRLF lines of the header's width, numbers as
+    ``'%.17g' % v`` writes them) is parsed by an exact vectorized conversion
+    that hands the fields it cannot certify to ``float`` (see
+    `_parse_block`); a body, or a span of it, outside that dialect is parsed
+    by ``np.loadtxt``, as every body was before, so the arrays, the error
+    messages and their row numbers do not depend on which parser ran.  Raises
     ValueError on a header that is not save_trace's, a non-numeric field, or
     a row whose column count differs from the header's.
     """
@@ -390,6 +404,8 @@ def load_trace(path: str) -> Trace:
         if header != _trace_header(n):
             raise ValueError(f"unexpected trace header {header!r}")
         data = _load_spans(path, header)
+        if data is None:
+            data = _parse_body(path, header)
         if data is None:
             # loadtxt warns on input without rows, so a bodiless file skips it
             first = next((line for line in fh if not line.isspace()), "")
@@ -405,6 +421,16 @@ def load_trace(path: str) -> Trace:
         )
     data = np.ascontiguousarray(data)
     return Trace.from_table(data[:-2], data[-2] != 0.0, data[-1] != 0.0)
+
+
+def _parse_body(path: str, header: list[str]) -> np.ndarray | None:
+    """The whole body parsed in one piece by _parse_rows, column-major, or
+    None where the file leaves save_trace's dialect."""
+    with open(path, "rb") as fh:
+        if fh.readline() != (",".join(header) + "\r\n").encode():
+            return None
+        rows = _parse_rows(fh.read(), len(header))
+    return None if rows is None else rows.T
 
 
 def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
@@ -423,7 +449,7 @@ def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
     width = len(header)
     data = np.empty((width, sum(rows for _, _, rows in spans)))
     # the pool's workers keep the working directory of its start
-    parts = fork_map(functools.partial(_parse_span, os.path.abspath(path)), spans)
+    parts = fork_map(functools.partial(_parse_span, os.path.abspath(path), width), spans)
     done = 0
     try:
         for (_, _, rows), part in zip(spans, parts):
@@ -476,29 +502,71 @@ def _body_spans(path: str, header: bytes) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _parse_span(path: str, span: tuple[int, int, int]) -> np.ndarray:
+def _parse_span(path: str, width: int, span: tuple[int, int, int]) -> np.ndarray:
     start, stop, _ = span
     with open(path, "rb") as fh:
         fh.seek(start)
-        lines = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        text = fh.read(stop - start)
+    rows = _parse_rows(text, width)
+    if rows is None:
+        rows = np.loadtxt(
+            io.TextIOWrapper(io.BytesIO(text)), delimiter=",", comments=None, ndmin=2
+        )
+    return rows
 
 
-# --- exact %.17g --------------------------------------------------------------
+def _parse_rows(text: bytes, width: int) -> np.ndarray | None:
+    """The (rows, width) table of whole CRLF lines of save_trace's numbers,
+    or None where any of the text leaves that dialect.
+
+    The text is parsed in blocks of whole lines of about _PARSE_BLOCK bytes.
+    """
+    if not text:
+        return np.empty((0, width))
+    if not text.endswith(b"\r\n"):
+        return None
+    blocks = []
+    start = 0
+    while start < len(text):
+        stop = text.find(b"\n", start + _PARSE_BLOCK - 1) + 1 or len(text)
+        # zeros past the end, which the words read at the last fields reach
+        block = np.empty(stop - start + _PARSE_PAD, np.uint8)
+        block[: stop - start] = np.frombuffer(text, np.uint8, stop - start, start)
+        block[stop - start :] = 0
+        values = _parse_block(block, stop - start, width)
+        if values is None:
+            return None
+        blocks.append(values)
+        start = stop
+    return np.concatenate(blocks).reshape(-1, width)
+
+
+# --- exact %.17g, both directions ---------------------------------------------
+#
+# One table of powers of ten serves both directions: _powers_of_ten holds
+# 10**(16 - k) for k in [_K_MIN, _K_MAX] as hi + lo, built from Python
+# integers, with hi split in halves by Veltkamp's constant, and _times_ten
+# multiplies a double by an entry exactly through Dekker's two-product
+# (Numer. Math. 18, 1971).
 #
 # _format_rows writes '%.17g' % v for whole arrays of doubles.  For |v| in
 # about [1e-250, 1e250] it takes the decimal exponent k from log10 and the 17
-# significant digits D = round(|v| * 10**(16 - k)) from a double-double
-# product (Dekker, Numer. Math. 18, 1971): 10**(16 - k) is a table entry hi +
-# lo built from Python integers, |v| * hi is exact through Veltkamp's split,
-# and the error of the whole product is below 2**-47 in units of D's last
-# digit.  An entry whose fraction lies within _TIE_MARGIN of one half (a tie,
-# or a product too close to one to trust), and every zero, non-finite or
-# out-of-range value, goes to Python's own '%.17g' % v instead.  Each field is
-# then laid out in a 32-byte frame of four little-endian words, with 0 bytes
-# where the field is shorter, and one bytes.translate per pass drops them.
-# The tables are built at the first call that needs them, so a process that
-# writes no trace CSV never holds them.
+# significant digits D = round(|v| * 10**(16 - k)) from the double-double
+# product; its error is below 2**-47 in units of D's last digit.  An entry
+# whose fraction lies within _TIE_MARGIN of one half (a tie, or a product too
+# close to one to trust), and every zero, non-finite or out-of-range value,
+# goes to Python's own '%.17g' % v instead.  Each field is then laid out in a
+# 32-byte frame of four little-endian words, with 0 bytes where the field is
+# shorter, and one bytes.translate per pass drops them.
+#
+# _parse_block reads the fields back: it finds their bounds in a block of
+# whole lines, reads each field's first 24 bytes as three little-endian words
+# and takes its significand D < 10**17 and exponent E (value D * 10**E) by
+# SWAR arithmetic and tables indexed by the mantissa's length; the product
+# D * 10**E is then rounded to the nearest double, unless it lies too close to
+# a tie to tell (Clinger, PLDI 1990), and such a field goes to float().  The
+# tables are built at the first call that needs them, so a process that
+# neither writes nor reads a trace CSV never holds them.
 
 # Values per pass.  Temporaries stay at 32 KB, below glibc's 128 KB mmap
 # threshold: with whole 2,048-row blocks they were mapped afresh at every
@@ -590,22 +658,36 @@ def _quads() -> tuple[np.ndarray, np.ndarray]:
     return digits.view("<u4").ravel().astype(_LE64), zeros
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(a * 10**(16 - k)) as int64, and the fraction it leaves.
+def _times_ten(
+    a: np.ndarray, i: np.ndarray, a_low: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a + a_low) * 10**(16 - k) for k = i + _K_MIN, as p + t.
 
-    p + t is the product with the table's hi + lo: p + e = a * hi exactly
-    (Dekker's two-product), and t adds a * lo.  |t| < 20, so rounding it
-    costs under 2**-49; a * lo, under 2**-50; lo's own rounding, under
-    2**-49 for products below 2**57.
+    p = a * hi rounded, and p + e = a * hi exactly (Dekker's two-product);
+    t adds e, a * lo and a_low * hi.  Indices out of the table are clipped:
+    the caller discards what they give.
     """
-    i = k - _K_MIN
     head, tail, low = _powers_of_ten()
-    h1, h2, lo = head.take(i), tail.take(i), low.take(i)
+    h1, h2, lo = (table.take(i, mode="clip") for table in (head, tail, low))
     c = a * _SPLIT
     a1 = c - (c - a)
     a2 = a - a1
-    p = a * (h1 + h2)
+    hi = h1 + h2
+    p = a * hi
     t = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    if a_low is not None:
+        t += a_low * hi
+    return p, t
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a * 10**(16 - k)) as int64, and the fraction it leaves.
+
+    p + t is the product with the table's hi + lo (see _times_ten).  |t| <
+    20, so rounding it costs under 2**-49; a * lo, under 2**-50; lo's own
+    rounding, under 2**-49 for products below 2**57.
+    """
+    p, t = _times_ten(a, k - _K_MIN)
     whole = np.floor(t)
     # p >= 2**53 is an integer; a smaller p is off by one exponent and redone
     return p.astype(np.int64) + whole.astype(np.int64), t - whole
@@ -685,6 +767,183 @@ def _format_rows(block: np.ndarray) -> bytes:
         field_bytes[r, c, :31] = text.view(np.uint8).reshape(-1, 31)
         field_bytes[r, c, 31] = ord(",")
     return frame.tobytes().translate(None, b"\0")
+
+
+@functools.cache
+def _mantissa_tables() -> tuple[np.ndarray, ...]:
+    """Tables of _parse_block, indexed by a length q in [0, 25].
+
+    By the integer part's length q: the bytes below q of the three words.
+    By the digit count q of the shifted mantissa (a zero, then its digits;
+    see _parse_block): the low nibbles of its digit bytes in the three
+    words, the shift that moves word 2's digits to its top bytes, and, with
+    hi16 the value of its first 16 digits, the factor 10**(q - 16) of hi16 in
+    D, the exponent -max(16 - q, 0) of D where q < 16 leaves trailing zeros
+    in hi16, and the bound on hi16 that keeps D below 10**17.
+    """
+    q = np.arange(26)
+    below = (np.arange(24) < q[:, None]).astype(np.uint8)
+    digits = np.ascontiguousarray(
+        (below * (np.arange(24) >= 1) * np.uint8(0x0F)).view(_LE64)
+    )
+    below = np.ascontiguousarray((below * np.uint8(0xFF)).view(_LE64))
+    word2_up = np.clip(8 * (24 - q), 0, 64).astype(np.uint64)
+    hi16_factor = 10 ** np.clip(q - 16, 0, 9)
+    exponent = -np.clip(16 - q, 0, 16)
+    hi16_bound = np.where(q > 16, 10 ** np.clip(33 - q, 0, 18), 10**17)
+    return below, digits, word2_up, hi16_factor, exponent, hi16_bound
+
+
+def _unaligned(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """View of buf whose element j is the item of the dtype at byte j."""
+    item = np.dtype(dtype).itemsize
+    return np.ndarray((len(buf) - item + 1,), dtype, buf, 0, (1,))
+
+
+def _trailing_zeros(m: np.ndarray) -> np.ndarray:
+    """Trailing zero bits of each word: the index of its lowest set bit, or
+    -1 for a zero word."""
+    # m & -m, the lowest set bit alone, is a power of two that a double holds
+    # exactly; frexp gives its exponent plus one, and 0 for zero
+    return np.frexp((m & (np.uint64(0) - m)).astype(np.float64))[1] - 1
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The number whose 8 decimal digits are the bytes of each little-endian
+    word, first digit in the low byte (SWAR: pairs, then fours, then eights)."""
+    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8)
+    w = ((w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 2**16 + 1)) >> np.uint64(16)
+    w = ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
+    return w.view(np.int64)
+
+
+def _parse_block(buf: np.ndarray, size: int, width: int) -> np.ndarray | None:
+    """The fields of buf[:size], whole CRLF lines of `width` fields each, as
+    one flat float array, or None where the block leaves that dialect.
+
+    buf holds _PARSE_PAD zero bytes past `size`.  A field is certified here
+    when it reads [-]digits[.digits][e(+|-)dd[d]] in at most 24 bytes past
+    its sign, with at most 23 digits, at most 17 of them significant, a
+    value D * 10**E whose E lies in the power table (so the value is
+    normal), and a product not within the tie margin of a rounding
+    boundary.  Any other field goes to float(); a field float() rejects, or
+    a byte save_trace never writes, gives None.
+    """
+    text = buf[:size]
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\r")))
+    rows = len(ends) // width
+    line_ends = ends[width - 1 :: width]
+    if not (
+        len(ends) == rows * width
+        and (buf.take(line_ends) == ord("\r")).all()
+        and np.count_nonzero(buf.take(ends) == ord("\r")) == rows
+        and (buf.take(line_ends + 1) == ord("\n")).all()
+    ):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    starts[width::width] += 1  # past the LF
+    below, digits, word2_up, hi16_factor, exponent, hi16_bound = _mantissa_tables()
+    # bit j of m: byte j of the field, past its sign, is not a digit;
+    # bit 24 stands for the end of the 24 bytes read
+    nondigit = np.packbits((buf - np.uint8(ord("0"))) > 9, bitorder="little")
+    neg = buf.take(starts) == ord("-")
+    s = starts + neg
+    length = ends - s
+    m = (_unaligned(nondigit, "V8")[s >> 3].view(_LE64) >> (s & 7).astype(np.uint64))
+    m = (m & np.uint64(0xFFFFFF)) | np.uint64(1 << 24)
+    point = _trailing_zeros(m)
+    has_point = (point < 24) & (buf.take(s + point) == ord("."))
+    m = np.where(has_point, m & (m - np.uint64(1)), m)
+    mantissa = _trailing_zeros(m)
+    has_e = buf.take(s + mantissa) == ord("e")
+    nd = mantissa - has_point + 1
+    # nd = 25: 24 digits with no point, of which only 23 fit the words read
+    ok = ((mantissa == length) | has_e) & (nd >= 2) & (nd <= 24)
+    # The point removed: the integer part moves up one byte onto it, so the
+    # digits are bytes [1, nd) after a zero at byte 0.  Word 0 holds an
+    # integer part of up to 7 digits; a longer one also moves across words.
+    w = _unaligned(buf, "V24")[s].view(_LE64).reshape(-1, 3)
+    longer = np.flatnonzero(point > 7)
+    if len(longer):
+        head = w[longer] & below.take(point[longer], axis=0)
+        moved = head << np.uint64(8)
+        moved[:, 1:] |= head[:, :-1] >> np.uint64(56)
+        moved |= w[longer] & ~below.take(point[longer] + 1, axis=0)
+    w0 = w[:, 0]
+    w[:, 0] = ((w0 & below[:, 0].take(point)) << np.uint64(8)) | (
+        w0 & ~below[1:, 0].take(point)
+    )
+    if len(longer):
+        w[longer] = moved
+    w &= digits.take(nd, axis=0)
+    w[:, 2] <<= word2_up.take(nd)
+    w = _eight_digits(w)
+    hi16 = w[:, 0] * 10**8 + w[:, 1]
+    ok &= hi16 < hi16_bound.take(nd)
+    # a wrapped product would warn when cast to a double and back
+    d = np.where(ok, hi16 * hi16_factor.take(nd) + w[:, 2], 0)
+    e10 = point - mantissa + has_point + exponent.take(nd)
+    ei = np.flatnonzero(has_e)
+    if len(ei):
+        # 'e', the sign, two or three digits and the terminator, as one word
+        at = (s + mantissa)[ei]
+        count = ends[ei] - at - 2
+        x = _unaligned(buf, "V8")[at].view(_LE64)
+        sign = ((x >> np.uint64(8)) & np.uint64(0xFF)).view(np.int64)
+        # the digits moved to the top bytes, their low nibbles kept
+        x = (x >> np.uint64(16)) << (np.uint64(8) * (8 - count).astype(np.uint64))
+        x = _eight_digits(x & np.uint64(0x0F0F0F0F0F0F0F0F))
+        e10[ei] += (ord(",") - sign) * x  # ',' lies between '+' and '-'
+        # the exponent's digits run up to the next non-digit; a tail of zero
+        # (no terminator within the bytes read) counts -1 and fails
+        tail = m[ei] >> (mantissa[ei] + 2).astype(np.uint64)
+        ok[ei] &= (
+            (np.abs(ord(",") - sign) == 1)
+            & ((count == 2) | (count == 3))
+            & (_trailing_zeros(tail) == count)
+        )
+    i = (16 - _K_MIN) - e10
+    ok &= (i >= 0) & (i <= _K_MAX - _K_MIN)
+    # D = dh + dl exactly: D < 2**57, so |dl| <= 8.  Against the exact
+    # D * 10**E, p + t is off by under 2**-100 p: the two-product is exact,
+    # t is below 2**-51 p and its roundings cost under 2**-101 p, and
+    # the dropped terms (dh and dl times lo's rounding, dl * lo) under
+    # 2**-105 p.  An ulp of the result is at least 2**-53 p, so the error is
+    # below 2**-47 ulp, and tol, 2**-93 p, lies in [2**-41, 2**-40) ulp.
+    # Rounding is monotone, so when both ends of p + t -/+ tol round to the
+    # same double, so does the exact product; a tie, or a product within tol
+    # of one, goes to float().
+    dh = d.astype(np.float64)
+    p, t = _times_ten(dh, i, (d - dh.astype(np.int64)).astype(np.float64))
+    tol = p * (_TIE_MARGIN * 2.0**-53)
+    r = p + (t - tol)
+    ok &= r == p + (t + tol)
+    r = np.where(neg, -r, r)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        fields = [
+            buf[start:stop].tobytes()
+            for start, stop in zip(starts[rest].tolist(), ends[rest].tolist())
+        ]
+        try:
+            r[rest] = _python_floats(fields)
+        except ValueError:
+            return None
+    return r
+
+
+def _python_floats(fields: list[bytes]) -> list[float]:
+    """float() of each field: the fields _parse_block cannot certify.
+
+    Raises ValueError on a field float() rejects, and on any byte save_trace
+    never writes: float() reads fields such as b"1_0" that np.loadtxt
+    rejects, and only loadtxt may judge those.
+    """
+    if any(field.translate(None, b"0123456789+-.eainf") for field in fields):
+        raise ValueError("not a save_trace field")
+    return [float(field) for field in fields]
 
 
 # --- trace JSON ---------------------------------------------------------------

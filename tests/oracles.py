@@ -5,12 +5,14 @@ code paths: truncated series for the matrix exponential, characteristic
 polynomial roots for eigenvalues, the matrix sign function for spectral
 projectors, dense scans plus bisection for crossing equations, the scalar
 bisection that numerics.bisect_root runs on many brackets at once, Python's
-own %-formatting of trace CSV rows, and a general-purpose adaptive ODE
-integration of the hybrid closed loop.  Slow and simple on purpose.  Also
-the random Hurwitz test matrices, the paper's windowed amplification
-factor (compute_Delta with its interval bound delta_bar), the reference that
-the model-based Delta of bounds.analyze_scenario must not exceed, and the
-hold certificate one scalar bisection at a time (zoh_delta_reference).
+own %-formatting of trace CSV rows and its own float() of their fields, and
+a general-purpose adaptive ODE integration of the hybrid closed loop.  Slow
+and simple on purpose.  Also the random Hurwitz test matrices, the paper's
+windowed amplification factor (compute_Delta with its interval bound
+delta_bar), the reference that the model-based Delta of
+bounds.analyze_scenario must not exceed, the hold certificate one scalar
+bisection at a time (zoh_delta_reference), and a second plant from the
+event-triggered control literature, the unstable batch reactor.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from lossyetc.bounds import (
@@ -31,8 +34,24 @@ from lossyetc.bounds import (
     _growth_rate,
 )
 from lossyetc.numerics import NumericsError, decay_envelope, exp_norms_on_grid
-from lossyetc.system_model import EstimatorKind, closed_loop, gamma_matrix, gamma_zoh
-from lossyetc.trigger_channel import ChannelState, Outcome, channel_offer
+from lossyetc.simulator import Scenario
+from lossyetc.system_model import (
+    EstimatorKind,
+    Gain,
+    NominalModel,
+    Plant,
+    closed_loop,
+    gamma_matrix,
+    gamma_zoh,
+)
+from lossyetc.trigger_channel import (
+    ChannelMode,
+    ChannelPolicy,
+    ChannelState,
+    Outcome,
+    TriggerConfig,
+    channel_offer,
+)
 
 
 def taylor_expm(a: np.ndarray, t: float = 1.0, terms: int = 40) -> np.ndarray:
@@ -125,6 +144,19 @@ def percent_trace_rows(block: np.ndarray) -> bytes:
     """
     row = ",".join(["%.17g"] * (block.shape[1] - 2)) + ",%d,%d\r\n"
     return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
+def float_trace_rows(text: bytes, width: int) -> np.ndarray:
+    """The (rows, width) table of a trace CSV body by Python's float().
+
+    One float() per field of CRLF lines of comma-separated numbers: the
+    values scenarios._parse_rows must give, whether it certifies a field
+    itself or hands it to float().
+    """
+    lines = text.split(b"\r\n")
+    assert lines.pop() == b"", "the body ends in CRLF"
+    rows = [[float(f) for f in line.split(b",")] for line in lines]
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def delta_bar_reference(
@@ -473,3 +505,43 @@ def hybrid_reference(scn, t_end: float | None = None) -> HybridReference:
     ref.final_state = y[:n].copy()
     ref.final_time = t
     return ref
+
+
+# The unstable batch reactor (Walsh, Ye & Bushnell, IEEE TCST 2002), the
+# standard plant of networked and event-triggered control: two inputs, two
+# growing modes and a near-marginal one.
+REACTOR_A = np.array([
+    [1.38, -0.2077, 6.715, -5.676],
+    [-0.5814, -4.29, 0.0, 0.675],
+    [1.067, 4.273, -6.654, 5.893],
+    [0.048, 4.273, 1.343, -2.104],
+])
+REACTOR_B = np.array([[0.0, 0.0], [5.679, 0.0], [1.136, -3.146], [1.136, 0.0]])
+
+
+def reactor_lqr_gain() -> np.ndarray:
+    """K of u = K x from the LQR problem on the reactor with Q = I, R = I."""
+    p = scipy.linalg.solve_continuous_are(REACTOR_A, REACTOR_B, np.eye(4), np.eye(2))
+    return -REACTOR_B.T @ p
+
+
+def batch_reactor(estimator: EstimatorKind) -> Scenario:
+    """The reactor loop of ROADMAP item 13 on a worst-case channel.
+
+    The model is the literature plant; the true plant adds 0.02 N(0, 1) to
+    every entry of A, then of B (seed 1).  beta = alpha = 0.5, M = 4,
+    x0 = (1, 0, 1, 0), t_max = 20.
+    """
+    rng = np.random.default_rng(1)
+    a = REACTOR_A + 0.02 * rng.standard_normal(REACTOR_A.shape)
+    b = REACTOR_B + 0.02 * rng.standard_normal(REACTOR_B.shape)
+    return Scenario(
+        plant=Plant(A=a, B=b),
+        model=NominalModel(A_hat=REACTOR_A, B_hat=REACTOR_B),
+        gain=Gain(K=reactor_lqr_gain()),
+        estimator=estimator,
+        trigger=TriggerConfig(beta=0.5, alpha=0.5),
+        channel=ChannelPolicy(M=4, mode=ChannelMode.WORST_CASE),
+        x0=np.array([1.0, 0.0, 1.0, 0.0]),
+        t_max=20.0,
+    )

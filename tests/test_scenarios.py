@@ -9,12 +9,20 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import percent_trace_rows
+from oracles import (
+    REACTOR_A,
+    REACTOR_B,
+    batch_reactor,
+    float_trace_rows,
+    percent_trace_rows,
+    reactor_lqr_gain,
+)
 
 import lossyetc as le
 from lossyetc import scenarios
@@ -444,11 +452,14 @@ class TestTraceCsv:
         ) == text
 
     def test_tables_are_built_at_the_first_save(self):
-        # A process that writes no trace CSV never builds the %.17g tables.
+        # A process that writes or reads no trace CSV never builds the %.17g
+        # tables.
         code = (
             "import numpy as np, lossyetc.cli, lossyetc.scenarios as s\n"
-            "tables = (s._powers_of_ten, s._field_words, s._quads)\n"
+            "tables = (s._powers_of_ten, s._field_words, s._quads, s._mantissa_tables)\n"
             "assert all(t.cache_info().currsize == 0 for t in tables)\n"
+            "s._parse_rows(b'1,2\\r\\n', 2)\n"
+            "assert [t.cache_info().currsize for t in tables] == [1, 0, 0, 1]\n"
             "s._format_block(np.ones((3, 6)))\n"
             "assert all(t.cache_info().currsize == 1 for t in tables)\n"
         )
@@ -690,6 +701,198 @@ class TestTraceCsv:
         path.write_text("time,value\n0.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             load_trace(str(path))
+
+
+def _table(tr):
+    """The trace's CSV columns as save_trace stacks them."""
+    return np.column_stack(
+        (tr.t, tr.x, tr.x_s, tr.x_c, tr.e_s_norm, tr.e_c_norm, tr.threshold,
+         tr.triggered, tr.delivered)
+    )
+
+
+# What a field handed to float() reads as in test_parse_rows_matches_float_oracle:
+# a NaN payload that no parse of a save_trace field gives.
+_SENT = np.uint64(0x7FF80000DEADBEEF).view(np.float64)
+
+
+def _parse_marking_floats(text, width):
+    """_parse_rows, with each field it hands to float() read as _SENT."""
+    sent = []
+
+    def python_floats(fields):
+        sent.extend(fields)
+        return [_SENT] * len(fields)
+
+    with mock.patch.object(scenarios, "_python_floats", python_floats):
+        rows = scenarios._parse_rows(text, width)
+    return rows, sent
+
+
+# Fields save_trace never writes, and those it writes at the edges of the
+# reader's fast path, each on a line of its own: exact midpoints between
+# adjacent doubles (1e23, 2**53 + 1, ...; they round to even), decimals just
+# off one, 18-20 significant digits, signed zeros, short and three-digit
+# exponents, the smallest normal and the largest subnormal, the table's
+# ends, non-finite values, integer parts of up to 17 digits, and mantissas
+# that reach the end of the 24 bytes the reader reads past the sign.
+_READER_EDGES = {
+    # field: handed to float()
+    b"1e+23": True, b"9.007199254740993e+15": True, b"9007199254740993": True,
+    b"-9007199254740995": True, b"1.8014398509481986e+16": True,
+    b"3.6028797018963972e+16": True, b"9.0071992547409931e+15": False,
+    b"9007199254740992.9": False, b"1.23456789012345678": True,
+    b"0.12345678901234567891": True, b"-123456789012345678.5": True,
+    b"-0": False, b"0": False, b"-0.0": False, b"1e-05": False, b"1e-5": True,
+    b"1.5e-123": False, b"-2.5e+200": False, b"1e-300": True, b"1e+300": True,
+    b"2.2250738585072014e-308": True, b"2.2250738585072009e-308": True,
+    b"4.9406564584124654e-324": True, b"1.7976931348623157e+308": True,
+    b"1.2345678901234567e-220": False, b"1.2345678901234567e-221": True,
+    b"9.9999999999999997e+284": False, b"1e+285": True,
+    b"nan": True, b"-inf": True, b"12345678.5": False, b"-1234567890123456.8": False,
+    b"99999999999999984": False, b"0.00099999999999999915": False,
+    b"123456789012345678901234.5": True, b"000000000000000000000012": True,
+    b"00000000000000000000012": False, b"0000000000000000000001.2": False,
+    b"000000000000000000000001.2": True,
+}
+
+
+class TestTraceCsvReader:
+    """The vectorized reader of save_trace's dialect, against float()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tr=_traces())
+    @example(tr=_multi_block_trace())
+    def test_parse_rows_matches_float_oracle(self, tr):
+        table = _table(tr)
+        text = scenarios._format_block(table)
+        rows, sent = _parse_marking_floats(text, table.shape[1])
+        want = float_trace_rows(text, table.shape[1])
+        marked = rows.view(np.uint64) == _SENT.view(np.uint64)
+        assert np.count_nonzero(marked) == len(sent)
+        assert rows[~marked].tobytes() == want[~marked].tobytes()
+        # the writer's own doubles go to float() only outside the power table
+        # or when not finite
+        a = np.abs(table[marked])
+        assert not np.any((a >= 1e-200) & (a <= 1e200)), a
+
+    def test_parse_rows_edges(self):
+        text = b"".join(field + b"\r\n" for field in _READER_EDGES)
+        rows, sent = _parse_marking_floats(text, 1)
+        assert sent == [field for field, to_float in _READER_EDGES.items() if to_float]
+        assert np.array_equal(
+            rows.ravel().view(np.uint64) == _SENT.view(np.uint64), list(_READER_EDGES.values())
+        )
+        got = scenarios._parse_rows(text, 1).ravel()
+        assert got.tobytes() == float_trace_rows(text, 1).tobytes()
+        assert got[list(_READER_EDGES).index(b"1e+23")] == 99999999999999991611392.0
+        assert got[list(_READER_EDGES).index(b"9007199254740993")] == 2.0**53
+
+    def test_parse_rows_random_decimal_fields(self):
+        # Fields of 1-30 digits, many with leading zeros, some with a point,
+        # an exponent of 2 or 3 digits or a sign: each parses as float() does.
+        rng = np.random.default_rng(24)
+        fields = []
+        for n, zeros, point, exp, neg in zip(
+            rng.integers(1, 31, 40_000), rng.random(40_000), rng.random(40_000),
+            rng.random(40_000), rng.random(40_000) < 0.3,
+        ):
+            digits = "".join(map(str, rng.integers(0, 10, n)))
+            digits = "0" * int(zeros * n) + digits[int(zeros * n) :]
+            if point < 0.6:
+                at = int(point / 0.6 * (n + 1))
+                digits = digits[:at] + "." + digits[at:]
+            if exp < 0.4:
+                digits += "e%s%0*d" % ("+-"[int(exp * 5) % 2], 2 + int(exp * 10) % 2,
+                                       int(exp * 825))
+            fields.append(("-" if neg else "") + digits)
+        text = "".join(",".join(fields[i : i + 4]) + "\r\n" for i in range(0, len(fields), 4))
+        got = scenarios._parse_rows(text.encode(), 4)
+        want = np.array([float(field) for field in fields]).reshape(-1, 4)
+        assert got.tobytes() == want.tobytes()
+
+    @_POOL_CASES
+    def test_load_trace_edges_match_loadtxt(self, tmp_path, monkeypatch, usable_cpus, cpus, pools):
+        # Every edge field in each column of a trace file: load_trace gives the
+        # table that np.loadtxt reads from it, in one piece and span by span.
+        path = tmp_path / "trace.csv"
+        edges = [field.decode() for field in _READER_EDGES]
+        _write_rows(path, [",".join([field] * 9) for field in edges])
+        want = np.loadtxt(path, delimiter=",", skiprows=1)
+        monkeypatch.setattr(scenarios, "_SPAN_BYTES", 512)
+        started = usable_cpus(cpus)
+        loaded = load_trace(str(path))
+        assert started == pools
+        assert _table(loaded)[:, :7].tobytes() == want[:, :7].tobytes()
+        assert np.array_equal(_table(loaded)[:, 7:], want[:, 7:] != 0)
+
+    @pytest.mark.parametrize("text", [
+        b"0,1_0\r\n", b"0, 1\r\n", b"0,1\n", b"0,1\r\n\r\n", b"0,1", b"0,1,2\r\n",
+        b"0,1.2.3\r\n", b"0,--1\r\n", b"0,1e\r\n", b"0,.\r\n", b"0,\r\n", b"0,infinity\r\n",
+    ])
+    def test_parse_rows_leaves_other_text_to_loadtxt(self, text):
+        assert scenarios._parse_rows(text, 2) is None
+
+    def test_save_trace_files_never_reach_loadtxt(
+        self, golden_trace, trace7, tmp_path, monkeypatch, usable_cpus
+    ):
+        # save_trace's own files parse on the vectorized path alone, in one
+        # piece and on a fresh pool: a change that sends them back to loadtxt
+        # fails here.  The shared counter sees the pool's workers too.
+        usable_cpus(1)
+        paths = [tmp_path / "golden.csv", tmp_path / "preset7.csv"]
+        for tr, path in zip((golden_trace, trace7), paths):
+            save_trace(tr, str(path))
+
+        def no_loadtxt(*_args, **_kwargs):
+            raise AssertionError("np.loadtxt reached")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        sent = multiprocessing.Value("i", 0)
+        python_floats = scenarios._python_floats
+
+        def counted(fields):
+            with sent.get_lock():
+                sent.value += len(fields)
+            return python_floats(fields)
+
+        monkeypatch.setattr(scenarios, "_python_floats", counted)
+        for cpus, pools in [(1, []), (2, [2] if _FORK else [])]:
+            started = usable_cpus(cpus)
+            for tr, path in zip((golden_trace, trace7), paths):
+                loaded = load_trace(str(path))
+                assert _table(loaded).tobytes() == _table(tr).tobytes()
+            assert started == pools
+        assert sent.value == 0
+
+    def test_batch_reactor_plant(self):
+        # the published open-loop eigenvalues catch a typo in A or B
+        eig = np.sort(np.linalg.eigvals(REACTOR_A).real)
+        assert np.allclose(eig, [-8.6659, -5.0566, 0.0635, 1.9910], atol=1e-4)
+        loop = np.linalg.eigvals(REACTOR_A + REACTOR_B @ reactor_lqr_gain())
+        loop = loop[np.lexsort((loop.imag, loop.real))]
+        assert np.allclose(loop, [-8.755, -6.046 - 2.254j, -6.046 + 2.254j, -3.123], atol=1e-3)
+
+    @_POOL_CASES
+    def test_batch_reactor_round_trip(self, tmp_path, usable_cpus, cpus, pools):
+        # A second plant: the reactor's traces take the reader through other
+        # exponents and integer parts than the vehicle's.
+        started = usable_cpus(cpus)
+        digests, triggers = [], []
+        for estimator in (EstimatorKind.MODEL_BASED, EstimatorKind.ZERO_ORDER_HOLD):
+            tr = le.simulate(batch_reactor(estimator))
+            triggers.append(len(tr.triggers))
+            path = tmp_path / f"reactor.{estimator.value}.csv"
+            save_trace(tr, str(path))
+            loaded = load_trace(str(path))
+            for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
+                         "triggered", "delivered", "triggers", "deliveries"):
+                a, b = getattr(loaded, name), getattr(tr, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert started == pools
+        assert triggers == [32, 305]  # as ROADMAP item 13 measured them
+        assert digests[0] == "9c4ebadd9609dcd58045635a3821c42a681ba0bcd3ec3c2dfdb30cec67d591eb"
 
 
 class TestReportSerializers:
