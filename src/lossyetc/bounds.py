@@ -449,7 +449,9 @@ def analyze_scenario(scn: Scenario, tr: Trace) -> BoundsReport:
 
 
 def analyze_scenario_zoh(scn: Scenario, tr: Trace) -> ZohBoundsReport:
-    """Hold-type certificate for one scenario, grounded like analyze_scenario."""
+    """Hold-type certificate Delta_zoh, grounded on `tr`, the scenario's
+    worst-case dropout trace: it covers that run, and does not bound every
+    run of the scenario (see test_known_zoh_certificate_gaps)."""
     m = _drop_budget(scn, tr)
     gamma = _growth_rate(gamma_zoh(scn.plant, scn.gain))
     return compute_delta_zoh(scn.trigger, m, _dropped_intervals(tr, m, gamma), gamma)

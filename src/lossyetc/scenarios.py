@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import itertools
 import json
 import math
@@ -388,15 +387,14 @@ def _format_block(block: np.ndarray) -> bytes:
 def load_trace(path: str) -> Trace:
     """Parse a trace CSV back into arrays; exact round-trip of save_trace.
 
-    The trace has the column-major layout that simulate gives it.  A body in
-    save_trace's own dialect (CRLF lines of the header's width, numbers as
-    ``'%.17g' % v`` writes them) is parsed by an exact vectorized conversion
-    that hands the fields it cannot certify to ``float`` (see
-    `_parse_block`); a body, or a span of it, outside that dialect is parsed
-    by ``np.loadtxt``, as every body was before, so the arrays, the error
-    messages and their row numbers do not depend on which parser ran.  Raises
-    ValueError on a header that is not save_trace's, a non-numeric field, or
-    a row whose column count differs from the header's.
+    The trace has the column-major layout that simulate gives it.  Spans of
+    the body (see `_body_spans`) are parsed on the usable CPUs by an exact
+    vectorized reader of save_trace's dialect: CRLF lines of the header's
+    width, numbers as ``'%.17g' % v`` writes them (see `_parse_block`).  If
+    any span leaves that dialect, ``np.loadtxt`` parses the whole body once,
+    so the arrays, the error messages and their row numbers do not depend on
+    which parser ran.  Raises ValueError on a header that is not save_trace's,
+    a non-numeric field, or a row whose column count differs from the header's.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -404,8 +402,6 @@ def load_trace(path: str) -> Trace:
         if header != _trace_header(n):
             raise ValueError(f"unexpected trace header {header!r}")
         data = _load_spans(path, header)
-        if data is None:
-            data = _parse_body(path, header)
         if data is None:
             # loadtxt warns on input without rows, so a bodiless file skips it
             first = next((line for line in fh if not line.isspace()), "")
@@ -423,96 +419,58 @@ def load_trace(path: str) -> Trace:
     return Trace.from_table(data[:-2], data[-2] != 0.0, data[-1] != 0.0)
 
 
-def _parse_body(path: str, header: list[str]) -> np.ndarray | None:
-    """The whole body parsed in one piece by _parse_rows, column-major, or
-    None where the file leaves save_trace's dialect."""
-    with open(path, "rb") as fh:
-        if fh.readline() != (",".join(header) + "\r\n").encode():
-            return None
-        rows = _parse_rows(fh.read(), len(header))
-    return None if rows is None else rows.T
-
-
 def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
-    """The body parsed span by span on the usable CPUs, column-major, or None.
-
-    None means no pool to parse on, a body of one span, a span that raised
-    ValueError, or a span that does not hold one row of the header's width
-    per line. The caller then parses the body in one piece, which gives an
-    error message its row number counted from the top of the body.
-    """
-    if not would_fork(2):
-        return None  # cutting spans would reread the whole file for nothing
-    spans = _body_spans(path, ",".join(header).encode())
-    if len(spans) < 2:
-        return None
-    width = len(header)
-    data = np.empty((width, sum(rows for _, _, rows in spans)))
+    """The body parsed span by span on the usable CPUs, column-major, or None
+    where the header line or any span leaves save_trace's dialect."""
+    spans = _body_spans(path, (",".join(header) + "\r\n").encode())
     # the pool's workers keep the working directory of its start
-    parts = fork_map(functools.partial(_parse_span, os.path.abspath(path), width), spans)
-    done = 0
-    try:
-        for (_, _, rows), part in zip(spans, parts):
-            if part.shape != (rows, width):
-                return None
-            data[:, done : done + rows] = part.T
-            done += rows
-    except ValueError:
+    parse = functools.partial(_parse_span, os.path.abspath(path), len(header))
+    parts = None if spans is None else list(fork_map(parse, spans))
+    if parts is None or any(part is None for part in parts):
         return None
+    data = np.empty((len(header), sum(map(len, parts))))
+    done = 0
+    for part in parts:
+        data[:, done : done + len(part)] = part.T
+        done += len(part)
     return data
 
 
-def _body_spans(path: str, header: bytes) -> list[tuple[int, int, int]]:
-    """(start, stop, lines) byte spans covering the body.
+def _body_spans(path: str, header: bytes) -> list[tuple[int, int]] | None:
+    """(start, stop) byte spans of whole lines covering the body, or None
+    where the file's first line is not `header`.
 
-    A body within _SPAN_BYTES is one span. A longer one is cut into about
-    equal spans, as many as the fewest multiple of the usable CPUs that keeps
-    them near _SPAN_BYTES, so each worker of the pool parses the same share.
-    Each span ends at the first newline at or after its cut, so it holds
-    whole lines under the universal-newline reading of load_trace. `lines`
-    counts its newlines, plus one for an unterminated last line. Returns []
-    where the spans could differ from that reading: a header line not ended
-    by CRLF or LF, or a span of empty lines only (loadtxt warns on it; the
-    one-piece parse skips it).
+    One span where no pool can fork or the body fits in _SPAN_BYTES; else
+    about equal spans, as many as the fewest multiple of the usable CPUs that
+    keeps them near _SPAN_BYTES, so each worker parses the same share.  Each
+    ends at the first newline at or after its cut, found by seeking there.
     """
-    spans = []
     with open(path, "rb") as fh:
-        if fh.readline() not in (header + b"\r\n", header + b"\n"):
-            return []
+        if fh.readline() != header:
+            return None
         body = start = fh.tell()
         end = os.fstat(fh.fileno()).st_size
         count = 1
-        if end - body > _SPAN_BYTES:
+        if end - body > _SPAN_BYTES and would_fork(2):
             cpus = usable_cpus()
             count = cpus * -(-(end - body) // (cpus * _SPAN_BYTES))
+        spans = []
         for i in range(1, count + 1):
-            size = body + (end - body) * i // count - start
-            if size <= 0:
+            cut = body + (end - body) * i // count
+            if cut <= start:
                 continue  # the last line of the previous span ran past this cut
-            span = fh.read(size)
-            if not span.endswith(b"\n"):
-                span += fh.readline()
-            if not span.lstrip(b"\r\n"):
-                return []
-            # numpy counts about 3x as fast as bytes.count
-            newlines = np.count_nonzero(np.frombuffer(span, np.uint8) == ord("\n"))
-            lines = int(newlines) + (not span.endswith(b"\n"))
-            spans.append((start, start + len(span), lines))
-            start += len(span)
+            fh.seek(cut - 1)
+            fh.readline()
+            spans.append((start, fh.tell()))
+            start = fh.tell()
     return spans
 
 
-def _parse_span(path: str, width: int, span: tuple[int, int, int]) -> np.ndarray:
-    start, stop, _ = span
+def _parse_span(path: str, width: int, span: tuple[int, int]) -> np.ndarray | None:
+    start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
-        text = fh.read(stop - start)
-    rows = _parse_rows(text, width)
-    if rows is None:
-        rows = np.loadtxt(
-            io.TextIOWrapper(io.BytesIO(text)), delimiter=",", comments=None, ndmin=2
-        )
-    return rows
+        return _parse_rows(fh.read(stop - start), width)
 
 
 def _parse_rows(text: bytes, width: int) -> np.ndarray | None:

@@ -163,6 +163,36 @@ def test_known_zoh_certificate_gaps(n, m, M, seed, p):
     assert verify_ec_bound(bernoulli, bound, scn.trigger).ok
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: the located trigger's overshoot has no cap; on "
+    "these hold plants it exceeds the 0.5 * TRIGGER_OVERSHOOT that "
+    "_check_protocol asserts",
+)
+@pytest.mark.parametrize("p", [None, 0.3, 0.7], ids=["worst_case", "p0.3", "p0.7"])
+@pytest.mark.parametrize("n, m, M, seed", [
+    (4, 1, 5, 151),  # largest overshoot 6.6e-7 / 7.0e-7 / 7.0e-7
+    (4, 1, 4, 1010),  # 1.2e-5 / 2.6e-6 / 1.7e-6
+    (4, 1, 2, 789),  # 1.1e-5 / 1.0e-5 / 1.0e-5
+    (3, 1, 5, 454),  # 1.8e-6 / 9.3e-7 / 7.8e-7
+    (5, 1, 2, 853),  # 1.4e-6 / 1.4e-6 / 1.4e-6
+])
+def test_known_hold_overshoots(n, m, M, seed, p):
+    # Draws of test_certificates_hold_on_random_plants with the hold
+    # estimator; None stands for the worst-case trace.
+    scn = _scenario(n, m, M, EstimatorKind.ZERO_ORDER_HOLD, seed)
+    if p is None:
+        tr = worst_case_trace(scn)
+    else:
+        tr = simulate(
+            dataclasses.replace(
+                scn, channel=ChannelPolicy(M=M, mode=ChannelMode.BERNOULLI, p=p, seed=seed)
+            )
+        )
+    _check_protocol(tr, M)
+
+
 # Plant spectra of the membership cases beside the draws: a growing Jordan
 # block (numpy's eigenvectors of it, once rotated, are two distinct, nearly
 # parallel vectors), a complex growing pair, and two growing modes.

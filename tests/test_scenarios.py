@@ -520,14 +520,13 @@ class TestTraceCsv:
         assert started == ([2] if _FORK else [])
         assert loaded.t.tobytes() == golden_trace.t.tobytes()
 
-    def test_one_cpu_parses_in_one_piece(
-        self, golden_trace, tmp_path, monkeypatch, usable_cpus
-    ):
-        # With no pool to parse spans on, cutting them would only reread the file.
+    def test_one_cpu_parses_in_one_piece(self, golden_trace, tmp_path, usable_cpus):
+        # With no pool to parse spans on, the 21 MB body is one span.
         path = tmp_path / "trace.csv"
         save_trace(golden_trace, str(path))
         started = usable_cpus(1)
-        monkeypatch.setattr(scenarios, "_body_spans", None)
+        with path.open("rb") as fh:
+            assert len(scenarios._body_spans(str(path), fh.readline())) == 1
         loaded = load_trace(str(path))
         assert started == []
         for name in ("t", "x", "x_s", "x_c", "e_s_norm", "e_c_norm", "threshold",
@@ -651,10 +650,10 @@ class TestTraceCsv:
         started = usable_cpus(cpus)
         # 790 body bytes: the fewest spans of at most about 64 bytes whose
         # count is a multiple of the CPUs, cut every 790 / count <= 57 bytes
-        spans = scenarios._body_spans(str(path), _HEADER.encode())
+        spans = scenarios._body_spans(str(path), (_HEADER + "\r\n").encode())
         assert len(spans) == cpus * -(-790 // (cpus * 64))
         # each runs at most one 20-byte line past its cut
-        assert max(stop - start for start, stop, _ in spans) <= 57 + 20
+        assert max(stop - start for start, stop in spans) <= 57 + 20
         loaded = load_trace(str(path))
         assert started == ([cpus] if _FORK else [])
         for name in ("t", "x", "x_s", "x_c", "e_s_norm", "triggered", "delivered"):
@@ -674,8 +673,9 @@ class TestTraceCsv:
     @pytest.mark.parametrize("text, pools", [
         # a span of one row and one empty line: the pooled parse falls back
         ("\r\n".join(_ROWS[:2] + [""] + _ROWS[2:]) + "\r\n", [2] if _FORK else []),
-        # a span of empty lines only: loadtxt would warn, so no span is parsed
-        ("\r\n".join(_ROWS + [""] * 20) + "\r\n", []),
+        # spans of empty lines only: the whole body falls back to loadtxt,
+        # which skips them without a warning
+        ("\r\n".join(_ROWS + [""] * 20) + "\r\n", [2] if _FORK else []),
         # a header ended by a lone CR: its binary line runs into the first row
         ("\r" + "\r\n".join(_ROWS) + "\r\n", []),
     ], ids=["inner_empty_line", "trailing_empty_lines", "cr_header"])
