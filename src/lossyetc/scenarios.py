@@ -391,10 +391,11 @@ def load_trace(path: str) -> Trace:
     the body (see `_body_spans`) are parsed on the usable CPUs by an exact
     vectorized reader of save_trace's dialect: CRLF lines of the header's
     width, numbers as ``'%.17g' % v`` writes them (see `_parse_block`).  If
-    any span leaves that dialect, ``np.loadtxt`` parses the whole body once,
-    so the arrays, the error messages and their row numbers do not depend on
-    which parser ran.  Raises ValueError on a header that is not save_trace's,
-    a non-numeric field, or a row whose column count differs from the header's.
+    any span leaves that dialect or holds a field that reader cannot certify,
+    ``np.loadtxt`` parses the whole body once, so the arrays, the error
+    messages and their row numbers do not depend on which parser ran.
+    Raises ValueError on a header that is not save_trace's, a non-numeric
+    field, or a row whose column count differs from the header's.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -421,7 +422,7 @@ def load_trace(path: str) -> Trace:
 
 def _load_spans(path: str, header: list[str]) -> np.ndarray | None:
     """The body parsed span by span on the usable CPUs, column-major, or None
-    where the header line or any span leaves save_trace's dialect."""
+    where the header line is not save_trace's or any span's parse gives None."""
     spans = _body_spans(path, (",".join(header) + "\r\n").encode())
     # the pool's workers keep the working directory of its start
     parse = functools.partial(_parse_span, os.path.abspath(path), len(header))
@@ -475,7 +476,8 @@ def _parse_span(path: str, width: int, span: tuple[int, int]) -> np.ndarray | No
 
 def _parse_rows(text: bytes, width: int) -> np.ndarray | None:
     """The (rows, width) table of whole CRLF lines of save_trace's numbers,
-    or None where any of the text leaves that dialect.
+    or None where any of the text leaves that dialect or any field is not
+    certified (see `_parse_block`).
 
     The text is parsed in blocks of whole lines of about _PARSE_BLOCK bytes.
     """
@@ -522,7 +524,8 @@ def _parse_rows(text: bytes, width: int) -> np.ndarray | None:
 # and takes its significand D < 10**17 and exponent E (value D * 10**E) by
 # SWAR arithmetic and tables indexed by the mantissa's length; the product
 # D * 10**E is then rounded to the nearest double, unless it lies too close to
-# a tie to tell (Clinger, PLDI 1990), and such a field goes to float().  The
+# a tie to tell (Clinger, PLDI 1990).  A block with a field it cannot certify
+# gives None, and load_trace hands the whole body to np.loadtxt.  The
 # tables are built at the first call that needs them, so a process that
 # neither writes nor reads a trace CSV never holds them.
 
@@ -784,8 +787,8 @@ def _parse_block(buf: np.ndarray, size: int, width: int) -> np.ndarray | None:
     its sign, with at most 23 digits, at most 17 of them significant, a
     value D * 10**E whose E lies in the power table (so the value is
     normal), and a product not within the tie margin of a rounding
-    boundary.  Any other field goes to float(); a field float() rejects, or
-    a byte save_trace never writes, gives None.
+    boundary.  Values are returned only when every field is certified: any
+    other field, like text outside the dialect, gives None.
     """
     text = buf[:size]
     ends = np.flatnonzero((text == ord(",")) | (text == ord("\r")))
@@ -872,36 +875,13 @@ def _parse_block(buf: np.ndarray, size: int, width: int) -> np.ndarray | None:
     # below 2**-47 ulp, and tol, 2**-93 p, lies in [2**-41, 2**-40) ulp.
     # Rounding is monotone, so when both ends of p + t -/+ tol round to the
     # same double, so does the exact product; a tie, or a product within tol
-    # of one, goes to float().
+    # of one, is not certified.
     dh = d.astype(np.float64)
     p, t = _times_ten(dh, i, (d - dh.astype(np.int64)).astype(np.float64))
     tol = p * (_TIE_MARGIN * 2.0**-53)
     r = p + (t - tol)
     ok &= r == p + (t + tol)
-    r = np.where(neg, -r, r)
-    rest = np.flatnonzero(~ok)
-    if len(rest):
-        fields = [
-            buf[start:stop].tobytes()
-            for start, stop in zip(starts[rest].tolist(), ends[rest].tolist())
-        ]
-        try:
-            r[rest] = _python_floats(fields)
-        except ValueError:
-            return None
-    return r
-
-
-def _python_floats(fields: list[bytes]) -> list[float]:
-    """float() of each field: the fields _parse_block cannot certify.
-
-    Raises ValueError on a field float() rejects, and on any byte save_trace
-    never writes: float() reads fields such as b"1_0" that np.loadtxt
-    rejects, and only loadtxt may judge those.
-    """
-    if any(field.translate(None, b"0123456789+-.eainf") for field in fields):
-        raise ValueError("not a save_trace field")
-    return [float(field) for field in fields]
+    return np.where(neg, -r, r) if ok.all() else None
 
 
 # --- trace JSON ---------------------------------------------------------------

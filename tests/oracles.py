@@ -150,8 +150,8 @@ def float_trace_rows(text: bytes, width: int) -> np.ndarray:
     """The (rows, width) table of a trace CSV body by Python's float().
 
     One float() per field of CRLF lines of comma-separated numbers: the
-    values scenarios._parse_rows must give, whether it certifies a field
-    itself or hands it to float().
+    values scenarios._parse_rows must give wherever it certifies every field
+    and so returns a table.
     """
     lines = text.split(b"\r\n")
     assert lines.pop() == b"", "the body ends in CRLF"
@@ -525,14 +525,14 @@ def reactor_lqr_gain() -> np.ndarray:
     return -REACTOR_B.T @ p
 
 
-def batch_reactor(estimator: EstimatorKind) -> Scenario:
+def batch_reactor(estimator: EstimatorKind, seed: int = 1) -> Scenario:
     """The reactor loop of ROADMAP item 13 on a worst-case channel.
 
     The model is the literature plant; the true plant adds 0.02 N(0, 1) to
-    every entry of A, then of B (seed 1).  beta = alpha = 0.5, M = 4,
-    x0 = (1, 0, 1, 0), t_max = 20.
+    every entry of A, then of B, drawn with the perturbation seed.
+    beta = alpha = 0.5, M = 4, x0 = (1, 0, 1, 0), t_max = 20.
     """
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     a = REACTOR_A + 0.02 * rng.standard_normal(REACTOR_A.shape)
     b = REACTOR_B + 0.02 * rng.standard_normal(REACTOR_B.shape)
     return Scenario(

@@ -6,8 +6,9 @@ of both estimators against the protocol and against the certificates.
 Draws whose certificate preconditions fail are rejected, not counted.  The
 model-based Delta reads no trace row, so it is checked on a Bernoulli trace
 it never saw as well as on the worst case, and against the paper's windowed
-Delta.  The membership residual is checked on such draws, on the vehicle
-family and on rotated growing blocks.
+Delta.  The batch reactor's perturbation family gets the same checks.  The
+membership residual is checked on such draws, on the vehicle family and on
+rotated growing blocks.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from lossyetc.simulator import Scenario, simulate, summarize
 from lossyetc.system_model import EstimatorKind, Gain, NominalModel, Plant, gamma_matrix
 from lossyetc.trigger_channel import ChannelMode, ChannelPolicy, TriggerConfig
 
-from oracles import nongrowing_subspace_distance, windowed_delta
+from oracles import batch_reactor, nongrowing_subspace_distance, windowed_delta
 
 T_MAX = 4.0
 PERTURBATION = 0.05
@@ -137,6 +138,32 @@ def test_delta_within_the_windowed_formula_on_random_plants():
         assert analyze_scenario(scn, worst).Delta <= windowed_delta(scn, worst).Delta
         checked += 1
     assert checked > 90
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind), ids=lambda e: e.value)
+def test_certificates_hold_on_the_reactor_family(estimator):
+    """The batch reactor, perturbed by draws 1-10, on the worst-case channel
+    and on a Bernoulli one (p = 0.5, the draw as seed).  Delta_zoh covers
+    the worst-case run it is computed from, so only that one checks it."""
+    for seed in range(1, 11):
+        scn = batch_reactor(estimator, seed)
+        M = scn.channel.M
+        worst = worst_case_trace(scn)
+        bernoulli = simulate(
+            dataclasses.replace(
+                scn, channel=ChannelPolicy(M=M, mode=ChannelMode.BERNOULLI, p=0.5, seed=seed)
+            )
+        )
+        for tr in (worst, bernoulli):
+            _check_protocol(tr, M)
+        if estimator is EstimatorKind.MODEL_BASED:
+            rep = analyze_scenario(scn, worst)
+            for tr in (worst, bernoulli):
+                assert verify_ec_bound(tr, rep.Delta, scn.trigger).ok, seed
+                assert summarize(tr, scn.trigger).min_inter_event >= rep.miet, seed
+        else:
+            bound = analyze_scenario_zoh(scn, worst).Delta_zoh
+            assert verify_ec_bound(worst, bound, scn.trigger).ok, seed
 
 
 @pytest.mark.xfail(
