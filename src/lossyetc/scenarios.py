@@ -135,7 +135,9 @@ def _matrix(value: Any, key: str, problems: list[str]) -> np.ndarray | None:
     except (TypeError, ValueError):
         problems.append(f"{key}: not a numeric matrix")
         return None
-    if arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
+    except OverflowError:  # an integer too large for a float: as a 1e400 literal
+        arr = None
+    if arr is None or arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
         problems.append(f"{key}: must be a finite 1- or 2-d numeric array")
         return None
     return arr
@@ -145,10 +147,14 @@ def _number(value: Any, key: str, problems: list[str]) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{key}: must be a number, got {value!r}")
         return None
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float: as a 1e400 literal
+        number = math.inf
+    if not math.isfinite(number):
         problems.append(f"{key}: must be finite")
         return None
-    return float(value)
+    return number
 
 
 def _section(doc: dict, key: str, problems: list[str]) -> dict:

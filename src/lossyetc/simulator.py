@@ -259,9 +259,8 @@ class _Flow:
             (p[:, n : 2 * n] + p[:, 2 * n :] - p[:, :n]).reshape(-1, 3 * n)
             for p in self.scan
         ]
-        self.blank, self.powers = _kept(self.blank), _kept(self.powers)
-        self.scan = [_kept(p) for p in self.scan]
-        self.scan_es = [_kept(p) for p in self.scan_es]
+        for arr in (self.blank, self.powers, *self.scan, *self.scan_es):
+            arr.flags.writeable = False
 
     def step(self, dt: float) -> np.ndarray:
         """exp(dt * stacked generator), assembled block-wise."""
@@ -340,30 +339,6 @@ class _Flow:
         return k_hi, z_hi, es_hi
 
 
-def _pages(nbytes: int) -> mmap.mmap:
-    """nbytes of private anonymous memory pages, outside the heap.
-
-    Private, not shared: a forked child that writes to pages it inherited
-    writes its own copy of them, never its parent's or another child's.
-    """
-    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-
-
-def _kept(arr: np.ndarray) -> np.ndarray:
-    """Read-only copy of arr in memory pages of its own, for a cache entry.
-
-    An entry outlives many runs, so it stays out of the heap that the runs'
-    short-lived temporaries come and go in.  The gain is small since the
-    trace tables left the heap too: on a 2-core x86-64 host the zoh_sweep
-    benchmark's peak RSS read 85.8-85.9 MB with page-backed entries and
-    86.4-86.7 MB with heap-backed ones (two runs each).
-    """
-    out = np.frombuffer(_pages(arr.nbytes), dtype=arr.dtype).reshape(arr.shape)
-    out[...] = arr
-    out.flags.writeable = False
-    return out
-
-
 def _table(rows: int, cols: int) -> np.ndarray:
     """An uninitialized rows x cols float table in pages reused across runs.
 
@@ -373,13 +348,17 @@ def _table(rows: int, cols: int) -> np.ndarray:
     view of the table, so every column of a Trace made from it, keeps that
     array alive; once the last view dies, a finalizer offers the pages back
     as a spare.  So a live trace's pages are never handed out again, and a
-    run that reuses a spare writes pages that are resident already.
+    run that reuses a spare writes pages that are resident already.  Fresh
+    pages are private anonymous memory, outside the heap; private, not
+    shared, so a forked child that writes to pages it inherited writes its
+    own copy of them, never its parent's or another child's.
     """
     nbytes = rows * cols * 8
     with _spares_lock:
         spares = list(_spares)  # a finalizer may append to _spares meanwhile
         fits = [mm for mm in spares if len(mm) >= nbytes]
-        pages = min(fits, key=len) if fits else _pages(nbytes)
+        pages = (min(fits, key=len) if fits else
+                 mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         for mm in [pages] if fits else spares:
             _spares.remove(mm)
     flat = np.frombuffer(pages, count=rows * cols)
@@ -434,7 +413,9 @@ def _grid(
     grid = np.arange(n_full + 1, dtype=float) * sample_dt
     if grid[-1] < t_max - 1e-9 * max(1.0, t_max):
         grid = np.append(grid, t_max)
-    return n_full, _kept(grid), _kept(threshold_value(grid, cfg))
+    grid_thr = threshold_value(grid, cfg)
+    grid.flags.writeable = grid_thr.flags.writeable = False
+    return n_full, grid, grid_thr
 
 
 def _column_sums(sq: np.ndarray) -> np.ndarray:

@@ -289,6 +289,14 @@ class TestUsageErrors:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "trigger.beta" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        doc = scenario_to_dict(le.vehicle_preset(7))
+        doc["sim"]["t_max"] = 10**400
+        path.write_text(json.dumps(doc, indent=2))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "sim.t_max: must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "nope.json" in capsys.readouterr().err

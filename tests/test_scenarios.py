@@ -263,6 +263,35 @@ class TestScenarioErrors:
             f"line {line}: sim.x0: must be a 1-d numeric array, got shape (2, 2)"
         ]
 
+    @pytest.mark.parametrize("key, problem", [
+        ("sim.t_max", "must be finite"),
+        ("trigger.beta", "must be finite"),
+        ("channel.p", "must be finite"),
+        ("plant.A", "must be a finite 1- or 2-d numeric array"),
+        ("sim.x0", "must be a finite 1- or 2-d numeric array"),
+    ])
+    def test_integer_beyond_float_range_named(self, vehicle0, tmp_path, key, problem):
+        # A 401-digit integer overflows float(); it gets the problem of the
+        # 1e400 literal, which JSON reads as infinity, with its line.
+        doc = self._doc(vehicle0)
+        doc["channel"] = {"M": 5, "mode": "bernoulli", "p": 0.5, "seed": 3}
+        big = 10**400
+        section, field = key.split(".")
+        if key == "plant.A":
+            doc[section][field][0][1] = big
+        elif key == "sim.x0":
+            doc[section][field][2] = big
+        else:
+            doc[section][field] = big
+        text = json.dumps(doc, indent=2) + "\n"
+        line = 1 + text[: text.find(f'"{field}"', text.find(f'"{section}"'))].count("\n")
+        for literal in (str(big), "1e400"):
+            path = tmp_path / "bad.json"
+            path.write_text(text.replace(str(big), literal))
+            with pytest.raises(ScenarioFormatError) as err:
+                load_scenario(str(path))
+            assert err.value.problems == [f"line {line}: {key}: {problem}"]
+
     def test_missing_section(self, vehicle0):
         doc = self._doc(vehicle0)
         del doc["trigger"]

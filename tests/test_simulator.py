@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import sys
 import threading
 import time
@@ -639,6 +640,21 @@ def test_spare_table_reused_once_trace_dies(no_spares, vehicle7):
     tr = simulate(vehicle7)
     assert _pages_of(tr) is pages and simulator._spares == []
     assert _trace_sha256(tr) == _MB7_SHA256
+
+
+def test_spare_table_only_pages_a_cold_run_maps(monkeypatch, cold_flows, no_spares, vehicle7):
+    # The flow and grid a cold run builds stay on the heap: the run maps
+    # pages once, for its trace table.
+    sizes = []
+    mapping = mmap.mmap
+
+    def counting(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return mapping(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counting)
+    tr = simulate(vehicle7)
+    assert sizes == [len(_pages_of(tr))]
 
 
 def test_spare_tables_capped_and_smaller_ones_unmapped(no_spares, vehicle7, zoh7):
